@@ -19,6 +19,8 @@
 #   - ci/compile_scalar.sh    compiled matcher with SIMD kernels pinned off
 #   - ci/tsan.sh              parallel batch solver + obs registry tests
 #   - ci/asan.sh              ASan+UBSan full suite (mandatory, not opt-in)
+#   - ci/hostile_input.sh     deep/truncated input through the ASan binaries
+#   - ci/sbdbench_smoke.sh    standalone bench/sbdbench build + --quick run
 #
 #   scripts/check.sh          # everything above
 #   scripts/check.sh --quick  # release bench run only; refreshes the
@@ -53,5 +55,7 @@ python3 "$CI_DIR"/validate_workflow.py
 "$CI_DIR"/compile_scalar.sh
 "$CI_DIR"/tsan.sh
 "$CI_DIR"/asan.sh
+"$CI_DIR"/hostile_input.sh build-asan
+"$CI_DIR"/sbdbench_smoke.sh
 
 echo "all checks passed"

@@ -15,9 +15,10 @@ Three rules, each encoding an invariant the type system cannot:
    node-based hash table is an easy way to lose the PR-1 speedups.
 
 3. obs-compiled-out: outside the observability layer itself, counter bumps
-   must use the SBD_OBS_INC/SBD_OBS_ADD/SBD_STATS_* macros (which compile
-   out under -DSBD_OBS=0), never raw obs::tlsShard() / MetricShard::add
-   calls that would survive in "observability off" builds.
+   must use the SBD_OBS_INC/SBD_OBS_ADD/SBD_OBS_HIST/SBD_OBS_STAT_INC macros
+   (which all compile out under -DSBD_OBS=0), never raw obs::tlsShard() /
+   MetricShard::add / ShardRegistry::local() calls that would survive in
+   "observability off" builds.
 
 4. engine-routing: the solver/SMT/policy layers must not instantiate the
    baseline engines (AntimirovSolver, BrzozowskiMintermSolver, EagerSolver)
@@ -57,10 +58,12 @@ UNORDERED = re.compile(r"\bstd::unordered_(?:map|set)\b|#include\s*<unordered_(?
 # Rule 3: raw shard access outside the obs layer. The macros themselves and
 # the registry/exposition implementation are the allowlist; Audit.h
 # publishes through SBD_OBS_ADD so it needs no exemption. The histogram
-# shard accessor and both registries' local() are covered the same way.
+# shard accessor and the shared registry's local() are covered the same way.
 OBS_ALLOWLIST = {
     SRC / "support" / "Metrics.h",
     SRC / "support" / "Metrics.cpp",
+    SRC / "support" / "ShardRegistry.h",
+    SRC / "support" / "ShardRegistry.cpp",
     SRC / "support" / "Trace.h",
     SRC / "support" / "Trace.cpp",
     SRC / "support" / "Histogram.h",
@@ -71,8 +74,7 @@ OBS_ALLOWLIST = {
 RAW_OBS = re.compile(
     r"\bobs::tlsShard\s*\(|\btlsShard\s*\(\s*\)\s*\.add\b"
     r"|\bobs::tlsHistShard\s*\(|\btlsHistShard\s*\(\s*\)\s*\.record\b"
-    r"|\bMetricsRegistry::global\s*\(\s*\)\s*\.local\b"
-    r"|\bHistogramRegistry::global\s*\(\s*\)\s*\.local\b")
+    r"|\b(?:Metrics|Histogram|Shard)Registry\b[^;]*(?:::|\.)local\s*\(")
 
 # Rule 4: layers that must route through the portfolio rather than picking
 # an engine ad hoc. Only declarations/constructions trip the rule (the type

@@ -12,10 +12,10 @@ using namespace sbd;
 Tr DerivativeEngine::derivative(Re R) {
   SBD_OBS_INC(DerivativeCalls);
   if (R.Id < DerivMemo.size() && DerivMemo[R.Id] != MissingId) {
-    SBD_STATS_INC(Stats, MemoHits);
+    SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{DerivMemo[R.Id]};
   }
-  SBD_STATS_INC(Stats, MemoMisses);
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
 
   // Copy the node: recursive calls may grow the regex arena.
   RegexNode N = M.node(R);
@@ -81,10 +81,10 @@ Tr DerivativeEngine::derivative(Re R) {
 Tr DerivativeEngine::derivativeDnf(Re R) {
   SBD_OBS_INC(DnfCalls);
   if (R.Id < DnfMemo.size() && DnfMemo[R.Id] != MissingId) {
-    SBD_STATS_INC(Stats, MemoHits);
+    SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{DnfMemo[R.Id]};
   }
-  SBD_STATS_INC(Stats, MemoMisses);
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
   // Phase attribution on the miss path only: memo hits stay a bare table
   // lookup, while misses do real work that dwarfs the two clock reads.
   // DNF work triggered *inside* δ (the lift rule of concatRe) lands in the
@@ -118,10 +118,10 @@ Re DerivativeEngine::brzozowski(Re R, uint32_t Ch) {
   assert(Ch <= MaxCodePoint && "character outside the code-point domain");
   uint64_t Key = (static_cast<uint64_t>(R.Id) << 21) | Ch;
   if (const uint32_t *Hit = BrzMemo.find(Key)) {
-    SBD_STATS_INC(Stats, MemoHits);
+    SBD_OBS_STAT_INC(Stats, MemoHits);
     return Re{*Hit};
   }
-  SBD_STATS_INC(Stats, MemoMisses);
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
   Re Out = brzozowskiUncached(R, Ch);
   BrzMemo.insert(Key, Out.Id);
   return Out;

@@ -158,10 +158,10 @@ Tr TrManager::inter(std::vector<Tr> Ts) {
 
 Tr TrManager::negate(Tr T) {
   if (T.Id < NegateMemo.size() && NegateMemo[T.Id] != MissingId) {
-    SBD_STATS_INC(Stats, MemoHits);
+    SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{NegateMemo[T.Id]};
   }
-  SBD_STATS_INC(Stats, MemoMisses);
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
   // Copy the node: recursive calls below may grow the arena and invalidate
   // references into it.
   TrNode N = node(T);
@@ -251,10 +251,10 @@ Re TrManager::apply(Tr T, uint32_t Ch) const {
 
 Tr TrManager::dnf(Tr T) {
   if (T.Id < DnfMemo.size() && DnfMemo[T.Id] != MissingId) {
-    SBD_STATS_INC(Stats, MemoHits);
+    SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{DnfMemo[T.Id]};
   }
-  SBD_STATS_INC(Stats, MemoMisses);
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
   Tr Result = dnfUnder(T, CharSet::full());
   if (DnfMemo.size() <= T.Id)
     DnfMemo.resize(Nodes.size(), MissingId);

@@ -185,7 +185,7 @@ dist::decodeResponse(const std::vector<uint8_t> &Payload) {
     R.Result.Witness.push_back(C.u32());
   if (!C.done() || Status > static_cast<uint8_t>(SolveStatus::Unsupported) ||
       Stop > static_cast<uint8_t>(StopReason::CacheRevalidationFailed) ||
-      Engine > static_cast<uint8_t>(SolveEngine::VerdictCache))
+      Engine >= NumSolveEngines)
     return std::nullopt;
   R.Result.Status = static_cast<SolveStatus>(Status);
   R.Result.Stop = static_cast<StopReason>(Stop);

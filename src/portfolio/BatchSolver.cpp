@@ -71,9 +71,8 @@ namespace {
 /// Buckets every result's SolveStats by the engine that produced it.
 std::vector<EnginePhaseRow>
 bucketByEngine(const std::vector<BatchResult> &Results) {
-  constexpr size_t NumEngines = 6; // SolveEngine enumerator count
-  EnginePhaseRow Rows[NumEngines];
-  for (size_t I = 0; I != NumEngines; ++I)
+  EnginePhaseRow Rows[NumSolveEngines];
+  for (size_t I = 0; I != NumSolveEngines; ++I)
     Rows[I].Engine = static_cast<SolveEngine>(I);
   for (const BatchResult &R : Results) {
     if (!R.ParseOk)
@@ -83,7 +82,7 @@ bucketByEngine(const std::vector<BatchResult> &Results) {
     Row.Stats += R.Result.Stats;
   }
   std::vector<EnginePhaseRow> Out;
-  for (size_t I = 0; I != NumEngines; ++I)
+  for (size_t I = 0; I != NumSolveEngines; ++I)
     if (Rows[I].Queries)
       Out.push_back(Rows[I]);
   return Out;

@@ -37,6 +37,7 @@ private:
   bool Failed = false;
   std::string Err;
   size_t ErrPos = 0;
+  size_t Depth = 0; ///< open '(' and '~' around the current position
 
   bool atEnd() const { return Pos >= In.size(); }
   uint32_t peek() const { return atEnd() ? 0 : In[Pos]; }
@@ -45,6 +46,18 @@ private:
     if (atEnd() || In[Pos] != C)
       return false;
     ++Pos;
+    return true;
+  }
+
+  /// Counts one more open '(' or '~'; past MaxRegexNesting it fails the
+  /// parse instead, before the recursion can exhaust the stack.
+  bool enterNesting() {
+    if (Depth == MaxRegexNesting) {
+      fail("nesting too deep (limit " + std::to_string(MaxRegexNesting) +
+           ")");
+      return false;
+    }
+    ++Depth;
     return true;
   }
 
@@ -101,8 +114,13 @@ private:
   }
 
   Re parseUnary() {
-    if (consumeIf('~'))
-      return M.complement(parseUnary());
+    if (consumeIf('~')) {
+      if (!enterNesting())
+        return M.empty();
+      Re R = M.complement(parseUnary());
+      --Depth;
+      return R;
+    }
     return parsePostfix();
   }
 
@@ -171,7 +189,10 @@ private:
     case '(': {
       if (consumeIf(')'))
         return M.epsilon(); // '()' denotes ε
+      if (!enterNesting())
+        return M.empty();
       Re R = parseUnion();
+      --Depth;
       if (!consumeIf(')'))
         return fail("expected ')'");
       return R;

@@ -26,6 +26,13 @@
 
 namespace sbd {
 
+/// Deepest nesting of '(' groups and '~' complements the parser accepts;
+/// deeper input is a parse error, not a stack overflow. The parser recurses
+/// once per level, as do the recursive walks over the parsed term (δ, the
+/// printers). The cap is about 60% of the depth at which the ASan+UBSan
+/// Debug build overflows an 8 MiB stack.
+constexpr size_t MaxRegexNesting = 1000;
+
 /// Outcome of a parse; on failure `Error` describes the problem and
 /// `ErrorPos` is the code-point offset where it was detected.
 struct RegexParseResult {

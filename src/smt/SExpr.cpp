@@ -31,6 +31,7 @@ private:
   bool Failed = false;
   std::string Err;
   size_t ErrPos = 0;
+  size_t Depth = 0; ///< lists open around the current position
 
   bool atEnd() const { return Pos >= In.size(); }
   char peek() const { return In[Pos]; }
@@ -74,7 +75,13 @@ private:
     }
     char C = peek();
     if (C == '(') {
+      if (Depth == MaxSExprNesting) {
+        fail("nesting too deep (limit " + std::to_string(MaxSExprNesting) +
+             ")");
+        return SExpr{};
+      }
       ++Pos;
+      ++Depth;
       SExpr L;
       L.K = SExpr::Kind::List;
       skipTrivia();
@@ -84,6 +91,7 @@ private:
           return L;
         skipTrivia();
       }
+      --Depth;
       if (atEnd()) {
         fail("expected ')'");
         return L;

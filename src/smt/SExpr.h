@@ -10,11 +10,18 @@
 #ifndef SBD_SMT_SEXPR_H
 #define SBD_SMT_SEXPR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace sbd {
+
+/// Deepest list nesting parseSExprs accepts; deeper input is a parse
+/// error, not a stack overflow. The reader and the term compiler recurse
+/// once per level. The cap is about 55% of the depth at which the
+/// ASan+UBSan Debug build overflows an 8 MiB stack.
+constexpr size_t MaxSExprNesting = 2000;
 
 /// One parsed s-expression node.
 struct SExpr {

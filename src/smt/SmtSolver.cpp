@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 using namespace sbd;
 
@@ -189,48 +190,35 @@ public:
     Out += ":cubes-tried " + Ull(CubesTriedTotal);
     Out += "\n :checks-run " + Ull(ChecksRun);
     Out += "\n :regex-queries " + Ull(RegexQueries);
-    Out += "\n :derivative-calls " + Ull(St.DerivativeCalls);
-    Out += "\n :dnf-calls " + Ull(St.DnfCalls);
-    Out += "\n :dnf-branches-explored " + Ull(St.DnfBranchesExplored);
-    Out += "\n :dnf-branches-pruned " + Ull(St.DnfBranchesPruned);
-    Out += "\n :arcs-enumerated " + Ull(St.ArcsEnumerated);
-    Out += "\n :minterm-computations " + Ull(St.MintermComputations);
-    Out += "\n :minterms-produced " + Ull(St.MintermsProduced);
-    Out += "\n :intern-hits " + Ull(St.InternHits);
-    Out += "\n :intern-misses " + Ull(St.InternMisses);
-    Out += "\n :memo-hits " + Ull(St.MemoHits);
-    Out += "\n :memo-misses " + Ull(St.MemoMisses);
-    Out += "\n :arena-nodes " + Ull(St.ArenaNodes);
-    Out += "\n :peak-frontier " + Ull(St.PeakFrontier);
-    Out += "\n :solver-steps " + Ull(St.SolverSteps);
+    // The SolveStats rows that have a statistics key: counts first, then
+    // (after the registry counters below) the signed phase timers.
+    std::string Counts, Times;
+    auto Row = [](std::string &Rows, const char *Key, auto V) {
+      if constexpr (std::is_integral_v<decltype(V)>)
+        if (*Key)
+          Rows += std::string("\n :") + Key + " " + std::to_string(V);
+    };
+#define SBD_STAT_ROW(Type, Member, Stat, ...)                                  \
+  Row(std::is_signed_v<Type> ? Times : Counts, Stat, St.Member);
+    SBD_SOLVE_STATS_FIELDS(SBD_STAT_ROW, SBD_STAT_ROW, SBD_STAT_ROW)
+#undef SBD_STAT_ROW
+    Out += Counts;
     // Compiled serving path and the cross-query verdict cache. These live
     // in the process-wide registry (the compiled kernel and the shared
     // cache never touch per-query stats), so they are cumulative across
     // the solver's lifetime like the rest of this list.
     obs::MetricShard Reg = obs::MetricsRegistry::global().snapshot();
-    Out += "\n :compiled-promotions " +
-           Ull(Reg.get(obs::Counter::CompiledPromotions));
-    Out += "\n :compiled-chars-scanned " +
-           Ull(Reg.get(obs::Counter::CompiledCharsScanned));
-    Out += "\n :compiled-prefilter-skips " +
-           Ull(Reg.get(obs::Counter::CompiledPrefilterSkips));
-    Out += "\n :compiled-fallbacks " +
-           Ull(Reg.get(obs::Counter::CompiledFallbacks));
-    Out += "\n :verdict-cache-hits " +
-           Ull(Reg.get(obs::Counter::VerdictCacheHits));
-    Out += "\n :verdict-cache-misses " +
-           Ull(Reg.get(obs::Counter::VerdictCacheMisses));
-    Out += "\n :verdict-cache-inserts " +
-           Ull(Reg.get(obs::Counter::VerdictCacheInserts));
-    Out += "\n :verdict-cache-evictions " +
-           Ull(Reg.get(obs::Counter::VerdictCacheEvictions));
-    Out += "\n :minterm-time-us " + std::to_string(St.MintermUs);
-    Out += "\n :derive-time-us " + std::to_string(St.DeriveUs);
-    Out += "\n :dnf-time-us " + std::to_string(St.DnfUs);
-    Out += "\n :cache-probe-time-us " + std::to_string(St.CacheProbeUs);
-    Out += "\n :scan-time-us " + std::to_string(St.ScanUs);
-    Out += "\n :search-time-us " + std::to_string(St.SearchUs);
-    Out += "\n :solve-time-us " + std::to_string(St.TotalUs);
+    for (obs::Counter C :
+         {obs::Counter::CompiledPromotions, obs::Counter::CompiledCharsScanned,
+          obs::Counter::CompiledPrefilterSkips, obs::Counter::CompiledFallbacks,
+          obs::Counter::VerdictCacheHits, obs::Counter::VerdictCacheMisses,
+          obs::Counter::VerdictCacheInserts,
+          obs::Counter::VerdictCacheEvictions}) {
+      std::string Key = obs::counterName(C);
+      std::replace(Key.begin(), Key.end(), '_', '-');
+      Out += "\n :" + Key + " " + Ull(Reg.get(C));
+    }
+    Out += Times;
     // Latency distribution over every regex sub-query solved so far, from
     // the process-wide histogram registry (cumulative, like the compiled
     // counters above; all-zero at -DSBD_OBS=0).

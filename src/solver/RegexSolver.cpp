@@ -99,22 +99,18 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
     St.AnalysisUs = AnalysisUs;
 #if SBD_OBS
     obs::MetricShard Diff = obs::tlsShard().since(ShardBefore);
-    St.DerivativeCalls = Diff.get(obs::Counter::DerivativeCalls);
-    St.DnfCalls = Diff.get(obs::Counter::DnfCalls);
-    St.BrzozowskiCalls = Diff.get(obs::Counter::BrzozowskiCalls);
-    St.DnfBranchesExplored = Diff.get(obs::Counter::DnfBranchesExplored);
-    St.DnfBranchesPruned = Diff.get(obs::Counter::DnfBranchesPruned);
-    St.ArcsEnumerated = Diff.get(obs::Counter::ArcsEnumerated);
-    St.MintermComputations = Diff.get(obs::Counter::MintermComputations);
-    St.MintermsProduced = Diff.get(obs::Counter::MintermsProduced);
-    St.MintermUs = static_cast<int64_t>(Diff.get(obs::Counter::MintermTimeUs));
-    St.DeriveUs = static_cast<int64_t>(Diff.get(obs::Counter::DeriveTimeUs));
-    St.DnfUs = static_cast<int64_t>(Diff.get(obs::Counter::DnfTimeUs));
-    St.CacheProbeUs =
-        static_cast<int64_t>(Diff.get(obs::Counter::CacheProbeTimeUs));
-    St.ScanUs = static_cast<int64_t>(Diff.get(obs::Counter::ScanTimeUs));
-    St.AnalysisNodesVisited = Diff.get(obs::Counter::AnalysisNodesVisited);
-    St.AnalysisCacheHits = Diff.get(obs::Counter::AnalysisCacheHits);
+#define SBD_COPY_Copy(Member) St.Member = Diff.get(obs::Counter::Member);
+#define SBD_COPY_Set(Member)
+#define SBD_COPY_C(Type, Member, Stat, How) SBD_COPY_##How(Member)
+#define SBD_COPY_T(Type, Member, Stat, Key, Id)                                \
+  St.Member = static_cast<Type>(Diff.get(obs::Counter::Id));
+#define SBD_COPY_F(...)
+    SBD_SOLVE_STATS_FIELDS(SBD_COPY_C, SBD_COPY_T, SBD_COPY_F)
+#undef SBD_COPY_F
+#undef SBD_COPY_T
+#undef SBD_COPY_C
+#undef SBD_COPY_Set
+#undef SBD_COPY_Copy
     // MintermUs is informational only: computeMinterms runs *inside* the
     // derive/DNF regions, so it is excluded from the residual.
     int64_t Attributed = St.DeriveUs + St.DnfUs + St.CacheProbeUs;

@@ -11,9 +11,14 @@
 #ifndef SBD_SOLVER_SOLVERRESULT_H
 #define SBD_SOLVER_SOLVERRESULT_H
 
+#include "support/Metrics.h"
+
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sbd {
@@ -73,35 +78,34 @@ enum class SearchStrategy : uint8_t {
        ///< fast on satisfiable instances with deep models
 };
 
-/// Which engine produced a result. Mostly interesting to the differential
-/// harnesses (BatchSolver, the fuzz oracle), which aggregate per-engine
-/// phase tables from it.
+/// Which engine produced a result, declared once as X(Enumerator, name).
+/// Mostly interesting to the differential harnesses (BatchSolver, the fuzz
+/// oracle), which aggregate per-engine phase tables from it.
+#define SBD_SOLVE_ENGINES(X)                                                   \
+  X(DerivBfs, "deriv_bfs")     /* symbolic-derivative solver, breadth-first */ \
+  X(DerivDfs, "deriv_dfs")     /* symbolic-derivative solver, depth-first */   \
+  X(Antimirov, "antimirov")    /* Antimirov partial-derivative NFA baseline */ \
+  X(BrzMinterm, "brz_minterm") /* Brzozowski + explicit minterm baseline */    \
+  X(Eager, "eager")            /* eager product-automaton solver */            \
+  X(VerdictCache, "verdict_cache") /* cross-query verdict cache, no solve */
+
 enum class SolveEngine : uint8_t {
-  DerivBfs,   ///< symbolic-derivative solver, breadth-first
-  DerivDfs,   ///< symbolic-derivative solver, depth-first
-  Antimirov,  ///< Antimirov partial-derivative NFA baseline
-  BrzMinterm, ///< Brzozowski + explicit minterm baseline
-  Eager,      ///< eager product-automaton solver
-  VerdictCache, ///< answered from the cross-query verdict cache (no solve)
+#define SBD_SOLVE_ENGINE_ID(Id, Name) Id,
+  SBD_SOLVE_ENGINES(SBD_SOLVE_ENGINE_ID)
+#undef SBD_SOLVE_ENGINE_ID
 };
 
-/// Human-readable engine name (stable, snake_case).
+/// Human-readable engine name (stable, snake_case), indexed by SolveEngine.
+inline constexpr const char *SolveEngineNames[] = {
+#define SBD_SOLVE_ENGINE_NAME(Id, Name) Name,
+    SBD_SOLVE_ENGINES(SBD_SOLVE_ENGINE_NAME)
+#undef SBD_SOLVE_ENGINE_NAME
+};
+
+constexpr size_t NumSolveEngines = std::size(SolveEngineNames);
+
 inline const char *solveEngineName(SolveEngine E) {
-  switch (E) {
-  case SolveEngine::DerivBfs:
-    return "deriv_bfs";
-  case SolveEngine::DerivDfs:
-    return "deriv_dfs";
-  case SolveEngine::Antimirov:
-    return "antimirov";
-  case SolveEngine::BrzMinterm:
-    return "brz_minterm";
-  case SolveEngine::Eager:
-    return "eager";
-  case SolveEngine::VerdictCache:
-    return "verdict_cache";
-  }
-  return "?";
+  return SolveEngineNames[static_cast<size_t>(E)];
 }
 
 /// Resource budget for one query.
@@ -125,137 +129,144 @@ struct SolveOptions {
   bool EagerRowRecording = false;
 };
 
+/// Every SolveStats field, declared once. The third column of each row is
+/// its `(get-info :statistics)` keyword without the colon, or "" when the
+/// statistics omit it. There are three kinds of row:
+///
+///   C(Type, Member, Stat, How)
+///     the query's share of the counter `obs::Counter::Member`, whose name
+///     is the field's JSON key. How is Copy when RegexSolver::checkSat
+///     copies it out of the query's shard diff, Set when checkSat computes
+///     it itself (and adds it to the registry afterwards). Summed by +=.
+///   T(Type, Member, Stat, Key, Id)
+///     a phase time checkSat copies out of the shard diff of
+///     `obs::Counter::Id`. Summed by +=.
+///   F(Type, Member, Stat, Key, Merge)
+///     any other field; the solver fills it. `operator+=` folds it by
+///     Merge: Sum, Max, Keep (the left side's value stays) or Prediction
+///     (taken from the right side while the left side has no
+///     PredictedClass yet).
+///
+/// The table expands to the members, `operator+=`, `json()` (keys in row
+/// order), checkSat's copies, and the SolveStats rows of
+/// `(get-info :statistics)`.
+#define SBD_SOLVE_STATS_FIELDS(C, T, F)                                        \
+  /* Engine attribution for per-engine phase tables. */                        \
+  F(SolveEngine, Engine, "", "engine", Keep)                                   \
+  C(uint64_t, DerivativeCalls, "derivative-calls", Copy)                       \
+  C(uint64_t, DnfCalls, "dnf-calls", Copy)                                     \
+  C(uint64_t, BrzozowskiCalls, "", Copy)                                       \
+  C(uint64_t, DnfBranchesExplored, "dnf-branches-explored", Copy)              \
+  C(uint64_t, DnfBranchesPruned, "dnf-branches-pruned", Copy)                  \
+  C(uint64_t, ArcsEnumerated, "arcs-enumerated", Copy)                         \
+  C(uint64_t, MintermComputations, "minterm-computations", Copy)               \
+  C(uint64_t, MintermsProduced, "minterms-produced", Copy)                     \
+  C(uint64_t, InternHits, "intern-hits", Set)                                  \
+  C(uint64_t, InternMisses, "intern-misses", Set)                              \
+  C(uint64_t, MemoHits, "memo-hits", Set)                                      \
+  C(uint64_t, MemoMisses, "memo-misses", Set)                                  \
+  /* Regex + TR nodes allocated; max BFS/DFS queue length. */                  \
+  F(uint64_t, ArenaNodes, "arena-nodes", "arena_nodes", Sum)                   \
+  F(uint64_t, PeakFrontier, "peak-frontier", "peak_frontier", Max)             \
+  C(uint64_t, SolverSteps, "solver-steps", Set)                                \
+  C(uint64_t, TimeoutChecks, "", Set)                                          \
+  /* Phase times, microseconds. MintermUs overlaps DeriveUs/DnfUs; SearchUs */ \
+  /* is TotalUs minus DeriveUs, DnfUs and CacheProbeUs. */                     \
+  F(int64_t, ParseUs, "", "parse_us", Sum)                                     \
+  T(int64_t, MintermUs, "minterm-time-us", "minterm_us", MintermTimeUs)        \
+  T(int64_t, DeriveUs, "derive-time-us", "derive_us", DeriveTimeUs)            \
+  T(int64_t, DnfUs, "dnf-time-us", "dnf_us", DnfTimeUs)                        \
+  T(int64_t, CacheProbeUs, "cache-probe-time-us", "cache_probe_us",            \
+    CacheProbeTimeUs)                                                          \
+  T(int64_t, ScanUs, "scan-time-us", "scan_us", ScanTimeUs)                    \
+  F(int64_t, SearchUs, "search-time-us", "search_us", Sum)                     \
+  F(int64_t, TotalUs, "solve-time-us", "total_us", Sum)                        \
+  /* Pre-solve analyzer predictions (analysis/RegexAnalyzer.h): class name, */ \
+  /* risk score [0,100] and the coarse state bound used for routing; empty */  \
+  /* when the query skipped analysis. */                                       \
+  F(const char *, PredictedClass, "", "predicted_class", Prediction)           \
+  F(uint32_t, RiskScore, "", "risk_score", Prediction)                         \
+  F(uint64_t, PredictedStates, "", "predicted_states", Prediction)             \
+  F(int64_t, AnalysisUs, "", "analysis_us", Sum)                               \
+  C(uint64_t, AnalysisNodesVisited, "", Copy)                                  \
+  C(uint64_t, AnalysisCacheHits, "", Copy)
+
 /// Per-query attribution of work done while solving: how many derivative
 /// expansions, DNF branches, minterm computations, and cache hits the query
-/// incurred, and where its wall-clock went. Populated by RegexSolver from
-/// the thread-local metric shard (queries never migrate threads); all
-/// counters are zero when the library is built with -DSBD_OBS=0.
+/// incurred, where its wall-clock went, and what the analyzer predicted.
+/// Populated by RegexSolver from the thread-local metric shard (queries
+/// never migrate threads); all counters are zero when the library is built
+/// with -DSBD_OBS=0.
 struct SolveStats {
-  uint64_t DerivativeCalls = 0;     ///< δ(R) invocations (incl. recursion)
-  uint64_t DnfCalls = 0;            ///< δdnf(R) requests
-  uint64_t BrzozowskiCalls = 0;     ///< classical D_a(R) invocations
-  uint64_t DnfBranchesExplored = 0; ///< DNF conditional branches recursed
-  uint64_t DnfBranchesPruned = 0;   ///< DNF branches with dead path conds
-  uint64_t ArcsEnumerated = 0;      ///< (guard, target) arcs produced
-  uint64_t MintermComputations = 0; ///< computeMinterms() calls
-  uint64_t MintermsProduced = 0;    ///< minterms those calls returned
-  uint64_t InternHits = 0;          ///< hash-consing hits (regex + TR)
-  uint64_t InternMisses = 0;        ///< fresh nodes interned
-  uint64_t MemoHits = 0;            ///< δ/δdnf/negate/Brz memo hits
-  uint64_t MemoMisses = 0;          ///< memo misses (result computed)
-  uint64_t ArenaNodes = 0;          ///< regex + TR nodes allocated
-  uint64_t PeakFrontier = 0;        ///< max BFS/DFS queue length
-  uint64_t SolverSteps = 0;         ///< states dequeued by the search loop
-  uint64_t TimeoutChecks = 0;       ///< deadline clock reads
-  int64_t ParseUs = 0;              ///< pattern/script parse time
-  int64_t MintermUs = 0;            ///< time inside computeMinterms(); may
-                                    ///< overlap DeriveUs/DnfUs regions
-  int64_t DeriveUs = 0;             ///< time inside δ computation
-  int64_t DnfUs = 0;                ///< time inside the DNF transformation
-  int64_t CacheProbeUs = 0;         ///< dense-row replay (cache probe) time
-  int64_t ScanUs = 0;               ///< lazy/compiled DFA scan time
-  int64_t SearchUs = 0;             ///< search-loop time minus the above
-  int64_t TotalUs = 0;              ///< wall-clock for the whole query
-  /// Engine attribution for per-engine phase tables.
-  SolveEngine Engine = SolveEngine::DerivBfs;
+#define SBD_SOLVE_STATS_MEMBER(Type, Member, ...) Type Member = zero<Type>();
+  SBD_SOLVE_STATS_FIELDS(SBD_SOLVE_STATS_MEMBER, SBD_SOLVE_STATS_MEMBER,
+                         SBD_SOLVE_STATS_MEMBER)
+#undef SBD_SOLVE_STATS_MEMBER
 
-  // Pre-solve analyzer predictions (analysis/RegexAnalyzer.h), recorded so
-  // every solve audits the analyzer: predicted class/cost vs. the actual
-  // states/time above. Empty/zero when the query skipped analysis.
-  const char *PredictedClass = ""; ///< reClassName() static string
-  uint32_t RiskScore = 0;          ///< analyzer risk score [0,100]
-  uint64_t PredictedStates = 0;    ///< coarse upper bound used for routing
-  int64_t AnalysisUs = 0;          ///< time inside RegexAnalyzer::analyze
-  uint64_t AnalysisNodesVisited = 0; ///< DAG nodes folded for this query
-  uint64_t AnalysisCacheHits = 0;    ///< analyze() memo hits for this query
-
+  /// Aggregates keep the first-seen engine; callers that mix engines
+  /// should bucket by Engine before summing (BatchSolver does).
   SolveStats &operator+=(const SolveStats &O) {
-    DerivativeCalls += O.DerivativeCalls;
-    DnfCalls += O.DnfCalls;
-    BrzozowskiCalls += O.BrzozowskiCalls;
-    DnfBranchesExplored += O.DnfBranchesExplored;
-    DnfBranchesPruned += O.DnfBranchesPruned;
-    ArcsEnumerated += O.ArcsEnumerated;
-    MintermComputations += O.MintermComputations;
-    MintermsProduced += O.MintermsProduced;
-    InternHits += O.InternHits;
-    InternMisses += O.InternMisses;
-    MemoHits += O.MemoHits;
-    MemoMisses += O.MemoMisses;
-    ArenaNodes += O.ArenaNodes;
-    PeakFrontier = PeakFrontier > O.PeakFrontier ? PeakFrontier : O.PeakFrontier;
-    SolverSteps += O.SolverSteps;
-    TimeoutChecks += O.TimeoutChecks;
-    ParseUs += O.ParseUs;
-    MintermUs += O.MintermUs;
-    DeriveUs += O.DeriveUs;
-    DnfUs += O.DnfUs;
-    CacheProbeUs += O.CacheProbeUs;
-    ScanUs += O.ScanUs;
-    SearchUs += O.SearchUs;
-    TotalUs += O.TotalUs;
-    AnalysisUs += O.AnalysisUs;
-    AnalysisNodesVisited += O.AnalysisNodesVisited;
-    AnalysisCacheHits += O.AnalysisCacheHits;
-    if (PredictedClass[0] == '\0') {
-      PredictedClass = O.PredictedClass;
-      RiskScore = O.RiskScore;
-      PredictedStates = O.PredictedStates;
-    }
-    // Aggregates keep the first-seen engine; callers that mix engines
-    // should bucket by Engine before summing (BatchSolver does).
+    const bool TakePrediction = PredictedClass[0] == '\0';
+    auto Sum = [](auto &L, const auto &R) { L += R; };
+    auto Max = [](auto &L, const auto &R) { L = std::max(L, R); };
+    auto Keep = [](auto &, const auto &) {};
+    auto Prediction = [TakePrediction](auto &L, const auto &R) {
+      if (TakePrediction)
+        L = R;
+    };
+#define SBD_MERGE_SUM(Type, Member, ...) Sum(Member, O.Member);
+#define SBD_MERGE_F(Type, Member, Stat, Key, Merge) Merge(Member, O.Member);
+    SBD_SOLVE_STATS_FIELDS(SBD_MERGE_SUM, SBD_MERGE_SUM, SBD_MERGE_F)
+#undef SBD_MERGE_F
+#undef SBD_MERGE_SUM
     return *this;
   }
 
   /// Flat JSON object with stable snake_case keys (used by --stats-json
-  /// and `(get-info :statistics)`).
+  /// and slow-query artifacts).
   std::string json() const {
-    char Buf[2048];
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "{\"engine\": \"%s\", "
-        "\"derivative_calls\": %llu, \"dnf_calls\": %llu, "
-        "\"brzozowski_calls\": %llu, \"dnf_branches_explored\": %llu, "
-        "\"dnf_branches_pruned\": %llu, \"arcs_enumerated\": %llu, "
-        "\"minterm_computations\": %llu, \"minterms_produced\": %llu, "
-        "\"intern_hits\": %llu, \"intern_misses\": %llu, "
-        "\"memo_hits\": %llu, \"memo_misses\": %llu, "
-        "\"arena_nodes\": %llu, \"peak_frontier\": %llu, "
-        "\"solver_steps\": %llu, \"timeout_checks\": %llu, "
-        "\"parse_us\": %lld, \"minterm_us\": %lld, "
-        "\"derive_us\": %lld, \"dnf_us\": %lld, "
-        "\"cache_probe_us\": %lld, \"scan_us\": %lld, "
-        "\"search_us\": %lld, \"total_us\": %lld, "
-        "\"predicted_class\": \"%s\", \"risk_score\": %u, "
-        "\"predicted_states\": %llu, \"analysis_us\": %lld, "
-        "\"analysis_nodes_visited\": %llu, \"analysis_cache_hits\": %llu}",
-        solveEngineName(Engine),
-        static_cast<unsigned long long>(DerivativeCalls),
-        static_cast<unsigned long long>(DnfCalls),
-        static_cast<unsigned long long>(BrzozowskiCalls),
-        static_cast<unsigned long long>(DnfBranchesExplored),
-        static_cast<unsigned long long>(DnfBranchesPruned),
-        static_cast<unsigned long long>(ArcsEnumerated),
-        static_cast<unsigned long long>(MintermComputations),
-        static_cast<unsigned long long>(MintermsProduced),
-        static_cast<unsigned long long>(InternHits),
-        static_cast<unsigned long long>(InternMisses),
-        static_cast<unsigned long long>(MemoHits),
-        static_cast<unsigned long long>(MemoMisses),
-        static_cast<unsigned long long>(ArenaNodes),
-        static_cast<unsigned long long>(PeakFrontier),
-        static_cast<unsigned long long>(SolverSteps),
-        static_cast<unsigned long long>(TimeoutChecks),
-        static_cast<long long>(ParseUs), static_cast<long long>(MintermUs),
-        static_cast<long long>(DeriveUs), static_cast<long long>(DnfUs),
-        static_cast<long long>(CacheProbeUs), static_cast<long long>(ScanUs),
-        static_cast<long long>(SearchUs), static_cast<long long>(TotalUs),
-        PredictedClass, RiskScore,
-        static_cast<unsigned long long>(PredictedStates),
-        static_cast<long long>(AnalysisUs),
-        static_cast<unsigned long long>(AnalysisNodesVisited),
-        static_cast<unsigned long long>(AnalysisCacheHits));
-    return Buf;
+    std::string Out = "{";
+    const char *Sep = "";
+    auto Field = [&](const char *Key, const auto &V) {
+      Out += Sep;
+      Out += '"';
+      Out += Key;
+      Out += "\": ";
+      appendJson(Out, V);
+      Sep = ", ";
+    };
+#define SBD_JSON_C(Type, Member, ...)                                          \
+  Field(obs::counterName(obs::Counter::Member), Member);
+#define SBD_JSON_F(Type, Member, Stat, Key, ...) Field(Key, Member);
+    SBD_SOLVE_STATS_FIELDS(SBD_JSON_C, SBD_JSON_F, SBD_JSON_F)
+#undef SBD_JSON_F
+#undef SBD_JSON_C
+    Out += '}';
+    return Out;
+  }
+
+private:
+  /// A field's zero: 0, the first engine, or "" (never null, so json()
+  /// and operator+= read PredictedClass unguarded).
+  template <class T> static constexpr T zero() {
+    if constexpr (std::is_pointer_v<T>)
+      return "";
+    else
+      return T{};
+  }
+
+  static void appendJson(std::string &Out, SolveEngine E) {
+    Out += '"';
+    Out += solveEngineName(E);
+    Out += '"';
+  }
+  static void appendJson(std::string &Out, const char *S) {
+    Out += '"';
+    Out += S;
+    Out += '"';
+  }
+  template <class T> static void appendJson(std::string &Out, T V) {
+    Out += std::to_string(V);
   }
 };
 

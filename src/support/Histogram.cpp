@@ -2,33 +2,8 @@
 
 #include "support/Histogram.h"
 
-#include <mutex>
-#include <vector>
-
 using namespace sbd;
 using namespace sbd::obs;
-
-const char *sbd::obs::histName(Hist H) {
-  switch (H) {
-  case Hist::SolveLatencyUs:
-    return "solve_latency_us";
-  case Hist::SolveArenaNodes:
-    return "solve_arena_nodes";
-  case Hist::DnfExpansionArcs:
-    return "dnf_expansion_arcs";
-  case Hist::LazyScanUs:
-    return "lazy_scan_us";
-  case Hist::CompiledScanUs:
-    return "compiled_scan_us";
-  case Hist::DistRpcUs:
-    return "dist_rpc_us";
-  case Hist::DistQueueDepth:
-    return "dist_queue_depth";
-  case Hist::NumHistograms:
-    break;
-  }
-  return "?";
-}
 
 uint64_t sbd::obs::histPercentile(const HistShard::Data &D, unsigned Pct) {
   if (D.Count == 0)
@@ -90,86 +65,4 @@ std::string HistShard::json() const {
   }
   Out += '}';
   return Out;
-}
-
-/// Registry internals: a mutex-guarded list of live per-thread shards plus
-/// the folded distributions of threads that have exited — the exact shape
-/// of MetricsRegistry::Impl (support/Metrics.cpp).
-struct HistogramRegistry::Impl {
-  std::mutex Mu;
-  std::vector<HistShard *> Live;
-  HistShard Retired;
-};
-
-HistogramRegistry::Impl &HistogramRegistry::impl() {
-  // One leaked instance per process: thread-exit hooks may run after main()
-  // returns, so the registry must never be destroyed.
-  static Impl *I = new Impl();
-  return *I;
-}
-
-HistogramRegistry &HistogramRegistry::global() {
-  static HistogramRegistry *R = new HistogramRegistry();
-  return *R;
-}
-
-constinit thread_local HistShard *sbd::obs::detail::TlsHistShard = nullptr;
-
-namespace {
-
-/// Dumping ground for records that happen while (or after) a thread's
-/// shard holder is torn down; contents are dropped (see Metrics.cpp).
-thread_local HistShard HistExitSink;
-
-/// Registers this thread's shard on first use; folds it into the retired
-/// sum on thread exit.
-struct HistShardHolder {
-  HistShard Shard;
-  std::mutex *Mu;
-  std::vector<HistShard *> *Live;
-  HistShard *Retired;
-
-  HistShardHolder(std::mutex &M, std::vector<HistShard *> &L, HistShard &R)
-      : Mu(&M), Live(&L), Retired(&R) {
-    std::lock_guard<std::mutex> Lock(*Mu);
-    Live->push_back(&Shard);
-  }
-
-  ~HistShardHolder() {
-    detail::TlsHistShard = &HistExitSink;
-    std::lock_guard<std::mutex> Lock(*Mu);
-    *Retired += Shard;
-    for (auto It = Live->begin(); It != Live->end(); ++It) {
-      if (*It == &Shard) {
-        Live->erase(It);
-        break;
-      }
-    }
-  }
-};
-
-} // namespace
-
-HistShard &sbd::obs::detail::registerThreadHistShard() {
-  HistogramRegistry::Impl &I = HistogramRegistry::impl();
-  thread_local HistShardHolder Holder(I.Mu, I.Live, I.Retired);
-  TlsHistShard = &Holder.Shard;
-  return Holder.Shard;
-}
-
-HistShard HistogramRegistry::snapshot() {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  HistShard Out = I.Retired;
-  for (const HistShard *S : I.Live)
-    Out += *S;
-  return Out;
-}
-
-void HistogramRegistry::reset() {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  I.Retired.reset();
-  for (HistShard *S : I.Live)
-    S->reset();
 }

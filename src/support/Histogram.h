@@ -3,8 +3,8 @@
 /// \file
 /// The distribution half of the observability subsystem: fixed
 /// log2-bucketed histograms for latencies and sizes, sharded per thread and
-/// merged deterministically, mirroring the counter registry design in
-/// support/Metrics.h exactly:
+/// merged deterministically by the same `ShardRegistry` that holds the
+/// counters (support/ShardRegistry.h):
 ///
 ///  - Hot paths never touch shared mutable state. Every thread records into
 ///    its own `HistShard` (plain uint64 arrays, no atomics); the registry
@@ -34,18 +34,22 @@
 namespace sbd {
 namespace obs {
 
-/// Every histogram the registry tracks. Hot code indexes the shard array
-/// directly by these ids — adding a histogram is adding an enumerator plus
-/// its name in histName().
-enum class Hist : uint32_t {
-  SolveLatencyUs,   ///< RegexSolver::checkSat wall-clock per query
-  SolveArenaNodes,  ///< regex + TR nodes a query allocated
-  DnfExpansionArcs, ///< arcs per δdnf expansion in the search loop
-  LazyScanUs,       ///< CachedMatcher::matches on the lazy bounded path
-  CompiledScanUs,   ///< CachedMatcher::matches served from a compiled table
-  DistRpcUs,        ///< coordinator-side request→response round trip
-  DistQueueDepth,   ///< a worker's queued backlog, sampled at dispatch
+/// Every histogram the registry tracks, declared once as
+/// X(Enumerator, name) — the same pattern as SBD_OBS_COUNTERS: adding a
+/// histogram is adding one row, and row order is output order.
+#define SBD_OBS_HISTOGRAMS(X)                                                  \
+  X(SolveLatencyUs, "solve_latency_us") /* RegexSolver::checkSat wall clock */ \
+  X(SolveArenaNodes, "solve_arena_nodes") /* regex + TR nodes allocated */     \
+  X(DnfExpansionArcs, "dnf_expansion_arcs") /* arcs per δdnf expansion */      \
+  X(LazyScanUs, "lazy_scan_us") /* CachedMatcher lazy-path matches */          \
+  X(CompiledScanUs, "compiled_scan_us") /* matches on a compiled table */      \
+  X(DistRpcUs, "dist_rpc_us") /* coordinator request→response */               \
+  X(DistQueueDepth, "dist_queue_depth") /* worker backlog at dispatch */
 
+enum class Hist : uint32_t {
+#define SBD_OBS_HIST_ID(Id, Name) Id,
+  SBD_OBS_HISTOGRAMS(SBD_OBS_HIST_ID)
+#undef SBD_OBS_HIST_ID
   NumHistograms ///< sentinel — keep last
 };
 
@@ -55,7 +59,14 @@ constexpr size_t NumHistograms = static_cast<size_t>(Hist::NumHistograms);
 constexpr size_t NumHistBuckets = 64;
 
 /// Stable snake_case name for JSON/statistics output.
-const char *histName(Hist H);
+inline const char *histName(Hist H) {
+  static constexpr const char *Names[] = {
+#define SBD_OBS_HIST_NAME(Id, Name) Name,
+      SBD_OBS_HISTOGRAMS(SBD_OBS_HIST_NAME)
+#undef SBD_OBS_HIST_NAME
+  };
+  return Names[static_cast<size_t>(H)];
+}
 
 /// Bucket index for a recorded value (see the bucketing rule above).
 inline uint32_t histBucket(uint64_t V) {
@@ -122,7 +133,7 @@ struct HistShard {
 
   void reset() { *this = HistShard(); }
 
-  /// {"solve_latency_us": {"count": 3, "sum": 10, "min": 1, "max": 7,
+  /// {"<histogram name>": {"count": 3, "sum": 10, "min": 1, "max": 7,
   ///   "p50": 3, "p90": 7, "p99": 7, "buckets": [[1, 1], [3, 1], [7, 1]]},
   ///  ...} — buckets is the sparse [upper_bound, count] list.
   std::string json() const;
@@ -133,46 +144,12 @@ struct HistShard {
 /// histogram is empty. \p Pct in [1, 100].
 uint64_t histPercentile(const HistShard::Data &D, unsigned Pct);
 
-namespace detail {
-/// The calling thread's histogram shard pointer; null until the thread's
-/// first record registers one (same constinit contract as TlsShard).
-extern constinit thread_local HistShard *TlsHistShard;
-/// Slow path: registers a shard for this thread and returns it.
-HistShard &registerThreadHistShard();
-} // namespace detail
+/// Process-wide registry of per-thread histogram shards.
+extern template class ShardRegistry<HistShard>;
+using HistogramRegistry = ShardRegistry<HistShard>;
 
 /// The calling thread's histogram shard — the only thing hot paths touch.
-inline HistShard &tlsHistShard() {
-  HistShard *P = detail::TlsHistShard;
-  return P ? *P : detail::registerThreadHistShard();
-}
-
-/// Process-wide registry of per-thread histogram shards. Singleton,
-/// intentionally leaked (same lifetime rules as MetricsRegistry).
-class HistogramRegistry {
-public:
-  static HistogramRegistry &global();
-
-  /// The calling thread's shard (see tlsHistShard()).
-  HistShard &local() { return tlsHistShard(); }
-
-  /// Merged view: retired shards of exited threads + all live shards.
-  /// Exact only when no other thread is concurrently recording.
-  HistShard snapshot();
-
-  /// Zeroes every live shard and the retired sum. Call between benchmark
-  /// runs (with workers joined).
-  void reset();
-
-private:
-  HistogramRegistry() = default;
-  HistogramRegistry(const HistogramRegistry &) = delete;
-
-  struct Impl;
-  static Impl &impl();
-
-  friend HistShard &detail::registerThreadHistShard();
-};
+inline HistShard &tlsHistShard() { return HistogramRegistry::local(); }
 
 #if SBD_OBS
 #define SBD_OBS_HIST(HistId, Value)                                            \

@@ -77,20 +77,20 @@ public:
       rehash(Slots.size() * 2);
     size_t Mask = Slots.size() - 1;
     size_t Idx = static_cast<size_t>(Hash) & Mask;
-    SBD_STATS_INC(Stats, Lookups);
-    SBD_STATS_INC(Stats, ProbeSteps);
+    SBD_OBS_STAT_INC(Stats, Lookups);
+    SBD_OBS_STAT_INC(Stats, ProbeSteps);
     while (Slots[Idx].Id != EmptyId) {
       if (Slots[Idx].Hash == Hash && Eq(Slots[Idx].Id)) {
-        SBD_STATS_INC(Stats, InternHits);
+        SBD_OBS_STAT_INC(Stats, InternHits);
         return Slots[Idx].Id;
       }
       Idx = (Idx + 1) & Mask;
-      SBD_STATS_INC(Stats, ProbeSteps);
+      SBD_OBS_STAT_INC(Stats, ProbeSteps);
     }
     uint32_t Id = Make();
     Slots[Idx] = {Hash, Id};
     ++Count;
-    SBD_STATS_INC(Stats, InternMisses);
+    SBD_OBS_STAT_INC(Stats, InternMisses);
     return Id;
   }
 

@@ -8,28 +8,27 @@
 ///
 /// Design rules:
 ///
+///  - Every counter is one row of `SBD_OBS_COUNTERS` below; the enum, the
+///    names and every output are expanded from it.
 ///  - Hot paths never touch shared mutable state. Every thread increments
-///    its own `MetricShard` (a plain array of uint64, no atomics); the
-///    registry only takes its mutex when a thread first appears, when a
-///    thread exits (its shard is folded into a retired sum), and when a
-///    reader asks for a merged snapshot. `BatchSolver` workers are
-///    therefore lock-free while solving.
-///  - Snapshots taken while worker threads are actively counting are
-///    approximate (plain loads may tear); take them after joining workers
-///    for exact values. All tests and benches do.
+///    its own `MetricShard` (a plain array of uint64, no atomics) held by
+///    the shared `ShardRegistry` (support/ShardRegistry.h), whose mutex is
+///    taken only when a thread first appears, when it exits (its shard is
+///    folded into a retired sum), and when a reader asks for a merged
+///    snapshot. `BatchSolver` workers are therefore lock-free while solving.
 ///  - Per-*query* attribution does not go through the registry at all: a
 ///    solver snapshots its thread's shard on entry and diffs on exit
 ///    (queries never migrate threads — the thread-local arena rule).
-///  - Compile with `-DSBD_OBS=0` to strip every counter update and span;
-///    the macros expand to nothing and the structs stay as zero-cost
-///    shells so call sites need no `#if` guards. `SBD_STATS` (the
-///    cache-counter switch predating this subsystem) defaults to
-///    `SBD_OBS` so one flag disables the whole layer.
+///  - Compile with `-DSBD_OBS=0` to strip every counter update and span,
+///    the `CacheStats` bumps included; the macros expand to nothing and the
+///    structs stay as zero-cost shells so call sites need no `#if` guards.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SBD_SUPPORT_METRICS_H
 #define SBD_SUPPORT_METRICS_H
+
+#include "support/ShardRegistry.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -40,108 +39,116 @@
 #define SBD_OBS 1
 #endif
 
-#ifndef SBD_STATS
-#define SBD_STATS SBD_OBS
-#endif
-
-#if SBD_STATS
-#define SBD_STATS_INC(Stats, Field) ((Stats).Field += 1)
-#define SBD_STATS_ADD(Stats, Field, N) ((Stats).Field += (N))
+/// Bumps one field of a per-owner CacheStats (below).
+#if SBD_OBS
+#define SBD_OBS_STAT_INC(Stats, Field) ((Stats).Field += 1)
 #else
-#define SBD_STATS_INC(Stats, Field) ((void)0)
-#define SBD_STATS_ADD(Stats, Field, N) ((void)0)
+#define SBD_OBS_STAT_INC(Stats, Field) ((void)0)
 #endif
 
 namespace sbd {
 
 namespace obs {
 
-/// Every named counter the registry tracks. Hot code indexes the shard
-/// array directly by these ids — adding a counter is adding an enumerator
-/// plus its name in counterName().
-enum class Counter : uint32_t {
-  // Derivative engine.
-  DerivativeCalls,     ///< δ(R) invocations (including recursive ones)
-  DnfCalls,            ///< δdnf(R) requests (memo hits included)
-  BrzozowskiCalls,     ///< classical D_a(R) invocations
-  // Transition-regex DNF transformation.
-  DnfBranchesExplored, ///< conditional branches recursed into during DNF
-  DnfBranchesPruned,   ///< branches skipped because the path condition died
-  ArcsEnumerated,      ///< (guard, target) arcs produced by TrManager::arcs
-  // Character algebra.
-  MintermComputations, ///< computeMinterms() calls
-  MintermsProduced,    ///< total minterms returned by those calls
-  // Alphabet compression + lazy-DFA layer (charset/AlphabetCompressor.h,
-  // core/CachedMatcher.h, solver dense rows).
-  AlphabetMinterms,    ///< minterm classes assigned by AlphabetCompressor
-  DfaStatesBuilt,      ///< lazy-DFA states expanded (dense rows filled)
-  DfaEvictions,        ///< lazy-DFA states evicted by the bounded cache
-  DenseRowHits,        ///< vertex expansions served from a cached dense row
-  // Compiled serving path (compile/CompiledDfa.h, CachedMatcher promotion).
-  CompiledPromotions,     ///< hot matchers swapped onto a compiled table
-  CompiledCharsScanned,   ///< characters scanned by the compiled kernel
-  CompiledPrefilterSkips, ///< characters skipped by the self-loop prefilter
-  CompiledFallbacks,      ///< promotion attempts that overflowed the budget
-  // Solver search loop.
-  SolverSteps,         ///< states dequeued by RegexSolver::checkSat
-  TimeoutChecks,       ///< deadline clock reads in the search loop
-  QueriesSolved,       ///< checkSat() calls completed
-  // Interning / memoization (folded per query from the owner CacheStats).
-  InternHits,
-  InternMisses,
-  MemoHits,
-  MemoMisses,
-  ProbeSteps,
-  Lookups,
-  // Invariant auditor (analysis/Audit.h; counts only under SBD_AUDIT builds).
-  AuditNodesChecked,   ///< nodes/interval-lists visited by audit hooks
-  AuditViolations,     ///< invariant violations the hooks detected
-  // Differential fuzzing subsystem (fuzz/Fuzzer.h).
-  FuzzSamples,         ///< (regex, word) samples pushed through the oracle
-  FuzzChecks,          ///< individual cross-engine/metamorphic checks run
-  FuzzDiscrepancies,   ///< disagreements the oracle detected
-  FuzzShrinkSteps,     ///< accepted shrinker reductions
-  // Profiling layer (support/Histogram.h, support/Trace.h drop policy,
-  // solver/SlowQueryLog.h).
-  TraceEventsDropped,  ///< span events dropped by the per-thread buffer cap
-  SlowQueriesCaptured, ///< explain artifacts captured by the slow-query log
-  SlowQueriesDropped,  ///< artifacts evicted from the bounded capture ring
-  // Pre-solve static analysis + portfolio routing (analysis/RegexAnalyzer.h,
-  // portfolio/Portfolio.h).
-  AnalysisNodesVisited, ///< DAG nodes folded by RegexAnalyzer (memo misses)
-  AnalysisCacheHits,    ///< analyze() requests answered from the node memo
-  AdmissionFlagged,     ///< Adversarial-class queries capped by admission
-  // Cross-query verdict cache (cache/VerdictCache.h, DESIGN.md §15).
-  VerdictCacheHits,     ///< queries answered from a cached verdict
-  VerdictCacheMisses,   ///< canonical keys probed and not found
-  VerdictCacheInserts,  ///< definite verdicts memoized
-  VerdictCacheEvictions,///< entries displaced by least-recently-hit eviction
-  VerdictCacheRevalidationFailures, ///< cached witnesses the reference
-                                    ///< matcher rejected on hit (hard error)
-  SessionChecks,        ///< (check-sat) commands served by SmtSession
-  // Multi-process batch solving (dist/Coordinator.h, DESIGN.md §16).
-  DistDispatched,       ///< requests sent to worker processes
-  DistSteals,           ///< requests moved off their home shard's queue
-  DistRequeues,         ///< in-flight requests replayed after a worker loss
-  DistWorkerCrashes,    ///< worker processes that died with work in flight
-  DistTimeouts,         ///< in-flight requests that exceeded RpcTimeoutMs
-  // Phase timings, microseconds (counters so they shard/merge like the rest).
-  ParseTimeUs,
-  MintermTimeUs,
-  DeriveTimeUs,
-  DnfTimeUs,
-  CacheProbeTimeUs,
-  ScanTimeUs,
-  SearchTimeUs,
-  SolveTimeUs,
+/// Every counter the registry tracks, declared once as X(Enumerator, name).
+/// The table expands to `enum class Counter` (hot code indexes the shard
+/// array by it) and to the stable snake_case names of counterName(), which
+/// JSON, statistics and exposition output print; adding a counter is adding
+/// one row. Rows keep their order: it is the order of every output.
+#define SBD_OBS_COUNTERS(X)                                                    \
+  /* Derivative engine. */                                                     \
+  X(DerivativeCalls, "derivative_calls") /* δ(R) calls, recursive too */       \
+  X(DnfCalls, "dnf_calls") /* δdnf(R) requests, memo hits too */               \
+  X(BrzozowskiCalls, "brzozowski_calls") /* classical D_a(R) calls */          \
+  /* Transition-regex DNF transformation. */                                   \
+  X(DnfBranchesExplored, "dnf_branches_explored") /* branches recursed into */ \
+  X(DnfBranchesPruned, "dnf_branches_pruned") /* path condition died */        \
+  X(ArcsEnumerated, "arcs_enumerated") /* (guard, target) arcs produced */     \
+  /* Character algebra. */                                                     \
+  X(MintermComputations, "minterm_computations") /* computeMinterms() calls */ \
+  X(MintermsProduced, "minterms_produced") /* minterms they returned */        \
+  /* Alphabet compression + lazy-DFA layer (charset/AlphabetCompressor.h, */   \
+  /* core/CachedMatcher.h, solver dense rows). */                              \
+  X(AlphabetMinterms, "alphabet_minterms") /* minterm classes assigned */      \
+  X(DfaStatesBuilt, "dfa_states_built") /* lazy-DFA rows filled */             \
+  X(DfaEvictions, "dfa_evictions") /* lazy-DFA states evicted */               \
+  X(DenseRowHits, "dense_row_hits") /* expansions served by a dense row */     \
+  /* Compiled serving path (compile/CompiledDfa.h, CachedMatcher). */          \
+  X(CompiledPromotions, "compiled_promotions") /* matchers moved to a table */ \
+  X(CompiledCharsScanned, "compiled_chars_scanned")                            \
+  X(CompiledPrefilterSkips, "compiled_prefilter_skips") /* by the prefilter */ \
+  X(CompiledFallbacks, "compiled_fallbacks") /* promotions over budget */      \
+  /* Solver search loop. */                                                    \
+  X(SolverSteps, "solver_steps") /* states dequeued by checkSat */             \
+  X(TimeoutChecks, "timeout_checks") /* deadline clock reads */                \
+  X(QueriesSolved, "queries_solved") /* checkSat() calls completed */          \
+  /* Interning / memoization (folded per query from the owner CacheStats). */  \
+  X(InternHits, "intern_hits")                                                 \
+  X(InternMisses, "intern_misses")                                             \
+  X(MemoHits, "memo_hits")                                                     \
+  X(MemoMisses, "memo_misses")                                                 \
+  X(ProbeSteps, "probe_steps")                                                 \
+  X(Lookups, "lookups")                                                        \
+  /* Invariant auditor (analysis/Audit.h; counts only in SBD_AUDIT builds). */ \
+  X(AuditNodesChecked, "audit_nodes_checked") /* nodes/lists audited */        \
+  X(AuditViolations, "audit_violations") /* violations the hooks detected */   \
+  /* Differential fuzzing subsystem (fuzz/Fuzzer.h). */                        \
+  X(FuzzSamples, "fuzz_samples") /* (regex, word) samples checked */           \
+  X(FuzzChecks, "fuzz_checks") /* cross-engine/metamorphic checks */           \
+  X(FuzzDiscrepancies, "fuzz_discrepancies") /* disagreements detected */      \
+  X(FuzzShrinkSteps, "fuzz_shrink_steps") /* accepted shrinker reductions */   \
+  /* Profiling layer (support/Histogram.h, support/Trace.h drop policy, */     \
+  /* solver/SlowQueryLog.h). */                                                \
+  X(TraceEventsDropped, "trace_events_dropped") /* over the per-thread cap */  \
+  X(SlowQueriesCaptured, "slow_queries_captured") /* explain artifacts kept */ \
+  X(SlowQueriesDropped, "slow_queries_dropped") /* evicted from the ring */    \
+  /* Pre-solve static analysis + routing (analysis/RegexAnalyzer.h, */         \
+  /* portfolio/Portfolio.h). */                                                \
+  X(AnalysisNodesVisited, "analysis_nodes_visited") /* memo misses */          \
+  X(AnalysisCacheHits, "analysis_cache_hits") /* analyze() memo hits */        \
+  X(AdmissionFlagged, "admission_flagged") /* Adversarial queries capped */    \
+  /* Cross-query verdict cache (cache/VerdictCache.h, DESIGN.md §15). */       \
+  X(VerdictCacheHits, "verdict_cache_hits") /* answered from the cache */      \
+  X(VerdictCacheMisses, "verdict_cache_misses") /* probed, not found */        \
+  X(VerdictCacheInserts, "verdict_cache_inserts") /* definite verdicts kept */ \
+  X(VerdictCacheEvictions, "verdict_cache_evictions") /* least-recently-hit */ \
+  /* Cached witnesses the reference matcher rejected on hit (hard error). */   \
+  X(VerdictCacheRevalidationFailures, "verdict_cache_revalidation_failures")   \
+  X(SessionChecks, "session_checks") /* (check-sat)s SmtSession served */      \
+  /* Multi-process batch solving (dist/Coordinator.h, DESIGN.md §16). */       \
+  X(DistDispatched, "dist_dispatched") /* requests sent to workers */          \
+  X(DistSteals, "dist_steals") /* moved off their home shard */                \
+  X(DistRequeues, "dist_requeues") /* replayed after a worker loss */          \
+  X(DistWorkerCrashes, "dist_worker_crashes") /* died with work in flight */   \
+  X(DistTimeouts, "dist_timeouts") /* exceeded RpcTimeoutMs */                 \
+  /* Phase timings in microseconds (counters, so they shard and merge). */     \
+  X(ParseTimeUs, "parse_time_us")                                              \
+  X(MintermTimeUs, "minterm_time_us")                                          \
+  X(DeriveTimeUs, "derive_time_us")                                            \
+  X(DnfTimeUs, "dnf_time_us")                                                  \
+  X(CacheProbeTimeUs, "cache_probe_time_us")                                   \
+  X(ScanTimeUs, "scan_time_us")                                                \
+  X(SearchTimeUs, "search_time_us")                                            \
+  X(SolveTimeUs, "solve_time_us")
 
+enum class Counter : uint32_t {
+#define SBD_OBS_COUNTER_ID(Id, Name) Id,
+  SBD_OBS_COUNTERS(SBD_OBS_COUNTER_ID)
+#undef SBD_OBS_COUNTER_ID
   NumCounters ///< sentinel — keep last
 };
 
 constexpr size_t NumCounters = static_cast<size_t>(Counter::NumCounters);
 
 /// Stable snake_case name for JSON/statistics output.
-const char *counterName(Counter C);
+inline const char *counterName(Counter C) {
+  static constexpr const char *Names[] = {
+#define SBD_OBS_COUNTER_NAME(Id, Name) Name,
+      SBD_OBS_COUNTERS(SBD_OBS_COUNTER_NAME)
+#undef SBD_OBS_COUNTER_NAME
+  };
+  return Names[static_cast<size_t>(C)];
+}
 
 /// One thread's (or one snapshot's) counter values. Plain uint64s — never
 /// shared while being written.
@@ -168,53 +175,18 @@ struct MetricShard {
 
   void reset() { *this = MetricShard(); }
 
-  /// Flat JSON object: {"derivative_calls": 12, ...}.
+  /// Flat JSON object, one "counter_name": value pair per counter.
   std::string json() const;
 };
 
-namespace detail {
-/// The calling thread's shard pointer; null until the thread's first
-/// counter bump registers a shard. `constinit` + trivially destructible so
-/// the fast path is a bare TLS load (no init guard, no wrapper logic).
-extern constinit thread_local MetricShard *TlsShard;
-/// Slow path: registers a shard for this thread and returns it.
-MetricShard &registerThreadShard();
-} // namespace detail
+/// Process-wide registry of per-thread counter shards.
+extern template class ShardRegistry<MetricShard>;
+using MetricsRegistry = ShardRegistry<MetricShard>;
 
 /// The calling thread's shard — the only thing hot paths touch. First call
 /// from a thread takes the registry mutex once; afterwards this is one TLS
 /// load, a null test, and the increment.
-inline MetricShard &tlsShard() {
-  MetricShard *P = detail::TlsShard;
-  return P ? *P : detail::registerThreadShard();
-}
-
-/// Process-wide registry of per-thread shards. Singleton (`global()`);
-/// intentionally leaked so thread-exit hooks never race its destructor.
-class MetricsRegistry {
-public:
-  static MetricsRegistry &global();
-
-  /// The calling thread's shard (see tlsShard()).
-  MetricShard &local() { return tlsShard(); }
-
-  /// Merged view: retired shards of exited threads + all live shards.
-  /// Exact only when no other thread is concurrently counting.
-  MetricShard snapshot();
-
-  /// Zeroes every live shard and the retired sum. Call between benchmark
-  /// runs (with workers joined).
-  void reset();
-
-private:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry &) = delete;
-
-  struct Impl;
-  static Impl &impl();
-
-  friend MetricShard &detail::registerThreadShard();
-};
+inline MetricShard &tlsShard() { return MetricsRegistry::local(); }
 
 #if SBD_OBS
 #define SBD_OBS_INC(CounterId)                                                 \

@@ -195,7 +195,7 @@ TEST(BatchSolverTest, ParseFailuresAreLocalToTheirQuery) {
 TEST(BatchSolverTest, AggregatesCacheStats) {
   BatchSolver Batch;
   (void)Batch.solveAll(toQueries(mixedCorpus()));
-#if SBD_STATS
+#if SBD_OBS
   EXPECT_GT(Batch.stats().InternMisses, 0u);
   EXPECT_GT(Batch.stats().Lookups, 0u);
 #endif

@@ -93,6 +93,82 @@ TEST(MetricsTest, SolveStatsJsonParses) {
   EXPECT_EQ(R.Value.get("engine")->asString(), "deriv_bfs");
 }
 
+TEST(MetricsTest, SolveStatsJsonGolden) {
+  // Every field distinct, so a key printing the wrong field (or a field
+  // dropped, duplicated or reordered) changes the bytes.
+  SolveStats St;
+  St.Engine = SolveEngine::Antimirov;
+  St.DerivativeCalls = 1;
+  St.DnfCalls = 2;
+  St.BrzozowskiCalls = 3;
+  St.DnfBranchesExplored = 4;
+  St.DnfBranchesPruned = 5;
+  St.ArcsEnumerated = 6;
+  St.MintermComputations = 7;
+  St.MintermsProduced = 8;
+  St.InternHits = 9;
+  St.InternMisses = 10;
+  St.MemoHits = 11;
+  St.MemoMisses = 12;
+  St.ArenaNodes = 13;
+  St.PeakFrontier = 14;
+  St.SolverSteps = 15;
+  St.TimeoutChecks = 16;
+  St.ParseUs = 17;
+  St.MintermUs = 18;
+  St.DeriveUs = 19;
+  St.DnfUs = 20;
+  St.CacheProbeUs = 21;
+  St.ScanUs = 22;
+  St.SearchUs = 23;
+  St.TotalUs = 24;
+  St.PredictedClass = "kleene_only";
+  St.RiskScore = 25;
+  St.PredictedStates = 26;
+  St.AnalysisUs = 27;
+  St.AnalysisNodesVisited = 28;
+  St.AnalysisCacheHits = 29;
+  EXPECT_EQ(St.json(),
+            "{\"engine\": \"antimirov\", \"derivative_calls\": 1, "
+            "\"dnf_calls\": 2, \"brzozowski_calls\": 3, "
+            "\"dnf_branches_explored\": 4, \"dnf_branches_pruned\": 5, "
+            "\"arcs_enumerated\": 6, \"minterm_computations\": 7, "
+            "\"minterms_produced\": 8, \"intern_hits\": 9, "
+            "\"intern_misses\": 10, \"memo_hits\": 11, \"memo_misses\": 12, "
+            "\"arena_nodes\": 13, \"peak_frontier\": 14, "
+            "\"solver_steps\": 15, \"timeout_checks\": 16, "
+            "\"parse_us\": 17, \"minterm_us\": 18, \"derive_us\": 19, "
+            "\"dnf_us\": 20, \"cache_probe_us\": 21, \"scan_us\": 22, "
+            "\"search_us\": 23, \"total_us\": 24, "
+            "\"predicted_class\": \"kleene_only\", \"risk_score\": 25, "
+            "\"predicted_states\": 26, \"analysis_us\": 27, "
+            "\"analysis_nodes_visited\": 28, \"analysis_cache_hits\": 29}");
+
+  // operator+= sums every counter and timer, max-merges PeakFrontier, and
+  // keeps the first engine and the first non-empty prediction.
+  SolveStats Sum = St;
+  SolveStats Other = St;
+  Other.Engine = SolveEngine::Eager;
+  Other.PeakFrontier = 3;
+  Other.PredictedClass = "literal";
+  Sum += Other;
+  EXPECT_EQ(Sum.Engine, SolveEngine::Antimirov);
+  EXPECT_EQ(Sum.DerivativeCalls, 2u);
+  EXPECT_EQ(Sum.TimeoutChecks, 32u);
+  EXPECT_EQ(Sum.TotalUs, 48);
+  EXPECT_EQ(Sum.AnalysisCacheHits, 58u);
+  EXPECT_EQ(Sum.PeakFrontier, 14u);
+  EXPECT_STREQ(Sum.PredictedClass, "kleene_only");
+  EXPECT_EQ(Sum.RiskScore, 25u);
+  EXPECT_EQ(Sum.PredictedStates, 26u);
+  SolveStats Unpredicted;
+  Unpredicted += Other;
+  EXPECT_STREQ(Unpredicted.PredictedClass, "literal");
+  EXPECT_EQ(Unpredicted.RiskScore, 25u);
+  EXPECT_EQ(Unpredicted.PredictedStates, 26u);
+  EXPECT_EQ(Unpredicted.PeakFrontier, 3u);
+}
+
 #if SBD_OBS
 
 TEST(MetricsTest, RegistrySeesSolverWork) {

@@ -2,6 +2,9 @@
 
 #include "re/RegexParser.h"
 
+#include "core/Derivatives.h"
+#include "solver/RegexSolver.h"
+
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -125,6 +128,38 @@ TEST_F(ParserTest, Errors) {
   expectError("a\\");
   expectError("~");
   expectError("a**b)");
+}
+
+TEST_F(ParserTest, NestingCap) {
+  auto Parens = [](size_t Depth) {
+    return std::string(Depth, '(') + "a" + std::string(Depth, ')');
+  };
+  auto Chain = [](size_t Depth) { // a(a(a...)): one concat per level
+    std::string Out;
+    for (size_t I = 0; I != Depth; ++I)
+      Out += "(a";
+    return Out + std::string(Depth, ')');
+  };
+  // Exactly at the cap both shapes parse, and the solver, which recurses
+  // over the parsed term, still answers.
+  TrManager T(M);
+  DerivativeEngine E(M, T);
+  RegexSolver S(E);
+  for (const std::string &P : {Parens(MaxRegexNesting), Chain(MaxRegexNesting),
+                               std::string(MaxRegexNesting, '~') + "a"}) {
+    RegexParseResult R = parseRegex(M, P);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_TRUE(S.checkSat(R.Value).isSat());
+  }
+  // One level deeper, including the 20,000-deep input that used to
+  // overflow the stack, is a parse error.
+  for (const std::string &P :
+       {Parens(MaxRegexNesting + 1), Chain(MaxRegexNesting + 1),
+        std::string(MaxRegexNesting + 1, '~') + "a", Parens(20000)}) {
+    RegexParseResult R = parseRegex(M, P);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.find("nesting too deep"), std::string::npos) << R.Error;
+  }
 }
 
 TEST_F(ParserTest, RoundTripFixedCorpus) {

@@ -13,6 +13,7 @@
 
 #include "cache/VerdictCache.h"
 #include "core/Derivatives.h"
+#include "smt/SExpr.h"
 
 #include <gtest/gtest.h>
 
@@ -187,6 +188,46 @@ TEST_F(SmtSessionTest, RepeatedChecksHitTheVerdictCache) {
 
   SmtResult Last = Session.lastResult();
   EXPECT_EQ(Last.Status, SolveStatus::Sat);
+}
+
+/// A term nested past MaxSExprNesting is one parse error, not a crash: the
+/// session answers the next command and keeps its verdict cache.
+TEST_F(SmtSessionTest, TooDeepTermIsAParseErrorAndTheSessionKeepsServing) {
+  cache::VerdictCache Cache;
+  Session.setVerdictCache(&Cache);
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (re.+ (str.to_re "ab")))))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+
+  // (assert (str.in_re s (re.* ... (re.* (str.to_re "ab")) ...))): the
+  // assert, str.in_re and str.to_re lists add three levels to the chain.
+  auto DeepAssert = [](size_t Depth) {
+    size_t Stars = Depth - 3;
+    std::string Out = "(assert (str.in_re s ";
+    for (size_t I = 0; I != Stars; ++I)
+      Out += "(re.* ";
+    Out += "(str.to_re \"ab\")" + std::string(Stars, ')') + "))";
+    return Out;
+  };
+  // Exactly at the cap the term still compiles and solves.
+  run("(push)");
+  EXPECT_TRUE(run(DeepAssert(MaxSExprNesting)).empty());
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  run("(pop)");
+  const size_t Cached = Cache.size();
+  ASSERT_GE(Cached, 1u);
+
+  for (size_t Depth : {MaxSExprNesting + 1, size_t{30000}}) {
+    std::string Err = runOne(DeepAssert(Depth));
+    EXPECT_EQ(Err.rfind("(error \"parse error: nesting too deep", 0), 0u)
+        << Err;
+    EXPECT_EQ(runOne("(echo \"alive\")"), "\"alive\"");
+  }
+  EXPECT_EQ(Cache.size(), Cached);
+  const uint64_t HitsBefore = Cache.counters().Hits;
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  EXPECT_GT(Cache.counters().Hits, HitsBefore);
 }
 
 TEST_F(SmtSessionTest, LastResultTracksTheMostRecentCheck) {

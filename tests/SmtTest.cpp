@@ -418,6 +418,32 @@ TEST_F(SmtTest, GetInfoStatistics) {
   EXPECT_NE(R.Statistics.find(":regex-queries"), std::string::npos);
   EXPECT_NE(R.Statistics.find(":derivative-calls"), std::string::npos);
   EXPECT_NE(R.Statistics.find(":solve-time-us"), std::string::npos);
+  // The full keyword list, in order.
+  std::vector<std::string> Keys;
+  for (size_t At = R.Statistics.find(':'); At != std::string::npos;
+       At = R.Statistics.find(':', At + 1))
+    Keys.push_back(
+        R.Statistics.substr(At + 1, R.Statistics.find(' ', At) - At - 1));
+  const std::vector<std::string> Expected = {
+      "cubes-tried",          "checks-run",
+      "regex-queries",        "derivative-calls",
+      "dnf-calls",            "dnf-branches-explored",
+      "dnf-branches-pruned",  "arcs-enumerated",
+      "minterm-computations", "minterms-produced",
+      "intern-hits",          "intern-misses",
+      "memo-hits",            "memo-misses",
+      "arena-nodes",          "peak-frontier",
+      "solver-steps",         "compiled-promotions",
+      "compiled-chars-scanned", "compiled-prefilter-skips",
+      "compiled-fallbacks",   "verdict-cache-hits",
+      "verdict-cache-misses", "verdict-cache-inserts",
+      "verdict-cache-evictions", "minterm-time-us",
+      "derive-time-us",       "dnf-time-us",
+      "cache-probe-time-us",  "scan-time-us",
+      "search-time-us",       "solve-time-us",
+      "solve-latency-count",  "solve-latency-p50-us",
+      "solve-latency-p90-us", "solve-latency-p99-us"};
+  EXPECT_EQ(Keys, Expected);
   EXPECT_GE(R.CubesTried, 1u);
 #if SBD_OBS
   EXPECT_GT(R.Stats.DerivativeCalls, 0u);
