@@ -6,14 +6,19 @@
 #     argument and as a --file line);
 #   - a script whose str.in_re term nests (re.* ...) 30,000 deep, through
 #     sbd-server;
-#   - a script truncated inside a command, through both.
+#   - a script truncated inside a command, through both;
+#   - a 100,000-character str.to_re literal, through sbd-server, which must
+#     answer sat (the verdict-cache key prints the whole Concat spine);
+#   - a 100,000-character pattern, through sbd-analyze (as an argument and
+#     as a --file line).
 #
 # Gates (all hard failures):
 #   - every process exits below 128, i.e. not by a signal. Sanitizer
 #     reports abort (abort_on_error), so under ASan+UBSan they count as
 #     signal deaths too;
 #   - sbd-server still answers the (echo "alive") that follows the deep
-#     term, and the commands before the truncation.
+#     term and the wide literal, and the commands before the truncation;
+#   - sbd-server answers sat on the wide literal.
 #
 # Usage: hostile_input.sh <build-dir>    (CI runs it on build-asan)
 . "$(dirname "$0")/common.sh"
@@ -42,6 +47,14 @@ with open(f"{work}/deep_term.smt2", "w") as f:
             f"(assert (str.in_re s {term}))\n"
             "(check-sat)\n"
             '(echo "alive")\n')
+w = 100000
+with open(f"{work}/wide_pattern.txt", "w") as f:
+    f.write("a" * w + "\n")
+with open(f"{work}/wide_literal.smt2", "w") as f:
+    f.write("(declare-const s String)\n"
+            f'(assert (str.in_re s (str.to_re "{"a" * w}")))\n'
+            "(check-sat)\n"
+            '(echo "alive")\n')
 with open(f"{work}/truncated.smt2", "w") as f:
     f.write("(declare-const s String)\n"
             '(echo "alive")\n'
@@ -49,18 +62,22 @@ with open(f"{work}/truncated.smt2", "w") as f:
 EOF
 
 FAILED=0
-# check <label> <exit-code> <output-file> [line the output must contain]
+# check <label> <exit-code> <output-file> [lines the output must contain...]
 check() {
   if [ "$2" -ge 128 ]; then
     echo "FAIL: $1 died by signal $(($2 - 128))"
-    tail -n 5 "$3"
+    tail -n 5 "$3" | cut -c1-200
     FAILED=1
-  elif [ -n "${4:-}" ] && ! grep -qxF "$4" "$3"; then
-    echo "FAIL: $1 exited $2 without answering $4"
-    FAILED=1
-  else
-    echo "ok: $1 (exit $2)"
+    return
   fi
+  for line in "${@:4}"; do
+    if ! grep -qxF "$line" "$3"; then
+      echo "FAIL: $1 exited $2 without answering $line"
+      FAILED=1
+      return
+    fi
+  done
+  echo "ok: $1 (exit $2)"
 }
 
 set +e
@@ -74,6 +91,12 @@ check "sbd-analyze --file <truncated script>" $? "$WORK/out3"
 check "sbd-server <30,000-deep term>" $? "$WORK/out4" '"alive"'
 "$SERVER" < "$WORK/truncated.smt2" > "$WORK/out5" 2>&1
 check "sbd-server <truncated script>" $? "$WORK/out5" '"alive"'
+"$SERVER" < "$WORK/wide_literal.smt2" > "$WORK/out6" 2>&1
+check "sbd-server <100,000-character literal>" $? "$WORK/out6" sat '"alive"'
+"$ANALYZE" "$(cat "$WORK/wide_pattern.txt")" > "$WORK/out7" 2>&1
+check "sbd-analyze <100,000-character pattern>" $? "$WORK/out7"
+"$ANALYZE" --file "$WORK/wide_pattern.txt" > "$WORK/out8" 2>&1
+check "sbd-analyze --file <100,000-character pattern>" $? "$WORK/out8"
 set -e
 
 if [ "$FAILED" -ne 0 ]; then

@@ -52,6 +52,8 @@ const char *DifferentialOracle::engineName(size_t Id) {
     return "compiled_dfa";
   case EngCompiledTiny:
     return "compiled_tiny_fallback";
+  case EngSolverMatch:
+    return "solver_matches_word";
   case EngSbfa:
     return "sbfa";
   case EngSafa:
@@ -502,6 +504,10 @@ void DifferentialOracle::checkWord(const std::vector<uint32_t> &W,
                    timed(EngCompiledTiny,
                          [&] { return TinyPromoted->matches(W); }),
                    Ref, Out);
+  noteMembership(W, engineName(EngSolverMatch),
+                 timed(EngSolverMatch,
+                       [&] { return Solver.matchesWord(Cur, W); }),
+                 Ref, Out);
   if (SbfaA)
     noteMembership(W, engineName(EngSbfa),
                    timed(EngSbfa, [&] { return SbfaA->accepts(W); }), Ref,

@@ -9,6 +9,8 @@
 ///     implemented directly from the textbook rules, not via δ);
 ///   - the bounded lazy DFA `CachedMatcher`, once at a roomy cap and once
 ///     at a tiny cap that forces eviction and the uncached fallback;
+///   - `RegexSolver::matchesWord`, the δdnf walk that checks every Sat
+///     witness the service path ships;
 ///   - the SBFA alternating run (`Sbfa::accepts`, Section 7 semantics);
 ///   - the SAFA obtained by local mintermization (`Safa::fromSbfa`);
 ///   - the eager SFA product pipeline compiled to a complete DFA
@@ -198,6 +200,7 @@ private:
     EngTinyDfaMatcher,
     EngCompiledDfa,
     EngCompiledTiny,
+    EngSolverMatch,
     EngSbfa,
     EngSafa,
     EngEagerDfa,

@@ -39,25 +39,24 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
   if (LongLived)
     Opts.EagerRowRecording = true;
   Out.Result = W.P.checkSat(Parsed.Value, Opts);
-  // Sat witnesses are re-validated through the worker's matcher pool (the
-  // compiled serving path once a regex is hot). This is a pure guard:
-  // verdicts and witnesses are unchanged on the (only observed) passing
-  // path, and a divergence is downgraded to Unknown rather than shipping
-  // an invalid witness.
+  // Sat witnesses are re-validated by a δdnf walk (matchesWord). This is a
+  // pure guard: verdicts and witnesses are unchanged on the (only observed)
+  // passing path, and a divergence is downgraded to Unknown rather than
+  // shipping an invalid witness.
   if (Out.Result.isSat()) {
 #if SBD_OBS
     const obs::MetricShard ScanBefore = obs::tlsShard();
 #endif
     bool Valid = W.S.matchesWord(Parsed.Value, Out.Result.Witness);
 #if SBD_OBS
-    // Validation scans run after checkSat returned, so attribute them to
+    // The check runs after checkSat returned, so attribute its scan time to
     // the query here (same thread-local-shard diff the solver uses).
     Out.Result.Stats.ScanUs += static_cast<int64_t>(
         obs::tlsShard().since(ScanBefore).get(obs::Counter::ScanTimeUs));
 #endif
     if (!Valid) {
       Out.Result.Status = SolveStatus::Unknown;
-      Out.Result.Note = "witness failed compiled-matcher validation";
+      Out.Result.Note = "witness failed the δdnf membership check";
     }
   }
   Out.Result.Stats.ParseUs = ParseUs;

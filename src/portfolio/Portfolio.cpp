@@ -61,14 +61,14 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
       SolveResult Out;
       Out.Stats.Engine = SolveEngine::VerdictCache;
       if (Hit->Sat) {
-        // The cache is untrusted: replay the witness through the reference
-        // matcher before serving. A rejection is a hard error — the entry
-        // (or the matcher) is wrong, and re-solving would paper over it.
+        // The cache is untrusted: replay the witness through δdnf
+        // (matchesWord) before serving. A rejection is a hard error — the
+        // entry (or the check) is wrong, and re-solving would paper over it.
         if (!S.matchesWord(R, Hit->Witness)) {
           Cache->noteRevalidationFailure(CacheKey);
           Out.Status = SolveStatus::Unknown;
           Out.Stop = StopReason::CacheRevalidationFailed;
-          Out.Note = "cached witness failed reference-matcher revalidation";
+          Out.Note = "cached witness failed δdnf revalidation";
           Out.TimeUs = HitTimer.elapsedUs();
           Out.Stats.TotalUs = Out.TimeUs;
           return Out;

@@ -64,7 +64,7 @@ public:
   SolveResult checkMembership(const std::vector<MembershipLiteral> &Literals,
                               const SolveOptions &Opts = {});
 
-  /// The wrapped derivative solver (shared arena, matcher pool, analyzer).
+  /// The wrapped derivative solver (shared arena, witness check, analyzer).
   RegexSolver &solver() { return S; }
 
   /// Attaches (or detaches, with nullptr) a cross-query verdict cache.

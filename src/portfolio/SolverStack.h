@@ -11,10 +11,10 @@
 ///
 /// `solveOnStack` is the one query execution path all of them share: parse
 /// on the stack's arena, route through the analyzer-driven portfolio, and
-/// revalidate Sat witnesses through the stack's matcher pool. Keeping it
-/// single-sourced is what makes "1-process and N-process runs produce
-/// byte-identical verdict streams" (DESIGN.md §16) a structural property
-/// rather than a test-enforced accident.
+/// revalidate Sat witnesses with a δdnf walk on the stack's engine.
+/// Keeping it single-sourced is what makes "1-process and N-process runs
+/// produce byte-identical verdict streams" (DESIGN.md §16) a structural
+/// property rather than a test-enforced accident.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +53,9 @@ struct SolverStack {
 /// Solves one query on the given stack. \p LongLived marks stacks that
 /// survive across queries (ReuseArenas), where eager dense-row recording
 /// pays for itself on the very next shared vertex. Sat witnesses are
-/// revalidated through the stack's matcher pool; a failed revalidation is
-/// downgraded to Unknown rather than shipping an invalid witness.
+/// revalidated by RegexSolver::matchesWord, one δdnf walk over the witness;
+/// a failed revalidation is downgraded to Unknown rather than shipping an
+/// invalid witness.
 BatchResult solveOnStack(SolverStack &W, const BatchQuery &Q, bool LongLived);
 
 } // namespace portfolio

@@ -512,10 +512,17 @@ void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out) const {
   case RegexKind::Pred:
     Out += Sets[N.PredIdx].str();
     break;
-  case RegexKind::Concat:
-    printPrec(N.Kids[0], 3, Out);
-    printPrec(N.Kids[1], 2, Out);
+  case RegexKind::Concat: {
+    // Loop along the right spine (one link per literal character): a
+    // Concat tail at precedence 2 prints bare, so no frame per link.
+    Re Cur = R;
+    while (kind(Cur) == RegexKind::Concat) {
+      printPrec(node(Cur).Kids[0], 3, Out);
+      Cur = node(Cur).Kids[1];
+    }
+    printPrec(Cur, 2, Out);
     break;
+  }
   case RegexKind::Star:
     printPrec(N.Kids[0], 5, Out);
     Out += '*';

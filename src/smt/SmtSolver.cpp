@@ -693,9 +693,8 @@ private:
       }
       if (!R.isSat())
         return false;
-      // Route the witness back through the solver's promoted matcher pool
-      // (compiled table once the regex is hot): an independent end-to-end
-      // membership check of every literal before the model is emitted.
+      // Check the witness against every literal (a δdnf walk each): an
+      // independent end-to-end membership check before the model is emitted.
       for (const MembershipLiteral &L : Literals)
         if (Solver.matchesWord(L.Regex, R.Witness) != L.Positive) {
           SawUnknown = true; // soundness guard: never emit a bad model

@@ -415,18 +415,13 @@ Re RegexSolver::positionConstraint(const std::vector<CharSet> &Positions) {
 }
 
 bool RegexSolver::matchesWord(Re R, const std::vector<uint32_t> &Word) {
-  for (PooledMatcher &P : MatcherPool)
-    if (P.ReId == R.Id)
-      return P.Matcher->matches(Word);
-  if (MatcherPool.size() == MaxPooledMatchers)
-    MatcherPool.clear(); // wholesale flush: matchers rebuild lazily
-  CachedMatcher::Options MO;
-  // Validation words are short, so the promotion clock is set low — a
-  // regex validated a handful of times earns the compiled table — and the
-  // closure cap tight, so pathological patterns stay on the lazy path.
-  MO.PromoteAfterChars = 512;
-  MO.CompileMaxStates = 512;
-  MatcherPool.push_back(
-      {R.Id, std::make_unique<CachedMatcher>(Engine, R, MO)});
-  return MatcherPool.back().Matcher->matches(Word);
+#if SBD_OBS
+  Stopwatch ScanTimer;
+#endif
+  Re Cur = R;
+  for (size_t I = 0; I != Word.size() && Cur != M.empty(); ++I)
+    Cur = T.apply(Engine.derivativeDnf(Cur), Word[I]);
+  const bool Ok = M.nullable(Cur); // ν(⊥) is false
+  SBD_OBS_ADD(ScanTimeUs, ScanTimer.elapsedUs());
+  return Ok;
 }

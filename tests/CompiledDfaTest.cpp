@@ -13,7 +13,6 @@
 
 #include "core/CachedMatcher.h"
 #include "re/RegexParser.h"
-#include "solver/RegexSolver.h"
 #include "support/Metrics.h"
 #include "support/Rng.h"
 #include "support/Unicode.h"
@@ -262,19 +261,6 @@ TEST_F(CompiledDfaTest, AuditDetectsCorruptedEntry) {
   for (uint16_t C = 0; C != D->numClasses(); ++C)
     D->corruptEntryForTest(1, C, 1);
   EXPECT_GT(D->auditTable(E), 0u);
-}
-
-TEST_F(CompiledDfaTest, SolverRoutesMembershipThroughPromotedPool) {
-  RegexSolver S(E);
-  Re R = re("(a|b)*abb");
-  std::vector<uint32_t> Yes = cps("aababb"), No = cps("abba");
-  // Repeated checks against the same regex share one pooled matcher; feed
-  // enough characters to cross the pool's promotion clock and verify the
-  // answers stay put across the swap.
-  for (int I = 0; I != 200; ++I) {
-    EXPECT_TRUE(S.matchesWord(R, Yes));
-    EXPECT_FALSE(S.matchesWord(R, No));
-  }
 }
 
 } // namespace

@@ -262,6 +262,14 @@ TEST(FuzzCampaign, CleanRunOverAllEngines) {
   EXPECT_EQ(Rep.Iterations, 300u);
   EXPECT_EQ(Rep.Samples, 300u * Opts.WordsPerRegex);
   EXPECT_GT(Rep.Checks, Rep.Samples);
+  // The witness check is judged on every sample like any other engine.
+  bool SawWitnessCheck = false;
+  for (const EngineTiming &T : Rep.Timings)
+    if (T.Name == "solver_matches_word") {
+      SawWitnessCheck = true;
+      EXPECT_EQ(T.Calls, Rep.Samples);
+    }
+  EXPECT_TRUE(SawWitnessCheck) << "solver_matches_word never ran";
 }
 
 TEST(FuzzCampaign, RunsAreDeterministicPerSeed) {
@@ -299,7 +307,8 @@ TEST(FuzzCampaign, JsonReportParsesAndCarriesTheContract) {
   for (const JsonValue &T : Timings->asArray())
     Names.insert(T.get("name")->asString());
   for (const char *Must : {"ref_matcher", "dfa_matcher", "tiny_dfa_matcher",
-                           "sbfa", "solver_bfs", "eager"})
+                           "solver_matches_word", "sbfa", "solver_bfs",
+                           "eager"})
     EXPECT_TRUE(Names.count(Must)) << "engine never ran: " << Must;
   ASSERT_NE(V.get("obs"), nullptr);
   EXPECT_TRUE(V.get("obs")->isObject());

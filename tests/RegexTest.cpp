@@ -170,6 +170,23 @@ TEST_F(RegexTest, WordAndLiteral) {
   EXPECT_EQ(M.literal(""), M.epsilon());
 }
 
+TEST_F(RegexTest, PrintsAWideLiteralWithoutRecursingAlongTheSpine) {
+  // A literal is a right-nested Concat spine, one link per character.
+  std::string Text;
+  for (size_t I = 0; I != 200000; ++I)
+    Text += static_cast<char>('a' + I % 26);
+  Re Lit = M.literal(Text);
+  EXPECT_EQ(M.toString(Lit), Text);
+  // The spine's last tail keeps its precedence: a union tail is bracketed,
+  // a union head is bracketed, and a star binds to its atom.
+  Re AB = M.literal("ab");
+  Re CdOrE = M.union_(M.literal("cd"), M.chr('e'));
+  const std::string Alt = M.toString(CdOrE); // kid order follows node ids
+  EXPECT_EQ(M.toString(M.concat(AB, CdOrE)), "ab(" + Alt + ")");
+  EXPECT_EQ(M.toString(M.concat(CdOrE, AB)), "(" + Alt + ")ab");
+  EXPECT_EQ(M.toString(M.concat(AB, M.star(M.chr('c')))), "abc*");
+}
+
 /// Random regex generator shared by the property suites.
 Re randomRegex(RegexManager &M, Rng &R, int Depth) {
   if (Depth <= 0) {

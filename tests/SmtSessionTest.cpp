@@ -230,6 +230,21 @@ TEST_F(SmtSessionTest, TooDeepTermIsAParseErrorAndTheSessionKeepsServing) {
   EXPECT_GT(Cache.counters().Hits, HitsBefore);
 }
 
+TEST_F(SmtSessionTest, WideLiteralSolvesAndTheSessionKeepsServing) {
+  // A 100,000-character str.to_re is a 100,000-link Concat spine. With a
+  // verdict cache attached, the cache key prints it (toString), and the
+  // Sat witness check walks all 100,000 characters.
+  cache::VerdictCache Cache;
+  Session.setVerdictCache(&Cache);
+  const std::string Word(100000, 'a');
+  run("(declare-const s String)\n"
+      "(assert (str.in_re s (str.to_re \"" + Word + "\")))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  std::string Model = runOne("(get-model)");
+  EXPECT_NE(Model.find("\"" + Word + "\""), std::string::npos);
+  EXPECT_EQ(runOne("(echo \"alive\")"), "\"alive\"");
+}
+
 TEST_F(SmtSessionTest, LastResultTracksTheMostRecentCheck) {
   run(R"(
     (declare-const s String)

@@ -3,8 +3,11 @@
 #include "solver/RegexSolver.h"
 
 #include "analysis/Audit.h"
+#include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
+#include "support/Metrics.h"
 #include "support/Rng.h"
+#include "support/Unicode.h"
 
 #include <gtest/gtest.h>
 
@@ -435,6 +438,78 @@ TEST_F(SolverTest, DenseRowCorruptionIsDetected) {
   audit::checkDenseRow(T, E.derivativeDnf(R), *Row, R.Id, Out);
   EXPECT_GT(Out.count(audit::ViolationKind::DfaRowMismatch), 0u)
       << "corrupted row passed the audit";
+}
+
+TEST_F(SolverTest, RepeatedWitnessChecksKeepTheirAnswers) {
+  Re R = re("(a|b)*abb");
+  std::vector<uint32_t> Yes = fromUtf8("aababb"), No = fromUtf8("abba");
+  // Repeated checks against the same regex run on a warm derivative memo;
+  // the answers must not drift as it fills.
+  for (int I = 0; I != 200; ++I) {
+    EXPECT_TRUE(S.matchesWord(R, Yes));
+    EXPECT_FALSE(S.matchesWord(R, No));
+  }
+}
+
+TEST_F(SolverTest, MatchesWordAgreesWithTheBrzozowskiMatcher) {
+  const char *Patterns[] = {"(a|b)*abb",   "~(.*aa.*)&[ab]*", "a{2,4}b?",
+                            ".*\\d.*&~(.*x.*)", "()",            "[]",
+                            "(ab)*c"};
+  const char *Words[] = {"",     "abb", "aababb", "abba", "zabb",
+                         "aa",   "aab", "ab1",    "x1",   "ababc"};
+  for (const char *P : Patterns) {
+    Re R = re(P);
+    for (const char *Text : Words) {
+      std::vector<uint32_t> W = fromUtf8(Text);
+      EXPECT_EQ(S.matchesWord(R, W), E.matches(R, W))
+          << "pattern " << P << " word \"" << Text << "\"";
+    }
+  }
+  // Each kind of answer is covered: accepted, rejected at the end of the
+  // word, dead at the first character, and the empty word both ways.
+  Re R = re("(a|b)*abb");
+  EXPECT_TRUE(S.matchesWord(R, fromUtf8("aababb")));
+  EXPECT_FALSE(S.matchesWord(R, fromUtf8("abba")));
+  ASSERT_EQ(T.apply(E.derivativeDnf(R), 'z'), M.empty());
+  EXPECT_FALSE(S.matchesWord(R, fromUtf8("zabb")));
+  EXPECT_FALSE(S.matchesWord(R, {}));
+  EXPECT_TRUE(S.matchesWord(re("(ab)*"), {}));
+}
+
+TEST_F(SolverTest, SolveOnStackChecksWitnessesWithoutBuildingMatchers) {
+  // A literal, a Kleene-only pattern the portfolio routes to Antimirov, and
+  // a Boolean one the derivative engine answers, each on a fresh stack as
+  // the batch and dist workers run them.
+  struct Case {
+    const char *Pattern;
+    SolveEngine Engine;
+  };
+  const Case Cases[] = {{"hello", SolveEngine::DerivBfs},
+                        {"(ab)*c", SolveEngine::Antimirov},
+                        {"(a|b)*&~(.*aa.*)&.*bb.*", SolveEngine::DerivBfs}};
+  for (const Case &C : Cases) {
+    portfolio::SolverStack W;
+    BatchQuery Q;
+    Q.Pattern = C.Pattern;
+#if SBD_OBS
+    const obs::MetricShard Before = obs::tlsShard();
+#endif
+    BatchResult Out = portfolio::solveOnStack(W, Q, /*LongLived=*/false);
+#if SBD_OBS
+    // The witness check walks δdnf: no lazy-DFA rows, no minterm classes,
+    // no compiled table.
+    const obs::MetricShard D = obs::tlsShard().since(Before);
+    EXPECT_EQ(D.get(obs::Counter::DfaStatesBuilt), 0u) << C.Pattern;
+    EXPECT_EQ(D.get(obs::Counter::AlphabetMinterms), 0u) << C.Pattern;
+    EXPECT_EQ(D.get(obs::Counter::CompiledPromotions), 0u) << C.Pattern;
+#endif
+    ASSERT_TRUE(Out.ParseOk) << C.Pattern;
+    ASSERT_TRUE(Out.Result.isSat()) << C.Pattern << ": " << Out.Result.Note;
+    EXPECT_EQ(Out.Result.Stats.Engine, C.Engine) << C.Pattern;
+    Re R = parseRegexOrDie(W.M, C.Pattern);
+    EXPECT_TRUE(W.E.matches(R, Out.Result.Witness)) << C.Pattern;
+    EXPECT_TRUE(W.S.matchesWord(R, Out.Result.Witness)) << C.Pattern;
+  }
 }
 
 } // namespace
