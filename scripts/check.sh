@@ -16,7 +16,6 @@
 #   - ci/audit.sh             full suite with term-DAG invariant audits live
 #   - ci/obs_off.sh           observability layer compiles out cleanly
 #   - ci/obs_overhead.sh      obs ON-vs-OFF bench ratio + sbd-explain replay
-#   - ci/compile_scalar.sh    compiled matcher with SIMD kernels pinned off
 #   - ci/tsan.sh              parallel batch solver + obs registry tests
 #   - ci/asan.sh              ASan+UBSan full suite (mandatory, not opt-in)
 #   - ci/hostile_input.sh     deep/truncated input through the ASan binaries
@@ -52,7 +51,6 @@ python3 "$CI_DIR"/validate_workflow.py
 "$CI_DIR"/audit.sh
 "$CI_DIR"/obs_off.sh
 "$CI_DIR"/obs_overhead.sh
-"$CI_DIR"/compile_scalar.sh
 "$CI_DIR"/tsan.sh
 "$CI_DIR"/asan.sh
 "$CI_DIR"/hostile_input.sh build-asan

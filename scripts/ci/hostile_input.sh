@@ -10,7 +10,11 @@
 #   - a 100,000-character str.to_re literal, through sbd-server, which must
 #     answer sat (the verdict-cache key prints the whole Concat spine);
 #   - a 100,000-character pattern, through sbd-analyze (as an argument and
-#     as a --file line).
+#     as a --file line);
+#   - a 20-digit numeral (past int64) and (push 1000000000000), through
+#     sbd-server: a parse error and a depth-cap error, not an abort;
+#   - ((_ re.loop 100000 100000) (str.to_re "a")), through sbd-server, which
+#     must answer sat, and a{1000000} through sbd-analyze.
 #
 # Gates (all hard failures):
 #   - every process exits below 128, i.e. not by a signal. Sanitizer
@@ -18,7 +22,7 @@
 #     signal deaths too;
 #   - sbd-server still answers the (echo "alive") that follows the deep
 #     term and the wide literal, and the commands before the truncation;
-#   - sbd-server answers sat on the wide literal.
+#   - sbd-server answers sat on the wide literal and the 100,000-loop.
 #
 # Usage: hostile_input.sh <build-dir>    (CI runs it on build-asan)
 . "$(dirname "$0")/common.sh"
@@ -53,6 +57,18 @@ with open(f"{work}/wide_pattern.txt", "w") as f:
 with open(f"{work}/wide_literal.smt2", "w") as f:
     f.write("(declare-const s String)\n"
             f'(assert (str.in_re s (str.to_re "{"a" * w}")))\n'
+            "(check-sat)\n"
+            '(echo "alive")\n')
+with open(f"{work}/huge_numeral.smt2", "w") as f:
+    f.write("(declare-const s String)\n"
+            "(assert (<= (str.len s) 12345678901234567890))\n"
+            '(echo "alive")\n')
+with open(f"{work}/huge_push.smt2", "w") as f:
+    f.write("(push 1000000000000)\n"
+            '(echo "alive")\n')
+with open(f"{work}/wide_loop.smt2", "w") as f:
+    f.write("(declare-const s String)\n"
+            '(assert (str.in_re s ((_ re.loop 100000 100000) (str.to_re "a"))))\n'
             "(check-sat)\n"
             '(echo "alive")\n')
 with open(f"{work}/truncated.smt2", "w") as f:
@@ -97,6 +113,14 @@ check "sbd-server <100,000-character literal>" $? "$WORK/out6" sat '"alive"'
 check "sbd-analyze <100,000-character pattern>" $? "$WORK/out7"
 "$ANALYZE" --file "$WORK/wide_pattern.txt" > "$WORK/out8" 2>&1
 check "sbd-analyze --file <100,000-character pattern>" $? "$WORK/out8"
+"$SERVER" < "$WORK/huge_numeral.smt2" > "$WORK/out9" 2>&1
+check "sbd-server <20-digit numeral>" $? "$WORK/out9" '"alive"'
+"$SERVER" < "$WORK/huge_push.smt2" > "$WORK/out10" 2>&1
+check "sbd-server <(push 1000000000000)>" $? "$WORK/out10" '"alive"'
+"$SERVER" < "$WORK/wide_loop.smt2" > "$WORK/out11" 2>&1
+check "sbd-server <100,000-iteration loop>" $? "$WORK/out11" sat '"alive"'
+"$ANALYZE" 'a{1000000}' > "$WORK/out12" 2>&1
+check "sbd-analyze <a{1000000}>" $? "$WORK/out12"
 set -e
 
 if [ "$FAILED" -ne 0 ]; then

@@ -91,8 +91,6 @@ enum class ViolationKind : uint8_t {
   TrUnsatBranch,     ///< DNF path condition unsatisfiable (branch not clean)
   // --- Compressed exploration (PR 4: dense rows over minterm ids) ----------
   DfaRowMismatch,    ///< dense successor row disagrees with uncompressed δdnf
-  // --- Compiled serving path (PR 6: frozen state-major tables) --------------
-  CompiledTableMismatch, ///< packed table entry disagrees with a fresh δdnf row
 
   NumKinds ///< sentinel — keep last
 };
@@ -136,7 +134,6 @@ inline const char *kindName(ViolationKind K) {
   case ViolationKind::TrNotDnf: return "tr_not_dnf";
   case ViolationKind::TrUnsatBranch: return "tr_unsat_branch";
   case ViolationKind::DfaRowMismatch: return "dfa_row_mismatch";
-  case ViolationKind::CompiledTableMismatch: return "compiled_table_mismatch";
   case ViolationKind::NumKinds: break;
   }
   return "?";

@@ -4,7 +4,6 @@
 #include "core/CachedMatcher.h"
 
 #include "analysis/AuditHooks.h"
-#include "compile/CompiledDfa.h"
 #include "support/Histogram.h"
 #include "support/Stopwatch.h"
 #include "support/Unicode.h"
@@ -17,37 +16,9 @@ CachedMatcher::CachedMatcher(DerivativeEngine &Eng, Re Pattern, Options Opts)
     : Engine(Eng), M(Eng.regexManager()), T(Eng.trManager()),
       Compressor(Eng.regexManager().collectPredicates(Pattern)),
       NumClasses(Compressor.numClasses()),
-      MaxStates(Opts.MaxStates ? Opts.MaxStates : 1),
-      PromoteAfterChars(Opts.PromoteAfterChars),
-      CompileMaxStates(Opts.CompileMaxStates),
-      CompileMaxTableBytes(Opts.CompileMaxTableBytes) {
+      MaxStates(Opts.MaxStates ? Opts.MaxStates : 1) {
   // The cache starts empty, so the initial state always gets a slot.
   InitialState = internState(Pattern, DeadState, DeadState);
-}
-
-CachedMatcher::~CachedMatcher() = default;
-
-bool CachedMatcher::maybePromote(size_t Chars) {
-  if (Compiled)
-    return true;
-  CharsFed += Chars;
-  if (!PromoteAfterChars || PromotionFailed || CharsFed < PromoteAfterChars)
-    return false;
-  CompiledDfaOptions CO;
-  CO.MaxStates = CompileMaxStates;
-  CO.MaxTableBytes = CompileMaxTableBytes;
-  std::optional<CompiledDfa> C =
-      CompiledDfa::compile(Engine, States[InitialState].Regex, CO);
-  if (!C) {
-    // Over budget: never retry (the closure will not shrink), keep serving
-    // from the bounded lazy cache. Results are unchanged either way.
-    PromotionFailed = true;
-    SBD_OBS_INC(CompiledFallbacks);
-    return false;
-  }
-  Compiled = std::make_unique<CompiledDfa>(std::move(*C));
-  SBD_OBS_INC(CompiledPromotions);
-  return true;
 }
 
 uint32_t CachedMatcher::internState(Re R, uint32_t Pin0, uint32_t Pin1) {
@@ -227,17 +198,6 @@ bool CachedMatcher::accepted(uint32_t Slot, Re Cur) {
 }
 
 bool CachedMatcher::matches(const std::vector<uint32_t> &Word) {
-  // Scan timing lives here (not in CompiledDfa::matches) so the compiled
-  // engine's throughput benchmarks stay clock-free.
-  if (maybePromote(Word.size())) {
-#if SBD_OBS
-    Stopwatch ScanTimer;
-#endif
-    bool Ok = Compiled->matches(Word);
-    SBD_OBS_HIST(CompiledScanUs, ScanTimer.elapsedUs());
-    SBD_OBS_ADD(ScanTimeUs, ScanTimer.elapsedUs());
-    return Ok;
-  }
 #if SBD_OBS
   Stopwatch ScanTimer;
 #endif
@@ -258,15 +218,6 @@ bool CachedMatcher::matches(const std::vector<uint32_t> &Word) {
 }
 
 bool CachedMatcher::matches(const std::string &Utf8) {
-  if (maybePromote(Utf8.size())) {
-#if SBD_OBS
-    Stopwatch ScanTimer;
-#endif
-    bool Ok = Compiled->matches(Utf8);
-    SBD_OBS_HIST(CompiledScanUs, ScanTimer.elapsedUs());
-    SBD_OBS_ADD(ScanTimeUs, ScanTimer.elapsedUs());
-    return Ok;
-  }
 #if SBD_OBS
   Stopwatch ScanTimer;
 #endif

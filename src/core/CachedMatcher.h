@@ -38,13 +38,10 @@
 #include "charset/AlphabetCompressor.h"
 #include "core/Derivatives.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace sbd {
-
-class CompiledDfa;
 
 /// Repeated-use matcher for one extended regex.
 class CachedMatcher {
@@ -54,28 +51,11 @@ public:
     /// transition structure is bounded by MaxStates * numClasses * 4 bytes
     /// plus one State record per slot.
     size_t MaxStates = 1024;
-    /// Automatic hot-pattern promotion: once this many characters have
-    /// been fed through the matcher (cumulative across matches() calls),
-    /// the next call attempts to freeze the full derivative closure into a
-    /// CompiledDfa (compile/CompiledDfa.h) and transparently serves from
-    /// the packed table — no eviction, no per-row epoch checks. 0 disables
-    /// promotion. A failed attempt (closure or table over budget) is
-    /// counted in `compiled_fallbacks`, never retried, and the matcher
-    /// stays on the lazy bounded path, so results are identical either
-    /// way.
-    size_t PromoteAfterChars = 1 << 12;
-    /// Closure cap for the promotion compile (independent of MaxStates:
-    /// the frozen table is immutable, so it is not bounded by the lazy
-    /// cache's live-state cap).
-    size_t CompileMaxStates = 4096;
-    /// Byte budget for the packed transition table.
-    size_t CompileMaxTableBytes = 1 << 20;
   };
 
   CachedMatcher(DerivativeEngine &Eng, Re Pattern)
       : CachedMatcher(Eng, Pattern, Options()) {}
   CachedMatcher(DerivativeEngine &Eng, Re Pattern, Options Opts);
-  ~CachedMatcher(); // out-of-line: CompiledDfa is incomplete here
 
   /// Does the pattern accept the code-point word?
   bool matches(const std::vector<uint32_t> &Word);
@@ -94,13 +74,6 @@ public:
 
   /// The query-scoped minterm partition driving the dense rows.
   const AlphabetCompressor &compressor() const { return Compressor; }
-
-  /// True once the matcher serves from a compiled table.
-  bool promoted() const { return Compiled != nullptr; }
-  /// The promoted table, or nullptr while (still) on the lazy path.
-  const CompiledDfa *compiled() const { return Compiled.get(); }
-  /// Cumulative characters fed through matches() (the promotion clock).
-  size_t charsFed() const { return CharsFed; }
 
   /// Re-derives every expanded row through the uncompressed δdnf path
   /// (`TrManager::apply` on each class representative — a different
@@ -155,11 +128,6 @@ private:
   bool feed(uint32_t &Slot, Re &Cur, uint32_t Cp);
   bool accepted(uint32_t Slot, Re Cur);
 
-  /// Advances the promotion clock by \p Chars and, when the threshold is
-  /// crossed, attempts the compile. Returns true when the compiled table is
-  /// available (the caller serves from it).
-  bool maybePromote(size_t Chars);
-
   DerivativeEngine &Engine;
   RegexManager &M;
   TrManager &T;
@@ -180,14 +148,6 @@ private:
   uint64_t EvictEpoch = 0;
   size_t Evicted = 0;
   size_t FallbackSteps = 0;
-
-  // Hot-pattern promotion (Options::PromoteAfterChars).
-  size_t PromoteAfterChars;
-  size_t CompileMaxStates;
-  size_t CompileMaxTableBytes;
-  size_t CharsFed = 0;
-  bool PromotionFailed = false;
-  std::unique_ptr<CompiledDfa> Compiled;
 };
 
 } // namespace sbd

@@ -48,10 +48,6 @@ const char *DifferentialOracle::engineName(size_t Id) {
     return "dfa_matcher";
   case EngTinyDfaMatcher:
     return "tiny_dfa_matcher";
-  case EngCompiledDfa:
-    return "compiled_dfa";
-  case EngCompiledTiny:
-    return "compiled_tiny_fallback";
   case EngSolverMatch:
     return "solver_matches_word";
   case EngSbfa:
@@ -404,35 +400,13 @@ void DifferentialOracle::beginRegex(Re Rx, std::vector<Discrepancy> &Out) {
   CurFeat = Solver.analyzer().analyze(Rx);
   checkAnalyzerStability(Out);
 
-  // Promotion is pinned off for the two lazy engines: the compiled path is
-  // cross-checked through its own engines below, and these two must keep
-  // exercising the lazy step loop (and the tiny cap's eviction/fallback).
+  // The tiny cap keeps the eviction and uncached-fallback paths exercised.
   CachedMatcher::Options Full;
   Full.MaxStates = Opts.MatcherMaxStates;
-  Full.PromoteAfterChars = 0;
   DfaMatcher = std::make_unique<CachedMatcher>(Eng, Cur, Full);
   CachedMatcher::Options Tiny;
   Tiny.MaxStates = Opts.TinyMatcherMaxStates;
-  Tiny.PromoteAfterChars = 0;
   TinyMatcher = std::make_unique<CachedMatcher>(Eng, Cur, Tiny);
-
-  CompiledD.reset();
-  TinyPromoted.reset();
-  if (Opts.UseCompiledDfa) {
-    CompiledDfaOptions CD;
-    CD.MaxStates = Opts.CompiledMaxStates;
-    CompiledD = timed(EngCompiledDfa,
-                      [&] { return CompiledDfa::compile(Eng, Cur, CD); });
-    // Forced-fallback configuration: promotion fires on the first word but
-    // the compile budget is hopeless, so the matcher must take the
-    // compiled_fallbacks path and keep serving lazily — cross-checked on
-    // every word like any other engine.
-    CachedMatcher::Options TP;
-    TP.MaxStates = Opts.MatcherMaxStates;
-    TP.PromoteAfterChars = 1;
-    TP.CompileMaxStates = Opts.TinyCompiledMaxStates;
-    TinyPromoted = std::make_unique<CachedMatcher>(Eng, Cur, TP);
-  }
 
   SbfaA = timed(EngSbfa, [&] {
     return Sbfa::build(Eng, Cur, Opts.SbfaMaxStates);
@@ -494,16 +468,6 @@ void DifferentialOracle::checkWord(const std::vector<uint32_t> &W,
                  timed(EngTinyDfaMatcher,
                        [&] { return TinyMatcher->matches(W); }),
                  Ref, Out);
-  if (CompiledD)
-    noteMembership(W, engineName(EngCompiledDfa),
-                   timed(EngCompiledDfa,
-                         [&] { return CompiledD->matches(W); }),
-                   Ref, Out);
-  if (TinyPromoted)
-    noteMembership(W, engineName(EngCompiledTiny),
-                   timed(EngCompiledTiny,
-                         [&] { return TinyPromoted->matches(W); }),
-                   Ref, Out);
   noteMembership(W, engineName(EngSolverMatch),
                  timed(EngSolverMatch,
                        [&] { return Solver.matchesWord(Cur, W); }),

@@ -52,7 +52,6 @@
 #include "automata/Sbfa.h"
 #include "baselines/AntimirovSolver.h"
 #include "baselines/BrzozowskiMintermSolver.h"
-#include "compile/CompiledDfa.h"
 #include "core/CachedMatcher.h"
 #include "solver/RegexSolver.h"
 
@@ -121,12 +120,6 @@ struct EnginePhase {
 struct OracleOptions {
   size_t MatcherMaxStates = 512;
   size_t TinyMatcherMaxStates = 4; ///< forces eviction + fallback paths
-  size_t CompiledMaxStates = 256; ///< closure cap for the compiled table
-  /// Compile budget of the forced-fallback configuration: a promotion
-  /// clock of one character combined with this (deliberately hopeless)
-  /// closure cap makes every nontrivial pattern overflow the compile and
-  /// exercise the lazy fallback on each word.
-  size_t TinyCompiledMaxStates = 2;
   size_t SbfaMaxStates = 96;
   size_t SafaMaxTransitions = 160; ///< gate on the SBFA before conversion
   size_t EagerMaxStates = 384;
@@ -138,7 +131,6 @@ struct OracleOptions {
   bool UseSafa = true;
   bool UseEagerDfa = true;
   bool UseAntimirovNfa = true;
-  bool UseCompiledDfa = true;
 };
 
 /// The per-sample differential oracle. Create one per arena batch; call
@@ -198,8 +190,6 @@ private:
     EngRefMatcher,
     EngDfaMatcher,
     EngTinyDfaMatcher,
-    EngCompiledDfa,
-    EngCompiledTiny,
     EngSolverMatch,
     EngSbfa,
     EngSafa,
@@ -246,11 +236,6 @@ private:
   Re CurCompl{0};
   std::unique_ptr<CachedMatcher> DfaMatcher;
   std::unique_ptr<CachedMatcher> TinyMatcher;
-  /// Direct compile of the pattern (skipped when over CompiledMaxStates).
-  std::optional<CompiledDfa> CompiledD;
-  /// Promotion-enabled matcher whose compile budget is hopeless — the
-  /// forced-fallback configuration (TinyCompiledMaxStates).
-  std::unique_ptr<CachedMatcher> TinyPromoted;
   std::optional<Sbfa> SbfaA;
   std::optional<Safa> SafaA;
   std::optional<Sdfa> EagerD;

@@ -3,6 +3,8 @@
 #include "smt/SExpr.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 using namespace sbd;
 
@@ -168,7 +170,12 @@ private:
     SExpr A;
     if (Numeric) {
       A.K = SExpr::Kind::Number;
-      A.Number = std::stoll(Text);
+      auto [End, Ec] =
+          std::from_chars(Text.data(), Text.data() + Text.size(), A.Number);
+      if (Ec != std::errc() || End != Text.data() + Text.size()) {
+        fail("numeral out of range: " + Text);
+        return SExpr{};
+      }
       A.Text = std::move(Text);
     } else {
       A.K = SExpr::Kind::Symbol;

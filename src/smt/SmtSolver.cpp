@@ -115,6 +115,11 @@ public:
   }
 
   void push(uint64_t N) {
+    if (N > MaxPushDepth - pushDepth()) {
+      unsupported("push depth over limit (" + std::to_string(MaxPushDepth) +
+                  ")");
+      return;
+    }
     for (uint64_t I = 0; I != N; ++I)
       FrameAsserts.emplace_back();
   }
@@ -203,15 +208,13 @@ public:
     SBD_SOLVE_STATS_FIELDS(SBD_STAT_ROW, SBD_STAT_ROW, SBD_STAT_ROW)
 #undef SBD_STAT_ROW
     Out += Counts;
-    // Compiled serving path and the cross-query verdict cache. These live
-    // in the process-wide registry (the compiled kernel and the shared
-    // cache never touch per-query stats), so they are cumulative across
-    // the solver's lifetime like the rest of this list.
+    // The cross-query verdict cache. Its counters live in the process-wide
+    // registry (the shared cache never touches per-query stats), so they
+    // are cumulative across the solver's lifetime like the rest of this
+    // list.
     obs::MetricShard Reg = obs::MetricsRegistry::global().snapshot();
     for (obs::Counter C :
-         {obs::Counter::CompiledPromotions, obs::Counter::CompiledCharsScanned,
-          obs::Counter::CompiledPrefilterSkips, obs::Counter::CompiledFallbacks,
-          obs::Counter::VerdictCacheHits, obs::Counter::VerdictCacheMisses,
+         {obs::Counter::VerdictCacheHits, obs::Counter::VerdictCacheMisses,
           obs::Counter::VerdictCacheInserts,
           obs::Counter::VerdictCacheEvictions}) {
       std::string Key = obs::counterName(C);
@@ -220,7 +223,7 @@ public:
     }
     Out += Times;
     // Latency distribution over every regex sub-query solved so far, from
-    // the process-wide histogram registry (cumulative, like the compiled
+    // the process-wide histogram registry (cumulative, like the cache
     // counters above; all-zero at -DSBD_OBS=0).
     obs::HistShard Hists = obs::HistogramRegistry::global().snapshot();
     const obs::HistShard::Data &Lat =
@@ -270,6 +273,16 @@ private:
       HasErr = true;
       Err = Why;
     }
+  }
+
+  /// A non-negative script integer as a loop bound or string index. Values
+  /// at or above LoopInf ("unbounded") do not fit: reports "<What> out of
+  /// range" and returns nullopt.
+  std::optional<uint32_t> bound(int64_t V, const char *What) {
+    if (V >= 0 && V < int64_t(LoopInf))
+      return static_cast<uint32_t>(V);
+    unsupported(std::string(What) + " out of range");
+    return std::nullopt;
   }
 
   BE atomExpr(const std::string &Var, Re Regex) {
@@ -420,7 +433,9 @@ private:
               int64_t N) {
     if (K < 0)
       return unsupportedExpr("negative str.at index");
-    uint32_t Ku = static_cast<uint32_t>(K);
+    std::optional<uint32_t> Ku = bound(K, "str.at index");
+    if (!Ku)
+      return B.falseExpr();
     // The set of character codes satisfying "code Op N".
     CharSet Chars;
     bool MinusOneSatisfies = false; // does the out-of-range value -1 satisfy?
@@ -462,12 +477,12 @@ private:
     // |s| <= K disjunct.
     std::vector<BE> Cases;
     if (!Chars.isEmpty()) {
-      Re Prefix = M.loop(M.anyChar(), Ku, Ku);
+      Re Prefix = M.loop(M.anyChar(), *Ku, *Ku);
       Cases.push_back(atomExpr(
           Var, M.concat(Prefix, M.concat(M.pred(Chars), M.top()))));
     }
     if (MinusOneSatisfies)
-      Cases.push_back(atomExpr(Var, M.loop(M.anyChar(), 0, Ku)));
+      Cases.push_back(atomExpr(Var, M.loop(M.anyChar(), 0, *Ku)));
     return B.or_(std::move(Cases));
   }
 
@@ -476,13 +491,15 @@ private:
     std::vector<uint32_t> Cps = decodeSmtString(Value);
     if (K < 0)
       return Cps.empty() ? B.trueExpr() : B.falseExpr();
+    std::optional<uint32_t> Ku = bound(K, "str.at index");
+    if (!Ku)
+      return B.falseExpr();
     if (Cps.empty()) // |s| <= K
-      return atomExpr(Var, M.loop(M.anyChar(), 0, static_cast<uint32_t>(K)));
+      return atomExpr(Var, M.loop(M.anyChar(), 0, *Ku));
     if (Cps.size() != 1)
       return B.falseExpr(); // str.at never yields multi-character strings
     // s ∈ .{K} c .*
-    Re Prefix = M.loop(M.anyChar(), static_cast<uint32_t>(K),
-                       static_cast<uint32_t>(K));
+    Re Prefix = M.loop(M.anyChar(), *Ku, *Ku);
     return atomExpr(Var, M.concat(Prefix, M.concat(M.chr(Cps[0]), M.top())));
   }
 
@@ -520,30 +537,28 @@ private:
   /// len(Var) Op K as a membership in `.{m,n}`.
   BE lengthAtom(const std::string &Var, const std::string &Op, int64_t K) {
     Re Any = M.anyChar();
-    auto Window = [&](uint32_t Lo, uint32_t Hi) {
-      return atomExpr(Var, M.loop(Any, Lo, Hi));
+    // len(Var) in [Lo, Hi]; no Hi leaves it unbounded.
+    auto Window = [&](int64_t Lo, std::optional<int64_t> Hi) {
+      std::optional<uint32_t> L = bound(Lo, "str.len bound");
+      std::optional<uint32_t> H = Hi ? bound(*Hi, "str.len bound") : LoopInf;
+      if (!L || !H)
+        return B.falseExpr();
+      return atomExpr(Var, M.loop(Any, *L, *H));
     };
-    if (Op == "=") {
-      if (K < 0)
-        return B.falseExpr();
-      return Window(static_cast<uint32_t>(K), static_cast<uint32_t>(K));
-    }
-    if (Op == "<=") {
-      if (K < 0)
-        return B.falseExpr();
-      return Window(0, static_cast<uint32_t>(K));
-    }
+    if (Op == "=")
+      return K < 0 ? B.falseExpr() : Window(K, K);
+    if (Op == "<=")
+      return K < 0 ? B.falseExpr() : Window(0, K);
     if (Op == "<")
-      return K <= 0 ? B.falseExpr() : Window(0, static_cast<uint32_t>(K - 1));
-    if (Op == ">=") {
-      if (K <= 0)
-        return B.trueExpr();
-      return Window(static_cast<uint32_t>(K), LoopInf);
-    }
+      return K <= 0 ? B.falseExpr() : Window(0, K - 1);
+    if (Op == ">=")
+      return K <= 0 ? B.trueExpr() : Window(K, std::nullopt);
     if (Op == ">") {
+      // K + 1 overflows only past every bound(), so reject K first.
       if (K < 0)
         return B.trueExpr();
-      return Window(static_cast<uint32_t>(K + 1), LoopInf);
+      return bound(K, "str.len bound") ? Window(K + 1, std::nullopt)
+                                       : B.falseExpr();
     }
     return unsupportedExpr("unknown comparison " + Op);
   }
@@ -571,6 +586,17 @@ private:
   }
 
   /// --- Regex layer ----------------------------------------------------------
+
+  /// (re.loop Body Lo Hi); an empty range denotes re.none.
+  Re compileLoop(const SExpr &Body, int64_t Lo, int64_t Hi) {
+    if (Lo < 0 || Hi < Lo)
+      return M.empty();
+    std::optional<uint32_t> L = bound(Lo, "re.loop bound");
+    std::optional<uint32_t> H = bound(Hi, "re.loop bound");
+    if (!L || !H)
+      return M.empty();
+    return M.loop(compileRe(Body), *L, *H);
+  }
 
   Re compileRe(const SExpr &E) {
     if (HasErr)
@@ -629,20 +655,12 @@ private:
         Head.Kids[0].isSymbol("_") && Head.Kids[1].isSymbol("re.loop") &&
         Head.Kids[2].K == SExpr::Kind::Number &&
         Head.Kids[3].K == SExpr::Kind::Number && E.Kids.size() == 2) {
-      int64_t Lo = Head.Kids[2].Number, Hi = Head.Kids[3].Number;
-      if (Lo < 0 || Hi < Lo)
-        return M.empty();
-      return M.loop(compileRe(E.Kids[1]), static_cast<uint32_t>(Lo),
-                    static_cast<uint32_t>(Hi));
+      return compileLoop(E.Kids[1], Head.Kids[2].Number, Head.Kids[3].Number);
     }
     if (Head.isSymbol("re.loop") && E.Kids.size() == 4 &&
         E.Kids[2].K == SExpr::Kind::Number &&
         E.Kids[3].K == SExpr::Kind::Number) {
-      int64_t Lo = E.Kids[2].Number, Hi = E.Kids[3].Number;
-      if (Lo < 0 || Hi < Lo)
-        return M.empty();
-      return M.loop(compileRe(E.Kids[1]), static_cast<uint32_t>(Lo),
-                    static_cast<uint32_t>(Hi));
+      return compileLoop(E.Kids[1], E.Kids[2].Number, E.Kids[3].Number);
     }
     unsupported("unsupported regex constructor: " + Head.Text);
     return M.empty();

@@ -100,6 +100,10 @@ private:
   RegexSolver &Solver;
 };
 
+/// Deepest assertion-frame stack (push) accepts; a push past it is an
+/// error, not one allocation per requested frame.
+constexpr size_t MaxPushDepth = 10000;
+
 /// Incremental SMT-LIB session: the compiled state — declarations, scoped
 /// assertion frames, the Boolean-skeleton atom table, and (through the
 /// wrapped solver) the regex arena plus derivative graph — persists across

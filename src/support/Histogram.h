@@ -42,7 +42,6 @@ namespace obs {
   X(SolveArenaNodes, "solve_arena_nodes") /* regex + TR nodes allocated */     \
   X(DnfExpansionArcs, "dnf_expansion_arcs") /* arcs per δdnf expansion */      \
   X(LazyScanUs, "lazy_scan_us") /* CachedMatcher lazy-path matches */          \
-  X(CompiledScanUs, "compiled_scan_us") /* matches on a compiled table */      \
   X(DistRpcUs, "dist_rpc_us") /* coordinator request→response */               \
   X(DistQueueDepth, "dist_queue_depth") /* worker backlog at dispatch */
 

@@ -73,11 +73,10 @@ namespace obs {
   X(DfaStatesBuilt, "dfa_states_built") /* lazy-DFA rows filled */             \
   X(DfaEvictions, "dfa_evictions") /* lazy-DFA states evicted */               \
   X(DenseRowHits, "dense_row_hits") /* expansions served by a dense row */     \
-  /* Compiled serving path (compile/CompiledDfa.h, CachedMatcher). */          \
-  X(CompiledPromotions, "compiled_promotions") /* matchers moved to a table */ \
+  /* Nothing increments these two; bench/sbdbench/Paths.cpp reads them, so */ \
+  /* they stay until that benchmark's next change. */                          \
+  X(CompiledPromotions, "compiled_promotions")                                 \
   X(CompiledCharsScanned, "compiled_chars_scanned")                            \
-  X(CompiledPrefilterSkips, "compiled_prefilter_skips") /* by the prefilter */ \
-  X(CompiledFallbacks, "compiled_fallbacks") /* promotions over budget */      \
   /* Solver search loop. */                                                    \
   X(SolverSteps, "solver_steps") /* states dequeued by checkSat */             \
   X(TimeoutChecks, "timeout_checks") /* deadline clock reads */                \

@@ -116,6 +116,31 @@ TEST_F(CachedMatcherTest, AuditDetectsCorruptedRow) {
   EXPECT_GT(Matcher.auditRows(), 0u) << "corruption not detected";
 }
 
+TEST_F(CachedMatcherTest, LongTrafficStaysOnTheLazyRowsAndExact) {
+  // One default-options matcher serves many words, well past 4,096
+  // characters in total, through both matches() overloads; every answer
+  // must agree with the uncached derivative matcher and every row must
+  // still audit clean.
+  Re R = re("(.*\\d.*)&~(.*01.*)");
+  CachedMatcher Matcher(E, R);
+  Rng Rand(2021);
+  static const char Alphabet[] = {'0', '1', '7', 'x', 'y'};
+  size_t Fed = 0;
+  while (Fed <= 3 * 4096) {
+    std::string Word;
+    size_t Len = Rand.below(96);
+    for (size_t J = 0; J != Len; ++J)
+      Word.push_back(Alphabet[Rand.below(std::size(Alphabet))]);
+    std::vector<uint32_t> Cps(Word.begin(), Word.end());
+    bool Want = E.matches(R, Cps);
+    ASSERT_EQ(Matcher.matches(Word), Want) << Word;
+    ASSERT_EQ(Matcher.matches(Cps), Want) << Word;
+    Fed += 2 * Len;
+  }
+  EXPECT_EQ(Matcher.auditRows(), 0u);
+  EXPECT_EQ(Matcher.fallbackSteps(), 0u);
+}
+
 class CachedMatcherPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 

@@ -245,6 +245,46 @@ TEST_F(SmtSessionTest, WideLiteralSolvesAndTheSessionKeepsServing) {
   EXPECT_EQ(runOne("(echo \"alive\")"), "\"alive\"");
 }
 
+TEST_F(SmtSessionTest, OutOfRangeNumeralIsAParseErrorAndTheSessionKeepsServing) {
+  std::string Err = runOne("(push 12345678901234567890)");
+  EXPECT_EQ(Err.rfind("(error \"parse error: numeral out of range", 0), 0u)
+      << Err;
+  EXPECT_EQ(Session.pushDepth(), 0u);
+  EXPECT_EQ(runOne("(echo \"alive\")"), "\"alive\"");
+}
+
+TEST_F(SmtSessionTest, PushPastTheDepthCapIsAnErrorAndTheSessionKeepsServing) {
+  std::string Err = runOne("(push 1000000000000)");
+  EXPECT_NE(Err.find("push depth over limit"), std::string::npos) << Err;
+  EXPECT_EQ(Session.pushDepth(), 0u);
+  // Up to the cap, frames still open and close.
+  EXPECT_TRUE(run("(push " + std::to_string(MaxPushDepth) + ")").empty());
+  EXPECT_EQ(Session.pushDepth(), MaxPushDepth);
+  Err = runOne("(push)");
+  EXPECT_NE(Err.find("push depth over limit"), std::string::npos) << Err;
+  EXPECT_TRUE(run("(pop " + std::to_string(MaxPushDepth) + ")").empty());
+  EXPECT_EQ(Session.pushDepth(), 0u);
+  run("(declare-const s String)");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+}
+
+TEST_F(SmtSessionTest, OutOfRangeBoundIsAnErrorNotAVerdict) {
+  run(R"(
+    (declare-const s String)
+    (assert (<= (str.len s) 10)))");
+  for (const char *A :
+       {R"((assert (str.in_re s ((_ re.loop 4294967297 4294967297)
+                                  (str.to_re "a")))))",
+        R"((assert (= (str.len s) 4294967296)))",
+        R"((assert (= (str.at s 4294967296) "b")))"}) {
+    std::string Err = runOne(A);
+    EXPECT_EQ(Err.rfind("(error ", 0), 0u) << A << ": " << Err;
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+    EXPECT_EQ(Session.numAssertions(), 1u) << A;
+  }
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+}
+
 TEST_F(SmtSessionTest, LastResultTracksTheMostRecentCheck) {
   run(R"(
     (declare-const s String)

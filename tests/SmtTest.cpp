@@ -59,6 +59,20 @@ TEST(SExprTest, Errors) {
   EXPECT_FALSE(parseSExprs(")").Ok);
 }
 
+TEST(SExprTest, NumeralsOutsideInt64AreParseErrors) {
+  auto Min = parseSExprs("(x -9223372036854775808 9223372036854775807)");
+  ASSERT_TRUE(Min.Ok);
+  EXPECT_EQ(Min.Forms[0].Kids[1].Number, INT64_MIN);
+  EXPECT_EQ(Min.Forms[0].Kids[2].Number, INT64_MAX);
+  for (const char *Text : {"(push 12345678901234567890)",
+                           "(x 9223372036854775808)",
+                           "(x -9223372036854775809)"}) {
+    auto R = parseSExprs(Text);
+    EXPECT_FALSE(R.Ok) << Text;
+    EXPECT_EQ(R.Error.rfind("numeral out of range", 0), 0u) << R.Error;
+  }
+}
+
 TEST_F(SmtTest, SimpleMembershipSat) {
   SmtResult R = run(R"(
     (declare-const s String)
@@ -220,6 +234,60 @@ TEST_F(SmtTest, IndexedAndLegacyLoops) {
     (check-sat))");
   ASSERT_EQ(L.Status, SolveStatus::Sat);
   EXPECT_EQ(modelValue(L, "s"), "abab");
+}
+
+/// Script integers are int64; loop bounds, lengths and indices are
+/// uint32_t with LoopInf = 4294967295 meaning "unbounded". A value that
+/// does not fit is Unsupported, never wrapped into a different constraint.
+TEST_F(SmtTest, OutOfRangeIntegersAreUnsupportedNotWrapped) {
+  const char *Asserts[] = {
+      // 4294967297 wraps to 1: "a" would be reported as a model.
+      R"((assert (str.in_re s ((_ re.loop 4294967297 4294967297)
+                                (str.to_re "a"))))
+         (assert (<= (str.len s) 10)))",
+      R"((assert (str.in_re s (re.loop (str.to_re "a") 4294967297 4294967297)))
+         (assert (<= (str.len s) 10)))",
+      // 4294967295 is LoopInf: the complement of a* intersected with a*.
+      R"((assert (str.in_re s (re.inter
+                   (re.comp ((_ re.loop 0 4294967295) (str.to_re "a")))
+                   (re.* (str.to_re "a"))))))",
+      // 4294967296 wraps to 0.
+      R"((assert (str.in_re s (re.++ re.all (str.to_re "a") re.all)))
+         (assert (<= (str.len s) 4294967296)))",
+      R"((assert (= (str.len s) 4294967296)))",
+      R"((assert (>= (str.len s) 4294967295)))",
+      // K + 1 is LoopInf, and K + 1 overflows int64.
+      R"((assert (> (str.len s) 4294967294)))",
+      R"((assert (> (str.len s) 9223372036854775807)))",
+      R"((assert (= (str.at s 4294967296) "b")))",
+      R"((assert (= (str.to_code (str.at s 4294967296)) 98)))",
+  };
+  for (const char *A : Asserts) {
+    SmtResult R = run(std::string("(declare-const s String)\n") + A +
+                      "\n(check-sat)");
+    EXPECT_EQ(R.Status, SolveStatus::Unsupported) << A;
+    EXPECT_NE(R.Note.find("out of range"), std::string::npos)
+        << A << ": " << R.Note;
+    EXPECT_TRUE(R.Model.empty()) << A;
+  }
+  // The largest bound below LoopInf still compiles.
+  SmtResult Edge = run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (re.++ re.all (str.to_re "a") re.all)))
+    (assert (< (str.len s) 4294967295))
+    (check-sat))");
+  ASSERT_EQ(Edge.Status, SolveStatus::Sat);
+  EXPECT_EQ(modelValue(Edge, "s"), "a");
+}
+
+TEST_F(SmtTest, PushPastTheDepthCapIsUnsupported) {
+  SmtResult R = run(R"(
+    (declare-const s String)
+    (push 1000000000000)
+    (check-sat))");
+  EXPECT_EQ(R.Status, SolveStatus::Unsupported);
+  EXPECT_NE(R.Note.find("push depth over limit"), std::string::npos)
+      << R.Note;
 }
 
 TEST_F(SmtTest, Fig1DatePolicyScript) {
@@ -433,9 +501,7 @@ TEST_F(SmtTest, GetInfoStatistics) {
       "intern-hits",          "intern-misses",
       "memo-hits",            "memo-misses",
       "arena-nodes",          "peak-frontier",
-      "solver-steps",         "compiled-promotions",
-      "compiled-chars-scanned", "compiled-prefilter-skips",
-      "compiled-fallbacks",   "verdict-cache-hits",
+      "solver-steps",         "verdict-cache-hits",
       "verdict-cache-misses", "verdict-cache-inserts",
       "verdict-cache-evictions", "minterm-time-us",
       "derive-time-us",       "dnf-time-us",

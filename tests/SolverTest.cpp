@@ -496,12 +496,10 @@ TEST_F(SolverTest, SolveOnStackChecksWitnessesWithoutBuildingMatchers) {
 #endif
     BatchResult Out = portfolio::solveOnStack(W, Q, /*LongLived=*/false);
 #if SBD_OBS
-    // The witness check walks δdnf: no lazy-DFA rows, no minterm classes,
-    // no compiled table.
+    // The witness check walks δdnf: no lazy-DFA rows, no minterm classes.
     const obs::MetricShard D = obs::tlsShard().since(Before);
     EXPECT_EQ(D.get(obs::Counter::DfaStatesBuilt), 0u) << C.Pattern;
     EXPECT_EQ(D.get(obs::Counter::AlphabetMinterms), 0u) << C.Pattern;
-    EXPECT_EQ(D.get(obs::Counter::CompiledPromotions), 0u) << C.Pattern;
 #endif
     ASSERT_TRUE(Out.ParseOk) << C.Pattern;
     ASSERT_TRUE(Out.Result.isSat()) << C.Pattern << ": " << Out.Result.Note;
