@@ -77,7 +77,8 @@ RunRecord sbd::BenchRunner::runOne(SolverKind Kind,
     break;
   }
   case SolverKind::Antimirov: {
-    AntimirovSolver S(M);
+    analysis::RegexAnalyzer A(M);
+    AntimirovSolver S(M, A);
     Res = S.solve(R, Opts);
     break;
   }

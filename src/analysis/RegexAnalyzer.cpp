@@ -6,7 +6,6 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace sbd;
 using namespace sbd::analysis;
@@ -98,21 +97,20 @@ bool appendPrefix(RegexFeatures &F, const uint32_t *Word, uint32_t Len) {
 } // namespace
 
 const RegexFeatures &RegexAnalyzer::analyze(Re R) {
-  if (R.Id < Done.size() && Done[R.Id] && Memo[R.Id].DagSize != 0) {
+  if (done(R.Id) && record(R.Id).DagSize != 0) {
     SBD_OBS_INC(AnalysisCacheHits);
-    return Memo[R.Id];
+    return record(R.Id);
   }
   fold(R);
-  return Memo[R.Id];
+  return record(R.Id);
 }
 
 void RegexAnalyzer::fold(Re Root) {
   size_t N = M.numNodes();
-  if (Memo.size() < N) {
-    Memo.resize(N);
-    Done.resize(N, 0);
+  while (Pages.size() * PageSize < N)
+    Pages.push_back(std::make_unique<Page>());
+  if (Mark.size() < N)
     Mark.resize(N, 0);
-  }
 
   // Iterative post-order over the not-yet-folded sub-DAG. Explicit stack:
   // literal patterns intern as right-nested concat chains as deep as the
@@ -125,14 +123,14 @@ void RegexAnalyzer::fold(Re Root) {
   Stack.push_back({Root, 0});
   while (!Stack.empty()) {
     Frame &F = Stack.back();
-    if (Done[F.Node.Id]) {
+    if (done(F.Node.Id)) {
       Stack.pop_back();
       continue;
     }
     const RegexNode &Node = M.node(F.Node);
     if (F.NextKid < Node.Kids.size()) {
       Re Kid = Node.Kids[F.NextKid++];
-      if (!Done[Kid.Id])
+      if (!done(Kid.Id))
         Stack.push_back({Kid, 0});
       continue;
     }
@@ -142,7 +140,7 @@ void RegexAnalyzer::fold(Re Root) {
     R.StarHeight = Node.StarHeight;
     R.Nullable = Node.Nullable;
     for (Re Kid : Node.Kids) {
-      const RegexFeatures &K = Memo[Kid.Id];
+      const RegexFeatures &K = record(Kid.Id);
       R.NumPred = satAdd32(R.NumPred, K.NumPred);
       R.NumConcat = satAdd32(R.NumConcat, K.NumConcat);
       R.NumStar = satAdd32(R.NumStar, K.NumStar);
@@ -178,8 +176,8 @@ void RegexAnalyzer::fold(Re Root) {
     }
     case RegexKind::Concat: {
       R.NumConcat = satAdd32(R.NumConcat, 1);
-      const RegexFeatures &A = Memo[Node.Kids[0].Id];
-      const RegexFeatures &B = Memo[Node.Kids[1].Id];
+      const RegexFeatures &A = record(Node.Kids[0].Id);
+      const RegexFeatures &B = record(Node.Kids[1].Id);
       if (A.EmptyLang || B.EmptyLang) {
         R.EmptyLang = true;
         break;
@@ -203,7 +201,7 @@ void RegexAnalyzer::fold(Re Root) {
       break;
     case RegexKind::Loop: {
       R.NumLoop = satAdd32(R.NumLoop, 1);
-      const RegexFeatures &K = Memo[Node.Kids[0].Id];
+      const RegexFeatures &K = record(Node.Kids[0].Id);
       uint32_t Hi = Node.LoopMax == LoopInf ? Node.LoopMin : Node.LoopMax;
       R.MaxLoopBound = std::max(R.MaxLoopBound, std::max(Node.LoopMin, Hi));
       // Blow-up multiplier: the loop's upper repetition count (its min for
@@ -231,7 +229,7 @@ void RegexAnalyzer::fold(Re Root) {
       bool First = true;
       bool AllComplete = true;
       for (Re Kid : Node.Kids) {
-        const RegexFeatures &K = Memo[Kid.Id];
+        const RegexFeatures &K = record(Kid.Id);
         if (K.EmptyLang)
           continue;
         AllComplete = AllComplete && K.PrefixComplete;
@@ -259,7 +257,7 @@ void RegexAnalyzer::fold(Re Root) {
       // prefix claim holds vacuously.)
       const RegexFeatures *Best = nullptr;
       for (Re Kid : Node.Kids) {
-        const RegexFeatures &K = Memo[Kid.Id];
+        const RegexFeatures &K = record(Kid.Id);
         if (K.EmptyLang)
           R.EmptyLang = true;
         if (!Best || K.PrefixLen > Best->PrefixLen)
@@ -294,8 +292,9 @@ void RegexAnalyzer::fold(Re Root) {
 
     R.Risk = riskScore(R);
     R.Class = classify(R);
-    Memo[F.Node.Id] = R;
-    Done[F.Node.Id] = 1;
+    record(F.Node.Id) = R;
+    Pages[F.Node.Id >> PageBits]->Done |= uint64_t(1)
+                                          << (F.Node.Id & (PageSize - 1));
     ++NodesAnalyzed;
     SBD_OBS_INC(AnalysisNodesVisited);
     Stack.pop_back();
@@ -306,12 +305,12 @@ void RegexAnalyzer::fold(Re Root) {
   // are only exact for `Root` itself (sub-records keep the values from
   // when they were a fold root, or zero); the router and the CLI only read
   // them at the root.
-  RegexFeatures &RootF = Memo[Root.Id];
+  RegexFeatures &RootF = record(Root.Id);
   if (RootF.DagSize == 0) {
     ++Epoch;
-    std::set<uint32_t> PredIdxs;
+    PredIdxs.clear();
     uint32_t Count = 0;
-    std::vector<Re> Walk = {Root};
+    Walk.assign(1, Root);
     Mark[Root.Id] = Epoch;
     while (!Walk.empty()) {
       Re Cur = Walk.back();
@@ -319,15 +318,17 @@ void RegexAnalyzer::fold(Re Root) {
       ++Count;
       const RegexNode &Node = M.node(Cur);
       if (Node.Kind == RegexKind::Pred)
-        PredIdxs.insert(Node.PredIdx);
+        PredIdxs.push_back(Node.PredIdx);
       for (Re Kid : Node.Kids)
         if (Mark[Kid.Id] != Epoch) {
           Mark[Kid.Id] = Epoch;
           Walk.push_back(Kid);
         }
     }
+    std::sort(PredIdxs.begin(), PredIdxs.end());
     RootF.DagSize = Count;
-    RootF.DistinctPreds = static_cast<uint32_t>(PredIdxs.size());
+    RootF.DistinctPreds = static_cast<uint32_t>(
+        std::unique(PredIdxs.begin(), PredIdxs.end()) - PredIdxs.begin());
     RootF.MintermBound = uint64_t(1)
                          << std::min<uint32_t>(30, RootF.DistinctPreds);
   }

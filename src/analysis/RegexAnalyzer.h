@@ -12,10 +12,11 @@
 /// RegexSolver::checkSat, the `sbd-analyze` CLI, and the fuzz oracle's
 /// analyzer-soundness laws.
 ///
-/// The analysis is O(|DAG|): results are memoized per interned node id in a
-/// dense vector, so shared subterms are folded exactly once per manager
-/// lifetime and repeated `analyze()` calls are O(1) lookups. Because the
-/// arena is append-only, memoized entries never go stale.
+/// The analysis is O(|DAG|): results are memoized per interned node id in
+/// fixed pages of 64 records, so shared subterms are folded exactly once per
+/// manager lifetime and repeated `analyze()` calls are O(1) lookups. Because
+/// the arena is append-only, memoized entries never go stale, and because a
+/// page never moves, a record reference stays valid across later calls.
 ///
 /// Everything in the record is integral and deterministic: two structurally
 /// equal regexes (same toString, any manager) produce identical features.
@@ -29,6 +30,7 @@
 #include "re/Regex.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,33 +121,57 @@ struct RegexFeatures {
   std::string json() const;
 };
 
-/// The analyzer. Owns a dense Re.Id-indexed memo; one instance per
-/// RegexManager (same lifetime rules as the solver's derivative memos).
+/// The analyzer. Owns a Re.Id-indexed memo; one instance per RegexManager,
+/// shared by every engine on that arena (same lifetime rules as the
+/// solver's derivative memos).
 class RegexAnalyzer {
 public:
   explicit RegexAnalyzer(const RegexManager &Mgr) : M(Mgr) {}
 
   /// Analyzes R (folding any not-yet-seen reachable nodes) and returns its
   /// feature record. O(new nodes) then O(1); iterative, so deep
-  /// right-nested concat chains cannot overflow the stack.
+  /// right-nested concat chains cannot overflow the stack. The reference
+  /// stays valid for the analyzer's lifetime: later calls add pages, they
+  /// never move the records already computed.
   const RegexFeatures &analyze(Re R);
 
   /// Memo lookup without analysis; valid only after analyze() covered R.
-  const RegexFeatures &cached(Re R) const { return Memo[R.Id]; }
+  const RegexFeatures &cached(Re R) const { return record(R.Id); }
 
   /// Nodes folded so far (== memo entries filled). Diagnostics.
   size_t nodesAnalyzed() const { return NodesAnalyzed; }
 
 private:
+  /// Records per memo page. Small on purpose: a fresh per-query solver
+  /// stack pays for its first page up front, and a 1024-record page (139
+  /// KB) is a fresh mmap to zero on every such stack (DESIGN.md §14).
+  static constexpr uint32_t PageBits = 6;
+  static constexpr uint32_t PageSize = 1u << PageBits;
+  struct Page {
+    RegexFeatures Records[PageSize];
+    uint64_t Done = 0; ///< bit i: Records[i] is valid
+  };
+
+  const RegexFeatures &record(uint32_t Id) const {
+    return Pages[Id >> PageBits]->Records[Id & (PageSize - 1)];
+  }
+  RegexFeatures &record(uint32_t Id) {
+    return Pages[Id >> PageBits]->Records[Id & (PageSize - 1)];
+  }
+  bool done(uint32_t Id) const {
+    return (Id >> PageBits) < Pages.size() &&
+           (Pages[Id >> PageBits]->Done >> (Id & (PageSize - 1)) & 1);
+  }
   void fold(Re R);
 
   const RegexManager &M;
-  std::vector<RegexFeatures> Memo;
-  std::vector<uint8_t> Done; ///< Memo[i] valid (dense, parallel to arena)
+  std::vector<std::unique_ptr<Page>> Pages;
   size_t NodesAnalyzed = 0;
 
   // Scratch for the root-level DAG walk in fold() (reused across calls).
   std::vector<uint32_t> Mark;
+  std::vector<Re> Walk;
+  std::vector<uint32_t> PredIdxs;
   uint32_t Epoch = 0;
 };
 

@@ -50,15 +50,18 @@ std::optional<Snfa> buildPartialDerivativeNfa(RegexManager &M, Re R,
 /// Partial-derivative satisfiability solver (positive fragment).
 class AntimirovSolver {
 public:
-  explicit AntimirovSolver(RegexManager &Mgr) : M(Mgr) {}
+  /// \p A must analyze \p Mgr's arena; it is borrowed, so one analyzer per
+  /// arena serves the router and this solver alike.
+  AntimirovSolver(RegexManager &Mgr, analysis::RegexAnalyzer &A)
+      : M(Mgr), Analyzer(A) {}
 
   /// Decides nonemptiness of L(R); Unsupported when R contains `~`.
   SolveResult solve(Re R, const SolveOptions &Opts = {});
 
   /// True when R is inside the positive fragment this solver handles (no
-  /// `~` anywhere). O(1) after the solver's analyzer has folded R — the
-  /// check is a RegexFeatures lookup, so it cannot drift from the
-  /// analyzer's view of the term.
+  /// `~` anywhere). O(1) once the shared analyzer has folded R (the router
+  /// already did, for routed queries) — the check is a RegexFeatures
+  /// lookup, so it cannot drift from the analyzer's view of the term.
   bool supports(Re R) { return Analyzer.analyze(R).NumCompl == 0; }
 
   /// Stateless variant for callers without a solver instance (tests). Runs
@@ -68,7 +71,7 @@ public:
 
 private:
   RegexManager &M;
-  analysis::RegexAnalyzer Analyzer{M};
+  analysis::RegexAnalyzer &Analyzer;
 };
 
 } // namespace sbd

@@ -183,6 +183,11 @@ bool DerivativeEngine::matches(Re R, const std::vector<uint32_t> &Word) {
   for (uint32_t Ch : Word) {
     if (Cur == M.empty())
       return false; // short-circuit a dead end
+    // Every language is over [0, MaxCodePoint]. Words can come from an
+    // untrusted source (a loaded verdict cache), and brzozowski() requires
+    // an in-domain character: its memo key has 21 bits for it.
+    if (Ch > MaxCodePoint)
+      return false;
     Cur = brzozowski(Cur, Ch);
   }
   return M.nullable(Cur);

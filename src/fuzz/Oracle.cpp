@@ -48,8 +48,8 @@ const char *DifferentialOracle::engineName(size_t Id) {
     return "dfa_matcher";
   case EngTinyDfaMatcher:
     return "tiny_dfa_matcher";
-  case EngSolverMatch:
-    return "solver_matches_word";
+  case EngDnfWalk:
+    return "dnf_walk";
   case EngSbfa:
     return "sbfa";
   case EngSafa:
@@ -179,7 +179,7 @@ void DifferentialOracle::checkSatVerdicts(std::vector<Discrepancy> &Out) {
   if (CurFeat.NumCompl == 0) {
     SolveOptions BOpts;
     BOpts.MaxStates = Opts.BaselineMaxStates;
-    AntimirovSolver AS(M);
+    AntimirovSolver AS(M, Solver.analyzer());
     addVerdict(EngAntimirov,
                timed(EngAntimirov, [&] { return AS.solve(Cur, BOpts); }));
   }
@@ -468,9 +468,13 @@ void DifferentialOracle::checkWord(const std::vector<uint32_t> &W,
                  timed(EngTinyDfaMatcher,
                        [&] { return TinyMatcher->matches(W); }),
                  Ref, Out);
-  noteMembership(W, engineName(EngSolverMatch),
-                 timed(EngSolverMatch,
-                       [&] { return Solver.matchesWord(Cur, W); }),
+  noteMembership(W, engineName(EngDnfWalk), timed(EngDnfWalk, [&] {
+                   TrManager &T = Eng.trManager();
+                   Re R = Cur;
+                   for (size_t I = 0; I != W.size() && R != M.empty(); ++I)
+                     R = T.apply(Eng.derivativeDnf(R), W[I]);
+                   return M.nullable(R); // ν(⊥) is false
+                 }),
                  Ref, Out);
   if (SbfaA)
     noteMembership(W, engineName(EngSbfa),

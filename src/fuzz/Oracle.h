@@ -9,8 +9,10 @@
 ///     implemented directly from the textbook rules, not via δ);
 ///   - the bounded lazy DFA `CachedMatcher`, once at a roomy cap and once
 ///     at a tiny cap that forces eviction and the uncached fallback;
-///   - `RegexSolver::matchesWord`, the δdnf walk that checks every Sat
-///     witness the service path ships;
+///   - a walk of the memoized δdnf, `T.apply(δdnf(R), a)` per character
+///     then ν (`dnf_walk`), so the solver's normal form stays judged on
+///     concrete words now that the service path's witness check
+///     (`RegexSolver::matchesWord`) is the reference matcher itself;
 ///   - the SBFA alternating run (`Sbfa::accepts`, Section 7 semantics);
 ///   - the SAFA obtained by local mintermization (`Safa::fromSbfa`);
 ///   - the eager SFA product pipeline compiled to a complete DFA
@@ -190,7 +192,7 @@ private:
     EngRefMatcher,
     EngDfaMatcher,
     EngTinyDfaMatcher,
-    EngSolverMatch,
+    EngDnfWalk,
     EngSbfa,
     EngSafa,
     EngEagerDfa,

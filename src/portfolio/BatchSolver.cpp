@@ -39,10 +39,12 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
   if (LongLived)
     Opts.EagerRowRecording = true;
   Out.Result = W.P.checkSat(Parsed.Value, Opts);
-  // Sat witnesses are re-validated by a δdnf walk (matchesWord). This is a
-  // pure guard: verdicts and witnesses are unchanged on the (only observed)
-  // passing path, and a divergence is downgraded to Unknown rather than
-  // shipping an invalid witness.
+  // Sat witnesses are re-validated by the classical derivative walk
+  // (matchesWord, §8.1). This is a pure guard: verdicts and witnesses are
+  // unchanged on the (only observed) passing path, and a divergence is
+  // downgraded to Unknown rather than shipping an invalid witness. The
+  // check stays here, not inside PortfolioSolver: sbdbench's traced pass
+  // mirrors this function step by step (DESIGN.md §15).
   if (Out.Result.isSat()) {
 #if SBD_OBS
     const obs::MetricShard ScanBefore = obs::tlsShard();
@@ -56,7 +58,7 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
 #endif
     if (!Valid) {
       Out.Result.Status = SolveStatus::Unknown;
-      Out.Result.Note = "witness failed the δdnf membership check";
+      Out.Result.Note = "witness failed the derivative membership check";
     }
   }
   Out.Result.Stats.ParseUs = ParseUs;

@@ -61,14 +61,15 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
       SolveResult Out;
       Out.Stats.Engine = SolveEngine::VerdictCache;
       if (Hit->Sat) {
-        // The cache is untrusted: replay the witness through δdnf
-        // (matchesWord) before serving. A rejection is a hard error — the
-        // entry (or the check) is wrong, and re-solving would paper over it.
+        // The cache is untrusted: replay the witness through the classical
+        // derivative walk (matchesWord) before serving. A rejection is a
+        // hard error — the entry (or the check) is wrong, and re-solving
+        // would paper over it.
         if (!S.matchesWord(R, Hit->Witness)) {
           Cache->noteRevalidationFailure(CacheKey);
           Out.Status = SolveStatus::Unknown;
           Out.Stop = StopReason::CacheRevalidationFailed;
-          Out.Note = "cached witness failed δdnf revalidation";
+          Out.Note = "cached witness failed derivative revalidation";
           Out.TimeUs = HitTimer.elapsedUs();
           Out.Stats.TotalUs = Out.TimeUs;
           return Out;
@@ -85,7 +86,9 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
   }
 
   Stopwatch AnalysisTimer;
-  const analysis::RegexFeatures Feat = S.analyzer().analyze(R);
+  // A reference is safe: records never move (RegexAnalyzer pages), and
+  // Anti.solve below reads the same record from the same analyzer.
+  const analysis::RegexFeatures &Feat = S.analyzer().analyze(R);
   const int64_t AnalysisUs = AnalysisTimer.elapsedUs();
   RouteDecision D = planRoute(Feat, Opts);
 

@@ -48,12 +48,16 @@ RouteDecision planRoute(const analysis::RegexFeatures &F,
                         const SolveOptions &Opts);
 
 /// Analyzer-routed front end over a RegexSolver plus lazily-used baseline
-/// engines sharing its arena. Drop-in for RegexSolver::checkSat /
-/// checkMembership; BatchSolver and SmtSolver route through this.
+/// engines sharing its arena and its analyzer, so a routed term is folded
+/// once (DESIGN.md §14). Drop-in for RegexSolver::checkSat /
+/// checkMembership; BatchSolver and SmtSolver route through this. Fresh
+/// Sat answers are not witness-checked here: callers run
+/// RegexSolver::matchesWord (the classical derivative walk) after
+/// checkSat, which sbdbench's traced pass mirrors (DESIGN.md §15).
 class PortfolioSolver {
 public:
   explicit PortfolioSolver(RegexSolver &Sol)
-      : S(Sol), M(Sol.regexManager()), Anti(M) {}
+      : S(Sol), M(Sol.regexManager()), Anti(M, Sol.analyzer()) {}
 
   /// Routed satisfiability check. Verdicts (and witness lengths — every
   /// engine used here searches breadth-first) are independent of routing.

@@ -11,7 +11,8 @@
 ///
 /// `solveOnStack` is the one query execution path all of them share: parse
 /// on the stack's arena, route through the analyzer-driven portfolio, and
-/// revalidate Sat witnesses with a δdnf walk on the stack's engine.
+/// revalidate Sat witnesses with the classical derivative walk (§8.1) on
+/// the stack's engine.
 /// Keeping it single-sourced is what makes "1-process and N-process runs
 /// produce byte-identical verdict streams" (DESIGN.md §16) a structural
 /// property rather than a test-enforced accident.
@@ -53,9 +54,9 @@ struct SolverStack {
 /// Solves one query on the given stack. \p LongLived marks stacks that
 /// survive across queries (ReuseArenas), where eager dense-row recording
 /// pays for itself on the very next shared vertex. Sat witnesses are
-/// revalidated by RegexSolver::matchesWord, one δdnf walk over the witness;
-/// a failed revalidation is downgraded to Unknown rather than shipping an
-/// invalid witness.
+/// revalidated by RegexSolver::matchesWord, one classical derivative step
+/// per witness character (DESIGN.md §15); a failed revalidation is
+/// downgraded to Unknown rather than shipping an invalid witness.
 BatchResult solveOnStack(SolverStack &W, const BatchQuery &Q, bool LongLived);
 
 } // namespace portfolio

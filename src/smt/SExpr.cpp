@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <string_view>
 #include <system_error>
 
 using namespace sbd;
@@ -66,7 +67,9 @@ private:
     if (std::isalnum(static_cast<unsigned char>(C)))
       return true;
     // SMT-LIB simple-symbol characters (':' admits keywords like :status).
-    return std::string("~!@$%^&*_-+=<>.?/:").find(C) != std::string::npos;
+    // A string_view: no allocation per call, and '\0' is not a member.
+    constexpr std::string_view Extra = "~!@$%^&*_-+=<>.?/:";
+    return Extra.find(C) != std::string_view::npos;
   }
 
   SExpr parseOne() {

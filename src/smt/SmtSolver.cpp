@@ -711,8 +711,9 @@ private:
       }
       if (!R.isSat())
         return false;
-      // Check the witness against every literal (a δdnf walk each): an
-      // independent end-to-end membership check before the model is emitted.
+      // Check the witness against every literal (a classical derivative
+      // walk each, §8.1): an independent end-to-end membership check, sharing
+      // no δdnf memo with the search, before the model is emitted.
       for (const MembershipLiteral &L : Literals)
         if (Solver.matchesWord(L.Regex, R.Witness) != L.Positive) {
           SawUnknown = true; // soundness guard: never emit a bad model

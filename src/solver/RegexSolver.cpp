@@ -418,10 +418,7 @@ bool RegexSolver::matchesWord(Re R, const std::vector<uint32_t> &Word) {
 #if SBD_OBS
   Stopwatch ScanTimer;
 #endif
-  Re Cur = R;
-  for (size_t I = 0; I != Word.size() && Cur != M.empty(); ++I)
-    Cur = T.apply(Engine.derivativeDnf(Cur), Word[I]);
-  const bool Ok = M.nullable(Cur); // ν(⊥) is false
+  const bool Ok = Engine.matches(R, Word);
   SBD_OBS_ADD(ScanTimeUs, ScanTimer.elapsedUs());
   return Ok;
 }

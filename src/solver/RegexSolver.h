@@ -82,12 +82,14 @@ public:
   /// paper's side-constraint case splits.
   Re positionConstraint(const std::vector<CharSet> &Positions);
 
-  /// Concrete membership of \p Word in L(R): one walk of the memoized δdnf
-  /// on the word's characters, stopping at the first ⊥. This is the
-  /// witness check of every Sat answer the service path ships (fresh
-  /// solves, cached verdicts, SMT models); it shares the derivative memo
-  /// with the search but none of its bookkeeping, so it stays an
-  /// independent check of what the search or the Antimirov route claimed.
+  /// Concrete membership of \p Word in L(R): the classical derivative walk
+  /// D_a of §8.1 (DerivativeEngine::matches), one concrete step per
+  /// character, stopping at the first ⊥. This is the witness check of every
+  /// Sat answer the service path ships (fresh solves, cached verdicts, SMT
+  /// models). It is the reference matcher the fuzz oracle judges every
+  /// engine against and shares no δ or δdnf memo with the search, so it
+  /// stays an independent check of what the search or the Antimirov route
+  /// claimed.
   bool matchesWord(Re R, const std::vector<uint32_t> &Word);
 
   /// The persistent graph (shared across queries; exposes Dead/Alive).

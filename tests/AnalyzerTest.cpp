@@ -13,8 +13,10 @@
 #include "analysis/RegexAnalyzer.h"
 #include "fuzz/Generator.h"
 #include "portfolio/Portfolio.h"
+#include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
+#include "support/Metrics.h"
 
 #include "gtest/gtest.h"
 
@@ -196,6 +198,34 @@ TEST(AnalyzerTest, ClassificationStableAcrossArenaRebuilds) {
   }
 }
 
+TEST(AnalyzerTest, RecordReferencesSurviveArenaGrowth) {
+  Stack St;
+  GeneratorOptions GenOpts;
+  GenOpts.MaxNodes = 24;
+  RegexGenerator Gen(St.M, 23, GenOpts);
+  Re First = St.parse("(ab)*c|[0-9]{2,4}");
+  const RegexFeatures &Ref = St.A.analyze(First);
+  const std::string Before = Ref.json();
+  // Grow the arena by at least eight memo pages, analyzing as it grows.
+  std::vector<Re> Roots = {First};
+  const size_t Start = St.M.numNodes();
+  while (St.M.numNodes() < Start + 512) {
+    Roots.push_back(Gen.generate());
+    St.A.analyze(Roots.back());
+  }
+  EXPECT_EQ(Ref.json(), Before);
+  EXPECT_EQ(&Ref, &St.A.analyze(First));
+  // Every record equals what a fresh analyzer computes for the reparse.
+  for (Re R : Roots) {
+    RegexManager M2;
+    RegexParseResult Reparsed = parseRegex(M2, St.M.toString(R));
+    ASSERT_TRUE(Reparsed.Ok) << St.M.toString(R) << ": " << Reparsed.Error;
+    RegexAnalyzer A2(M2);
+    EXPECT_EQ(St.A.cached(R).json(), A2.analyze(Reparsed.Value).json())
+        << St.M.toString(R);
+  }
+}
+
 TEST(AnalyzerTest, RoutingFollowsTheFeatureTable) {
   Stack St;
   SolveOptions Bfs;
@@ -234,6 +264,22 @@ TEST(AnalyzerTest, PortfolioAgreesWithDirectSolver) {
       EXPECT_TRUE(St.S.matchesWord(R, Routed.Witness)) << P;
   }
 }
+
+#if SBD_OBS
+TEST(AnalyzerTest, AntimirovRouteAnalyzesTheTermOnce) {
+  // The router and the Antimirov engine share the stack's analyzer, so a
+  // routed query on a fresh stack folds each reachable node exactly once.
+  portfolio::SolverStack W;
+  Re R = parseRegexOrDie(W.M, "(ab)*c");
+  const obs::MetricShard Before = obs::tlsShard();
+  SolveResult Res = W.P.checkSat(R);
+  const obs::MetricShard D = obs::tlsShard().since(Before);
+  ASSERT_TRUE(Res.isSat()) << Res.Note;
+  EXPECT_EQ(Res.Stats.Engine, SolveEngine::Antimirov);
+  EXPECT_EQ(D.get(obs::Counter::AnalysisNodesVisited),
+            W.S.analyzer().cached(R).DagSize);
+}
+#endif
 
 TEST(AnalyzerTest, SolverStatsCarryThePrediction) {
   Stack St;

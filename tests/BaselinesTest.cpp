@@ -20,7 +20,8 @@ protected:
   DerivativeEngine E{M, T};
   RegexSolver Reference{E};
   BrzozowskiMintermSolver Brz{E};
-  AntimirovSolver Anti{M};
+  analysis::RegexAnalyzer Analyzer{M};
+  AntimirovSolver Anti{M, Analyzer};
 
   Re re(const std::string &Pat) { return parseRegexOrDie(M, Pat); }
 };
@@ -188,7 +189,8 @@ TEST_P(CrossSolverTest, FourSolversAgreeOnIntersections) {
   DerivativeEngine E(M, T);
   RegexSolver Reference(E);
   BrzozowskiMintermSolver Brz(E);
-  AntimirovSolver Anti(M);
+  analysis::RegexAnalyzer Analyzer(M);
+  AntimirovSolver Anti(M, Analyzer);
 
   Rng Rand(GetParam());
   for (int I = 0; I != 6; ++I) {

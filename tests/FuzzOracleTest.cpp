@@ -262,14 +262,14 @@ TEST(FuzzCampaign, CleanRunOverAllEngines) {
   EXPECT_EQ(Rep.Iterations, 300u);
   EXPECT_EQ(Rep.Samples, 300u * Opts.WordsPerRegex);
   EXPECT_GT(Rep.Checks, Rep.Samples);
-  // The witness check is judged on every sample like any other engine.
-  bool SawWitnessCheck = false;
+  // The δdnf walk is judged on every sample like any other engine.
+  bool SawDnfWalk = false;
   for (const EngineTiming &T : Rep.Timings)
-    if (T.Name == "solver_matches_word") {
-      SawWitnessCheck = true;
+    if (T.Name == "dnf_walk") {
+      SawDnfWalk = true;
       EXPECT_EQ(T.Calls, Rep.Samples);
     }
-  EXPECT_TRUE(SawWitnessCheck) << "solver_matches_word never ran";
+  EXPECT_TRUE(SawDnfWalk) << "dnf_walk never ran";
 }
 
 TEST(FuzzCampaign, RunsAreDeterministicPerSeed) {
@@ -308,7 +308,7 @@ TEST(FuzzCampaign, JsonReportParsesAndCarriesTheContract) {
   for (const JsonValue &T : Timings->asArray())
     Names.insert(T.get("name")->asString());
   const std::set<std::string> Engines = {
-      "ref_matcher", "dfa_matcher",   "tiny_dfa_matcher", "solver_matches_word",
+      "ref_matcher", "dfa_matcher",   "tiny_dfa_matcher", "dnf_walk",
       "sbfa",        "safa",          "eager_dfa",        "antimirov_nfa",
       "solver_bfs",  "solver_dfs",    "antimirov",        "brzozowski_minterm",
       "eager"};

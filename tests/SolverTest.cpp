@@ -476,6 +476,37 @@ TEST_F(SolverTest, MatchesWordAgreesWithTheBrzozowskiMatcher) {
   EXPECT_TRUE(S.matchesWord(re("(ab)*"), {}));
 }
 
+TEST_F(SolverTest, MatchesWordRejectsCharactersOutsideTheDomain) {
+  // Cached witnesses are untrusted input: a character above MaxCodePoint
+  // is in no language, including ones that accept every in-domain word.
+  // 0x200061 would alias 'a' on the next node id in a 21-bit memo key.
+  const uint32_t Outside[] = {MaxCodePoint + 1, 0x200061u, 0xFFFFFFFFu};
+  for (const char *P : {".*", "~(a)", "(ab)*c", "()"}) {
+    Re R = re(P);
+    for (uint32_t Ch : Outside) {
+      EXPECT_FALSE(S.matchesWord(R, {Ch})) << P << " " << Ch;
+      EXPECT_FALSE(S.matchesWord(R, {'a', Ch})) << P << " " << Ch;
+    }
+  }
+}
+
+#if SBD_OBS
+TEST_F(SolverTest, WitnessCheckAfterAntimirovWalksNoDnf) {
+  // The Antimirov route never asks δdnf, so a δdnf walk would build one per
+  // witness state; the classical walk takes one concrete step per character.
+  portfolio::SolverStack W;
+  Re R = parseRegexOrDie(W.M, "(ab)*c");
+  SolveResult Res = W.P.checkSat(R);
+  ASSERT_TRUE(Res.isSat()) << Res.Note;
+  ASSERT_EQ(Res.Stats.Engine, SolveEngine::Antimirov);
+  const obs::MetricShard Before = obs::tlsShard();
+  EXPECT_TRUE(W.S.matchesWord(R, Res.Witness));
+  const obs::MetricShard D = obs::tlsShard().since(Before);
+  EXPECT_EQ(D.get(obs::Counter::DnfCalls), 0u);
+  EXPECT_GT(D.get(obs::Counter::BrzozowskiCalls), 0u);
+}
+#endif
+
 TEST_F(SolverTest, SolveOnStackChecksWitnessesWithoutBuildingMatchers) {
   // A literal, a Kleene-only pattern the portfolio routes to Antimirov, and
   // a Boolean one the derivative engine answers, each on a fresh stack as
