@@ -214,6 +214,40 @@ void BM_SolverBlowupUnsat(benchmark::State &State) {
 }
 BENCHMARK(BM_SolverBlowupUnsat)->Arg(4)->Arg(8);
 
+/// k-way "contains cᵢ" plus k "no cᵢcᵢ" complements on a fresh stack: every
+/// δdnf distributes a 2k-way `&`, so this times the δdnf product memos.
+void BM_SolverKWayContains(benchmark::State &State) {
+  const auto K = static_cast<char>(State.range(0));
+  std::string P;
+  for (char C = 'a'; C != 'a' + K; ++C)
+    P += std::string(C == 'a' ? "" : "&") + "(.*" + C + ".*)";
+  for (char C = 'a'; C != 'a' + K; ++C)
+    P += std::string("&~(.*") + C + C + ".*)";
+  for (auto _ : State) {
+    RegexManager M;
+    TrManager T(M);
+    DerivativeEngine E(M, T);
+    RegexSolver S(E);
+    benchmark::DoNotOptimize(S.checkSat(parseRegexOrDie(M, P)));
+  }
+}
+BENCHMARK(BM_SolverKWayContains)->Arg(4)->Arg(6);
+
+/// ~(.*a.{k})&.*b.{k}: a 2-way `&` whose cost is the 2^k states the search
+/// visits, not repeated products, so the δdnf memos should leave it flat.
+void BM_SolverDeterminize(benchmark::State &State) {
+  const std::string K = std::to_string(State.range(0));
+  const std::string P = "~(.*a.{" + K + "})&.*b.{" + K + "}";
+  for (auto _ : State) {
+    RegexManager M;
+    TrManager T(M);
+    DerivativeEngine E(M, T);
+    RegexSolver S(E);
+    benchmark::DoNotOptimize(S.checkSat(parseRegexOrDie(M, P)));
+  }
+}
+BENCHMARK(BM_SolverDeterminize)->Arg(8);
+
 void BM_SbfaBuild(benchmark::State &State) {
   for (auto _ : State) {
     RegexManager M;

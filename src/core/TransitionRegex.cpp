@@ -55,6 +55,37 @@ void TrManager::reserve(size_t NumNodes) {
 void TrManager::clearCaches() {
   NegateMemo.clear();
   DnfMemo.clear();
+  dropProductMemos();
+}
+
+void TrManager::dropProductMemos() {
+  // Assigning empty tables frees their slots: clear() would keep them and
+  // cost their full capacity on every query.
+  UnderMemo = FlatMap64();
+  PairIds = FlatMap64();
+  InterMemo = FlatMap64();
+  Paths.clear();
+  PathTable = InternTable();
+}
+
+uint32_t TrManager::internPath(const CharSet &Path, uint32_t &PathId) {
+  if (PathId != MissingId)
+    return PathId;
+  // dnf() hands out FullPathId before the pool holds anything, so the
+  // pool's first entry must be the full path.
+  if (Paths.empty() && !Path.isFull()) {
+    uint32_t Full = MissingId;
+    internPath(CharSet::full(), Full);
+  }
+  PathId = PathTable.findOrInsert(
+      Path.hash(), [&](uint32_t Id) { return Paths[Id] == Path; },
+      [&] {
+        uint32_t Id = static_cast<uint32_t>(Paths.size());
+        Paths.push_back(Path);
+        return Id;
+      },
+      PathStats);
+  return PathId;
 }
 
 Tr TrManager::leaf(Re R) {
@@ -209,7 +240,9 @@ Tr TrManager::concatRe(Tr T, Re R) {
   case TrKind::Ite: {
     Tr Then = node(T).Kids[0], Else = node(T).Kids[1];
     CharSet Cond = node(T).Cond;
-    return ite(Cond, concatRe(Then, R), concatRe(Else, R));
+    Tr ElseC = concatRe(Else, R); // else first, as in dnfUnderStep
+    Tr ThenC = concatRe(Then, R);
+    return ite(Cond, ThenC, ElseC);
   }
   case TrKind::Union: {
     std::vector<Tr> Kids = N.Kids;
@@ -255,7 +288,7 @@ Tr TrManager::dnf(Tr T) {
     return Tr{DnfMemo[T.Id]};
   }
   SBD_OBS_STAT_INC(Stats, MemoMisses);
-  Tr Result = dnfUnder(T, CharSet::full());
+  Tr Result = dnfUnder(T, CharSet::full(), FullPathId);
   if (DnfMemo.size() <= T.Id)
     DnfMemo.resize(Nodes.size(), MissingId);
   DnfMemo[T.Id] = Result.Id;
@@ -263,12 +296,27 @@ Tr TrManager::dnf(Tr T) {
   return Result;
 }
 
-Tr TrManager::dnfUnder(Tr T, const CharSet &Path) {
+Tr TrManager::dnfUnder(Tr T, const CharSet &Path, uint32_t PathId) {
   assert(!Path.isEmpty() && "dnfUnder requires a satisfiable path");
+  if (kind(T) == TrKind::Leaf)
+    return T;
+  const uint64_t Key =
+      static_cast<uint64_t>(T.Id) << 32 | internPath(Path, PathId);
+  if (const uint32_t *Hit = UnderMemo.find(Key)) {
+    SBD_OBS_STAT_INC(Stats, MemoHits);
+    return Tr{*Hit};
+  }
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
+  Tr Result = dnfUnderStep(T, Path, PathId);
+  UnderMemo.insert(Key, Result.Id);
+  return Result;
+}
+
+Tr TrManager::dnfUnderStep(Tr T, const CharSet &Path, uint32_t PathId) {
   const TrNode &N = node(T);
   switch (N.Kind) {
   case TrKind::Leaf:
-    return T;
+    sbd_unreachable("dnfUnder returns leaves itself");
   case TrKind::Ite: {
     CharSet Cond = N.Cond;
     Tr Then = N.Kids[0], Else = N.Kids[1];
@@ -277,27 +325,33 @@ Tr TrManager::dnfUnder(Tr T, const CharSet &Path) {
     if (PathT.isEmpty()) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return dnfUnder(Else, Path); // the then-branch is dead here
+      return dnfUnder(Else, Path, PathId); // the then-branch is dead here
     }
     if (PathF.isEmpty()) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return dnfUnder(Then, Path); // the else-branch is dead here
+      return dnfUnder(Then, Path, PathId); // the else-branch is dead here
     }
     SBD_OBS_ADD(DnfBranchesExplored, 2);
-    return ite(Cond, dnfUnder(Then, PathT), dnfUnder(Else, PathF));
+    // Else before then: node ids follow interning order, and arc order and
+    // witnesses follow node ids, so this order is part of the output. Every
+    // recursive ite construction in this file uses it, so ids do not depend
+    // on the compiler's argument evaluation order.
+    Tr ElseD = dnfUnder(Else, PathF, MissingId);
+    Tr ThenD = dnfUnder(Then, PathT, MissingId);
+    return ite(Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
     std::vector<Tr> Kids = N.Kids;
     for (Tr &Kid : Kids)
-      Kid = dnfUnder(Kid, Path);
+      Kid = dnfUnder(Kid, Path, PathId);
     return union_(std::move(Kids));
   }
   case TrKind::Inter: {
     std::vector<Tr> Kids = N.Kids;
-    Tr Acc = dnfUnder(Kids[0], Path);
+    Tr Acc = dnfUnder(Kids[0], Path, PathId);
     for (size_t I = 1; I != Kids.size(); ++I)
-      Acc = interDnf(Acc, Kids[I], Path);
+      Acc = interDnf(Acc, Kids[I], Path, PathId);
     return Acc;
   }
   }
@@ -312,7 +366,9 @@ Tr TrManager::leafInterDnf(Re A, Tr B) {
   case TrKind::Ite: {
     CharSet Cond = N.Cond;
     Tr Then = N.Kids[0], Else = N.Kids[1];
-    return ite(Cond, leafInterDnf(A, Then), leafInterDnf(A, Else));
+    Tr ElseD = leafInterDnf(A, Else); // else first, as in dnfUnderStep
+    Tr ThenD = leafInterDnf(A, Then);
+    return ite(Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
     std::vector<Tr> Kids = N.Kids;
@@ -326,16 +382,37 @@ Tr TrManager::leafInterDnf(Re A, Tr B) {
   sbd_unreachable("covered switch");
 }
 
-Tr TrManager::interDnf(Tr A, Tr B, const CharSet &Path) {
+Tr TrManager::interDnf(Tr A, Tr B, const CharSet &Path, uint32_t PathId) {
   if (A == BotTr)
     return BotTr;
   if (A == TopTr)
-    return dnfUnder(B, Path);
+    return dnfUnder(B, Path, PathId);
+  const uint64_t Pair = static_cast<uint64_t>(A.Id) << 32 | B.Id;
+  uint32_t PairId;
+  if (const uint32_t *Known = PairIds.find(Pair)) {
+    PairId = *Known;
+  } else {
+    PairId = static_cast<uint32_t>(PairIds.size());
+    PairIds.insert(Pair, PairId);
+  }
+  const uint64_t Key =
+      static_cast<uint64_t>(PairId) << 32 | internPath(Path, PathId);
+  if (const uint32_t *Hit = InterMemo.find(Key)) {
+    SBD_OBS_STAT_INC(Stats, MemoHits);
+    return Tr{*Hit};
+  }
+  SBD_OBS_STAT_INC(Stats, MemoMisses);
+  Tr Result = interDnfStep(A, B, Path, PathId);
+  InterMemo.insert(Key, Result.Id);
+  return Result;
+}
+
+Tr TrManager::interDnfStep(Tr A, Tr B, const CharSet &Path, uint32_t PathId) {
   const TrNode &N = node(A);
   switch (N.Kind) {
   case TrKind::Leaf: {
     Re LeafRe = N.LeafRe; // copy before dnfUnder can grow the arena
-    Tr Bd = dnfUnder(B, Path);
+    Tr Bd = dnfUnder(B, Path, PathId);
     return leafInterDnf(LeafRe, Bd);
   }
   case TrKind::Ite: {
@@ -346,20 +423,23 @@ Tr TrManager::interDnf(Tr A, Tr B, const CharSet &Path) {
     if (PathT.isEmpty()) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return interDnf(Else, B, Path);
+      return interDnf(Else, B, Path, PathId);
     }
     if (PathF.isEmpty()) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return interDnf(Then, B, Path);
+      return interDnf(Then, B, Path, PathId);
     }
     SBD_OBS_ADD(DnfBranchesExplored, 2);
-    return ite(Cond, interDnf(Then, B, PathT), interDnf(Else, B, PathF));
+    // Else before then, as in dnfUnderStep.
+    Tr ElseD = interDnf(Else, B, PathF, MissingId);
+    Tr ThenD = interDnf(Then, B, PathT, MissingId);
+    return ite(Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
     std::vector<Tr> Kids = N.Kids;
     for (Tr &Kid : Kids)
-      Kid = interDnf(Kid, B, Path);
+      Kid = interDnf(Kid, B, Path, PathId);
     return union_(std::move(Kids));
   }
   case TrKind::Inter:

@@ -79,9 +79,14 @@ public:
 
   /// Pre-sizes the node arena and interning table.
   void reserve(size_t NumNodes);
-  /// Drops the negate/DNF memo slots (the interned nodes stay — handles
-  /// remain valid). Lets long-running processes bound memo growth.
+  /// Drops the negate/DNF memo slots, the δdnf product memos and their path
+  /// pool (the interned nodes stay — handles remain valid). Lets
+  /// long-running processes bound memo growth.
   void clearCaches();
+  /// Drops only the δdnf product memos and their path pool, freeing their
+  /// storage. RegexSolver::checkSat calls it per query, so a warm arena
+  /// keeps them no larger than one query's δdnf work.
+  void dropProductMemos();
   /// Interning/memo counters.
   const CacheStats &stats() const { return Stats; }
   void resetStats() { Stats.reset(); }
@@ -158,11 +163,20 @@ private:
   Tr intern(TrNode Node);
 
   /// DNF worker: rewrites T under the (satisfiable) path condition \p Path.
-  Tr dnfUnder(Tr T, const CharSet &Path);
+  /// \p PathId is Path's id in the path pool, or MissingId until a memo
+  /// first needs it. Memoized for non-leaf T.
+  Tr dnfUnder(Tr T, const CharSet &Path, uint32_t PathId);
+  /// One rewrite step of dnfUnder for a non-leaf T, without the memo.
+  Tr dnfUnderStep(Tr T, const CharSet &Path, uint32_t PathId);
   /// Distributes an ERE leaf conjunct over a DNF transition regex.
   Tr leafInterDnf(Re A, Tr B);
-  /// Computes DNF(A & B) where A is already DNF, under \p Path.
-  Tr interDnf(Tr A, Tr B, const CharSet &Path);
+  /// Computes DNF(A & B) where A is already DNF, under \p Path (memoized).
+  Tr interDnf(Tr A, Tr B, const CharSet &Path, uint32_t PathId);
+  /// One distribution step of interDnf, without the memo.
+  Tr interDnfStep(Tr A, Tr B, const CharSet &Path, uint32_t PathId);
+  /// Returns \p PathId, first interning \p Path into the path pool when
+  /// the id is still MissingId.
+  uint32_t internPath(const CharSet &Path, uint32_t &PathId);
 
   void collectArcs(Tr T, const CharSet &Guard,
                    std::vector<TrArc> &Out) const;
@@ -177,6 +191,22 @@ private:
   /// with a tombstone beats a hash map on every lookup.
   std::vector<uint32_t> NegateMemo;
   std::vector<uint32_t> DnfMemo;
+  /// δdnf product memos (DESIGN.md §7), dropped per query by
+  /// dropProductMemos():
+  ///   UnderMemo: (T << 32 | path id) -> dnfUnder(T, path);
+  ///   PairIds:   (A << 32 | B) -> dense pair id;
+  ///   InterMemo: (pair id << 32 | path id) -> interDnf(A, B, path).
+  FlatMap64 UnderMemo;
+  FlatMap64 PairIds;
+  FlatMap64 InterMemo;
+  /// Path pool: id -> path condition, filled on a memo's first use;
+  /// CharSet::full() has id FullPathId. Its interning counts go to
+  /// PathStats, not Stats: paths are not arena nodes, and core.arena_nodes
+  /// counts Stats' intern misses.
+  std::vector<CharSet> Paths;
+  InternTable PathTable;
+  CacheStats PathStats;
+  static constexpr uint32_t FullPathId = 0;
   CacheStats Stats;
   Tr BotTr, TopTr;
 };

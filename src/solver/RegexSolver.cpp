@@ -34,6 +34,10 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
                             : SolveEngine::DerivBfs;
   obs::ScopedSpan Span("checkSat", "solver");
 
+  // The δdnf product memos pay off within one query's distributions; a warm
+  // arena that kept them would grow them by every query it ever solved.
+  T.dropProductMemos();
+
   // Per-query attribution: queries never migrate threads, so the diff of
   // this thread's metric shard (and of the owning arenas' cache counters)
   // over the query is exactly this query's work.

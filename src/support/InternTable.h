@@ -16,10 +16,12 @@
 ///     caches keyed by packed ids (e.g. the classical-derivative memo keyed
 ///     by (regex id, character)).
 ///
-/// Both count probe lengths into a `CacheStats` when one is attached, and
-/// both are single-threaded by design: concurrency is handled one level up
-/// by giving each worker its own arena (DESIGN.md, "thread-local arena
-/// rule").
+/// Both allocate lazily: a table that is never inserted into owns no
+/// slots, so a pool or memo a query never consults costs nothing on a
+/// fresh per-query stack. Both count probe lengths into a `CacheStats`
+/// when one is attached, and both are single-threaded by design:
+/// concurrency is handled one level up by giving each worker its own arena
+/// (DESIGN.md, "thread-local arena rule").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +48,6 @@ class InternTable {
   };
 
 public:
-  InternTable() { Slots.resize(InitialSlots); }
-
   size_t size() const { return Count; }
 
   /// Pre-sizes the table for \p N entries (rounds up to keep the load
@@ -74,7 +74,7 @@ public:
   uint32_t findOrInsert(uint64_t Hash, EqFn &&Eq, MakeFn &&Make,
                         CacheStats &Stats) {
     if ((Count + 1) * 10 >= Slots.size() * 7)
-      rehash(Slots.size() * 2);
+      rehash(Slots.empty() ? InitialSlots : Slots.size() * 2);
     size_t Mask = Slots.size() - 1;
     size_t Idx = static_cast<size_t>(Hash) & Mask;
     SBD_OBS_STAT_INC(Stats, Lookups);
@@ -134,8 +134,6 @@ class FlatMap64 {
   };
 
 public:
-  FlatMap64() { Slots.resize(InitialSlots); }
-
   size_t size() const { return Count; }
 
   void clear() {
@@ -146,6 +144,8 @@ public:
 
   /// Returns a pointer to the stored value, or nullptr when absent.
   const uint32_t *find(uint64_t Key) const {
+    if (Slots.empty())
+      return nullptr;
     size_t Mask = Slots.size() - 1;
     size_t Idx = static_cast<size_t>(hashMix64(Key)) & Mask;
     while (Slots[Idx].Key != EmptyKey) {
@@ -159,7 +159,7 @@ public:
   /// Inserts or overwrites.
   void insert(uint64_t Key, uint32_t Value) {
     if ((Count + 1) * 10 >= Slots.size() * 7)
-      rehash(Slots.size() * 2);
+      rehash(Slots.empty() ? InitialSlots : Slots.size() * 2);
     size_t Mask = Slots.size() - 1;
     size_t Idx = static_cast<size_t>(hashMix64(Key)) & Mask;
     while (Slots[Idx].Key != EmptyKey) {

@@ -507,6 +507,25 @@ TEST_F(SolverTest, WitnessCheckAfterAntimirovWalksNoDnf) {
 }
 #endif
 
+#if SBD_OBS
+TEST_F(SolverTest, KWayContainsDistributesEachProductOnce) {
+  // Six "contains cᵢ" conjuncts and six "no cᵢcᵢ" complements: every
+  // derivative is a 12-way `&` whose δdnf re-asks the same (term, path)
+  // sub-products many times over unless the product memos answer them.
+  std::string Pattern;
+  for (char C = 'a'; C != 'g'; ++C)
+    Pattern += std::string(C == 'a' ? "" : "&") + "(.*" + C + ".*)";
+  for (char C = 'a'; C != 'g'; ++C)
+    Pattern += std::string("&~(.*") + C + C + ".*)";
+  portfolio::SolverStack W;
+  Re R = parseRegexOrDie(W.M, Pattern);
+  SolveResult Res = W.S.checkSat(R);
+  ASSERT_TRUE(Res.isSat()) << Res.Note;
+  EXPECT_TRUE(W.S.matchesWord(R, Res.Witness));
+  EXPECT_LT(Res.Stats.DnfBranchesExplored, 30000u);
+}
+#endif
+
 TEST_F(SolverTest, SolveOnStackChecksWitnessesWithoutBuildingMatchers) {
   // A literal, a Kleene-only pattern the portfolio routes to Antimirov, and
   // a Boolean one the derivative engine answers, each on a fresh stack as

@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - Support utility tests -------------------------===//
 
 #include "support/Hashing.h"
+#include "support/InternTable.h"
 #include "support/Rng.h"
 #include "support/Stopwatch.h"
 #include "support/Unicode.h"
@@ -91,6 +92,59 @@ TEST(Hashing, MixSpreadsBits) {
     Seen.insert(hashMix(I));
   EXPECT_EQ(Seen.size(), 1000u);
   EXPECT_NE(hashCombine(1, 2), hashCombine(2, 1)); // order sensitive
+}
+
+TEST(FlatMap64, DefaultConstructedMapIsEmptyAndGrowsOnInsert) {
+  FlatMap64 Map;
+  EXPECT_EQ(Map.find(0), nullptr);
+  EXPECT_EQ(Map.find(42), nullptr);
+  EXPECT_EQ(Map.size(), 0u);
+  Map.clear(); // a no-op on a map that never allocated
+  EXPECT_EQ(Map.size(), 0u);
+  EXPECT_EQ(Map.find(0), nullptr);
+
+  // Past the first 64 slots' load limit the map grows, keeping every entry.
+  for (uint32_t I = 0; I != 200; ++I)
+    Map.insert(uint64_t{I} << 32 | (I * 7), I);
+  EXPECT_EQ(Map.size(), 200u);
+  for (uint32_t I = 0; I != 200; ++I) {
+    const uint32_t *V = Map.find(uint64_t{I} << 32 | (I * 7));
+    ASSERT_NE(V, nullptr) << I;
+    EXPECT_EQ(*V, I);
+  }
+  EXPECT_EQ(Map.find(uint64_t{200} << 32), nullptr);
+
+  Map.clear();
+  EXPECT_EQ(Map.size(), 0u);
+  EXPECT_EQ(Map.find(0), nullptr);
+  Map.insert(5, 9);
+  ASSERT_NE(Map.find(5), nullptr);
+  EXPECT_EQ(*Map.find(5), 9u);
+  EXPECT_EQ(Map.size(), 1u);
+}
+
+TEST(InternTable, DefaultConstructedTableGrowsOnFirstInsert) {
+  InternTable Table;
+  CacheStats Stats;
+  std::vector<uint64_t> Keys;
+  EXPECT_EQ(Table.size(), 0u);
+  Table.clear(); // a no-op on a table that never allocated
+  auto intern = [&](uint64_t Key) {
+    return Table.findOrInsert(
+        Key * 0x9e3779b97f4a7c15ULL,
+        [&](uint32_t Id) { return Keys[Id] == Key; },
+        [&] {
+          Keys.push_back(Key);
+          return static_cast<uint32_t>(Keys.size() - 1);
+        },
+        Stats);
+  };
+  for (uint64_t K = 0; K != 200; ++K)
+    EXPECT_EQ(intern(K), K);
+  for (uint64_t K = 0; K != 200; ++K)
+    EXPECT_EQ(intern(K), K); // re-interning finds the first id
+  EXPECT_EQ(Table.size(), 200u);
+  EXPECT_EQ(Keys.size(), 200u);
 }
 
 TEST(Stopwatch, MeasuresForwardTime) {

@@ -267,6 +267,30 @@ TEST_P(TrPropertyTest, DnfPreservesSemantics) {
   }
 }
 
+TEST_P(TrPropertyTest, DnfIsMemoTransparent) {
+  // A memo hit must return exactly what recomputation re-interns: the same
+  // id, and no node in either arena that recomputation would not build. The
+  // first pass shares its memos across all terms and the second starts each
+  // term from empty memos, so a memo key that drops an operand serves a
+  // stale entry in one pass and not the other. A key that drops the path
+  // goes wrong alike in both passes; DnfPreservesSemantics catches that.
+  RegexManager M;
+  TrManager T(M);
+  Rng R(GetParam());
+  std::vector<Tr> Xs, Ds;
+  for (int I = 0; I != 8; ++I) {
+    Xs.push_back(randomTr(M, T, R, 4));
+    Ds.push_back(T.dnf(Xs.back()));
+  }
+  const size_t TrNodes = T.numNodes(), ReNodes = M.numNodes();
+  for (size_t I = 0; I != Xs.size(); ++I) {
+    T.clearCaches();
+    EXPECT_EQ(T.dnf(Xs[I]), Ds[I]) << T.toString(Xs[I]);
+  }
+  EXPECT_EQ(T.numNodes(), TrNodes);
+  EXPECT_EQ(M.numNodes(), ReNodes);
+}
+
 TEST_P(TrPropertyTest, NegationDualIsSemanticComplement) {
   RegexManager M;
   TrManager T(M);
