@@ -48,7 +48,9 @@ Tr DerivativeEngine::derivative(Re R) {
     Re Body = N.Kids[0];
     uint32_t Min = N.LoopMin == 0 ? 0 : N.LoopMin - 1;
     uint32_t Max = N.LoopMax == LoopInf ? LoopInf : N.LoopMax - 1;
-    Result = T.concatRe(derivative(Body), M.loop(Body, Min, Max));
+    // Two statements, the loop first: interning order decides node ids.
+    Re Rest = M.loop(Body, Min, Max);
+    Result = T.concatRe(derivative(Body), Rest);
     break;
   }
   case RegexKind::Union: {
@@ -148,7 +150,8 @@ Re DerivativeEngine::brzozowskiUncached(Re R, uint32_t Ch) {
     Re Body = N.Kids[0];
     uint32_t Min = N.LoopMin == 0 ? 0 : N.LoopMin - 1;
     uint32_t Max = N.LoopMax == LoopInf ? LoopInf : N.LoopMax - 1;
-    return M.concat(brzozowski(Body, Ch), M.loop(Body, Min, Max));
+    Re Rest = M.loop(Body, Min, Max); // first, as in derivative()
+    return M.concat(brzozowski(Body, Ch), Rest);
   }
   case RegexKind::Union: {
     std::vector<Re> Kids = N.Kids;

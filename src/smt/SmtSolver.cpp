@@ -38,9 +38,9 @@ std::string smtQuote(const std::string &S) {
   return Out;
 }
 
-/// The compilation and solving context shared by script mode
-/// (SmtSolver::solveScript) and session mode (SmtSession). Declarations,
-/// the atom table, and the scoped assertion frames live here; errors are
+/// The compilation and solving context behind SmtSession (and so behind
+/// SmtSolver::solveScript, which feeds a session). Declarations, the atom
+/// table, and the scoped assertion frames live here; errors are
 /// per-command (hasError()/takeError()) so a session survives them.
 class ScriptContext {
 public:
@@ -105,13 +105,11 @@ public:
       FrameAsserts.back().push_back(E);
   }
 
-  /// Compiles one check-sat-assuming term. Returns false on error.
-  bool compileAssumption(const SExpr &Term, std::vector<BE> &Out) {
+  /// Compiles one check-sat-assuming term into \p Out; on error, nothing.
+  void compileAssumption(const SExpr &Term, std::vector<BE> &Out) {
     BE E = compileBool(Term, /*Positive=*/true);
-    if (HasErr)
-      return false;
-    Out.push_back(E);
-    return true;
+    if (!HasErr)
+      Out.push_back(E);
   }
 
   void push(uint64_t N) {
@@ -152,17 +150,16 @@ public:
   /// Solves the conjunction of every live assertion plus \p Assumptions.
   /// The compiled state (atoms, arena, graph facts) persists; only the
   /// per-check verdict is fresh.
-  SmtCheck checkSat(const std::vector<BE> &Assumptions = {}) {
-    Cur = SmtCheck();
+  const SmtCheck &checkSat(const std::vector<BE> &Assumptions) {
+    Last = SmtCheck();
     std::vector<BE> Agenda;
     for (const std::vector<BE> &F : FrameAsserts)
       Agenda.insert(Agenda.end(), F.begin(), F.end());
     Agenda.insert(Agenda.end(), Assumptions.begin(), Assumptions.end());
     solve(Agenda);
-    CubesTriedTotal += Cur.CubesTried;
-    Last = Cur;
+    CubesTriedTotal += Last.CubesTried;
     HaveChecked = true;
-    return Cur;
+    return Last;
   }
 
   bool haveChecked() const { return HaveChecked; }
@@ -170,7 +167,6 @@ public:
   std::optional<bool> expectedSat() const { return ExpectedSat_; }
   const SolveStats &cumulativeStats() const { return CumStats; }
   size_t cubesTriedTotal() const { return CubesTriedTotal; }
-  uint64_t regexQueries() const { return RegexQueries; }
 
   /// (get-model) answer for the last Sat check.
   std::string renderModel() const {
@@ -251,8 +247,7 @@ private:
   uint64_t ChecksRun = 0;
   SolveStats CumStats;
   size_t CubesTriedTotal = 0;
-  SmtCheck Cur;  ///< the check being solved (written by solve/tryCube)
-  SmtCheck Last; ///< the most recent finished check
+  SmtCheck Last; ///< the most recent check (written by solve/tryCube)
   bool HaveChecked = false;
   std::optional<bool> ExpectedSat_;
 
@@ -516,21 +511,16 @@ private:
     const SExpr &L = E.Kids[1], &Rhs = E.Kids[2];
     if (auto Code = asCodeOf(L); Code && Rhs.K == SExpr::Kind::Number)
       return codeAtom(Code->first, Code->second, Op, Rhs.Number);
-    if (auto Code = asCodeOf(Rhs); Code && L.K == SExpr::Kind::Number) {
-      std::string Flipped = Op == "<=" ? ">=" : Op == ">=" ? "<="
-                            : Op == "<" ? ">"
-                                        : "<";
-      return codeAtom(Code->first, Code->second, Flipped, L.Number);
-    }
     if (auto Len = asLenOf(L); Len && Rhs.K == SExpr::Kind::Number)
       return lengthAtom(*Len, Op, Rhs.Number);
-    if (auto Len = asLenOf(Rhs); Len && L.K == SExpr::Kind::Number) {
-      // k op len(s) flips the comparison.
-      std::string Flipped = Op == "<=" ? ">=" : Op == ">=" ? "<="
-                            : Op == "<" ? ">"
-                                        : "<";
+    // k op t flips the comparison.
+    std::string Flipped = Op == "<=" ? ">=" : Op == ">=" ? "<="
+                          : Op == "<" ? ">"
+                                      : "<";
+    if (auto Code = asCodeOf(Rhs); Code && L.K == SExpr::Kind::Number)
+      return codeAtom(Code->first, Code->second, Flipped, L.Number);
+    if (auto Len = asLenOf(Rhs); Len && L.K == SExpr::Kind::Number)
       return lengthAtom(*Len, Flipped, L.Number);
-    }
     return unsupportedExpr("only str.len-vs-constant comparisons supported");
   }
 
@@ -726,7 +716,7 @@ private:
       if (!PerVar.count(Var))
         Model.emplace_back(Var, "");
     std::sort(Model.begin(), Model.end());
-    Cur.Model = std::move(Model);
+    Last.Model = std::move(Model);
     return true;
   }
 
@@ -800,20 +790,20 @@ private:
     std::map<uint32_t, bool> Assign;
     bool Found = enumerate({Formula}, 0, Assign, SawUnknown, CubesTried,
                            MaxCubes);
-    Cur.CubesTried = CubesTried;
+    Last.CubesTried = CubesTried;
     if (Found) {
-      Cur.Status = SolveStatus::Sat;
+      Last.Status = SolveStatus::Sat;
       return;
     }
     if (SawUnknown || CubesTried >= MaxCubes) {
-      Cur.Status = SolveStatus::Unknown;
-      Cur.Stop = SawUnknown ? StopReason::SubqueryUnknown
-                            : StopReason::CubeBudget;
-      Cur.Note = SawUnknown ? "regex query budget exhausted"
-                            : "implicant budget exhausted";
+      Last.Status = SolveStatus::Unknown;
+      Last.Stop = SawUnknown ? StopReason::SubqueryUnknown
+                             : StopReason::CubeBudget;
+      Last.Note = SawUnknown ? "regex query budget exhausted"
+                             : "implicant budget exhausted";
       return;
     }
-    Cur.Status = SolveStatus::Unsat;
+    Last.Status = SolveStatus::Unsat;
   }
 };
 
@@ -821,12 +811,24 @@ private:
 
 /// --- Script mode -----------------------------------------------------------
 
+/// An error from one of these commands leaves part of the problem
+/// undeclared or unasserted, so a script must not answer for it. Errors of
+/// the others (read-only or unknown commands) leave the verdict alone.
+static bool dropsProblem(const SExpr &Form) {
+  if (Form.Kids.empty())
+    return false;
+  const SExpr &Head = Form.Kids[0];
+  return Head.isSymbol("declare-fun") || Head.isSymbol("declare-const") ||
+         Head.isSymbol("assert") || Head.isSymbol("push") ||
+         Head.isSymbol("pop") || Head.isSymbol("check-sat-assuming");
+}
+
 SmtResult SmtSolver::solveScript(const std::string &Script,
                                  const SolveOptions &Opts) {
   obs::ScopedSpan Span("solveScript", "smt");
-  SmtResult Result;
   SExprParseResult Parsed = parseSExprs(Script);
   if (!Parsed.Ok) {
+    SmtResult Result;
     Result.Status = SolveStatus::Unsupported;
     Result.Stop = StopReason::ParseError;
     Result.Note = "parse error: " + Parsed.Error;
@@ -834,83 +836,35 @@ SmtResult SmtSolver::solveScript(const std::string &Script,
     return Result;
   }
 
-  portfolio::PortfolioSolver Port(Solver);
-  ScriptContext Ctx(Solver, Port, Opts);
-
-  auto runCheck = [&](const std::vector<BE> &Assumptions) {
-    SmtCheck C = Ctx.checkSat(Assumptions);
-    Result.Checks.push_back(C);
-    Result.Status = C.Status;
-    Result.Stop = C.Stop;
-    Result.Note = C.Note;
-    Result.Model = C.Model;
-  };
-
-  bool Failed = false;
-  auto fail = [&](const std::string &Why) {
-    Result.Status = SolveStatus::Unsupported;
-    Result.Stop = StopReason::UnsupportedFragment;
-    Result.Note = Why;
-    Failed = true;
-  };
-
+  // The script is a session fed its forms, up to an (exit) or the first
+  // error that drops part of the problem.
+  SmtSession Session(Solver, Opts);
+  std::vector<SmtCheck> Checks;
+  std::optional<std::string> Failure;
   for (const SExpr &Form : Parsed.Forms) {
-    if (!Form.isList() || Form.Kids.empty())
-      continue;
-    const SExpr &Head = Form.Kids[0];
-    if (Head.isSymbol("set-info")) {
-      Ctx.setInfo(Form);
-    } else if (Head.isSymbol("get-info")) {
-      // (get-info :statistics) — rendered from the work done so far, so
-      // it must follow the check-sat it reports on.
-      if (Form.Kids.size() == 2 && Form.Kids[1].isSymbol(":statistics"))
-        Result.Statistics = Ctx.renderStatistics();
-    } else if (Head.isSymbol("declare-fun") ||
-               Head.isSymbol("declare-const")) {
-      Ctx.declare(Form);
-    } else if (Head.isSymbol("assert")) {
-      Ctx.assertForm(Form);
-    } else if (Head.isSymbol("push") || Head.isSymbol("pop")) {
-      uint64_t N = 1;
-      if (Form.Kids.size() == 2 && Form.Kids[1].K == SExpr::Kind::Number &&
-          Form.Kids[1].Number >= 0)
-        N = static_cast<uint64_t>(Form.Kids[1].Number);
-      if (Head.isSymbol("push"))
-        Ctx.push(N);
-      else
-        Ctx.pop(N);
-    } else if (Head.isSymbol("check-sat")) {
-      runCheck({});
-    } else if (Head.isSymbol("check-sat-assuming")) {
-      std::vector<BE> Assumptions;
-      bool Ok = Form.Kids.size() == 2 && Form.Kids[1].isList();
-      if (Ok)
-        for (const SExpr &Lit : Form.Kids[1].Kids)
-          if (!Ctx.compileAssumption(Lit, Assumptions))
-            break;
-      if (!Ok)
-        fail("malformed check-sat-assuming");
-      else if (!Ctx.hasError())
-        runCheck(Assumptions);
-    } else if (Head.isSymbol("reset-assertions")) {
-      Ctx.resetAssertions();
-    }
-    // set-logic, set-option, get-model, get-value, echo, exit, and unknown
-    // commands: no-ops in script mode (the session front end answers them).
-    if (Ctx.hasError()) {
-      fail(Ctx.takeError());
+    SmtSession::Reply R = Session.execute(Form);
+    if (Session.checksRun() > Checks.size())
+      Checks.push_back(std::move(Session.lastResult().Checks.back()));
+    if (R.IsError && dropsProblem(Form)) {
+      Failure = std::move(R.Error);
       break;
     }
-    if (Failed)
+    if (R.ExitRequested)
       break;
   }
-  // Script without check-sat: solve what we have (legacy behavior).
-  if (!Failed && Result.Checks.empty())
-    runCheck({});
+  // Script without check-sat: solve what we have (legacy behavior). The
+  // session's last result then holds that one check.
+  if (!Failure && Checks.empty())
+    Session.execute(parseSExprs("(check-sat)").Forms[0]);
 
-  Result.ExpectedSat = Ctx.expectedSat();
-  Result.Stats = Ctx.cumulativeStats();
-  Result.CubesTried = Ctx.cubesTriedTotal();
+  SmtResult Result = Session.lastResult();
+  if (!Checks.empty())
+    Result.Checks = std::move(Checks);
+  if (Failure) {
+    Result.Status = SolveStatus::Unsupported;
+    Result.Stop = StopReason::UnsupportedFragment;
+    Result.Note = std::move(*Failure);
+  }
   Span.arg("status", std::string(statusName(Result.Status)));
   // Safe point for SIGUSR1-driven exposition dumps between scripts.
   obs::pollExposition();
@@ -926,6 +880,8 @@ struct SmtSession::Impl {
   /// Reconstructed on (reset); the arena behind Solver persists.
   std::optional<ScriptContext> Ctx;
   bool PrintSuccess = false;
+  /// The most recent (get-info :statistics) answer.
+  std::string Statistics;
 
   Impl(RegexSolver &S, const SolveOptions &O) : Solver(S), Opts(O), Port(S) {
     Ctx.emplace(Solver, Port, Opts);
@@ -948,6 +904,7 @@ size_t SmtSession::pushDepth() const { return I->Ctx->pushDepth(); }
 void SmtSession::reset() {
   I->Ctx.emplace(I->Solver, I->Port, I->Opts);
   I->PrintSuccess = false;
+  I->Statistics.clear();
 }
 
 SmtResult SmtSession::lastResult() const {
@@ -963,18 +920,23 @@ SmtResult SmtSession::lastResult() const {
   R.ExpectedSat = I->Ctx->expectedSat();
   R.Stats = I->Ctx->cumulativeStats();
   R.CubesTried = I->Ctx->cubesTriedTotal();
+  R.Statistics = I->Statistics;
   return R;
 }
 
 SmtSession::Reply SmtSession::execute(const SExpr &Form) {
   Reply R;
-  auto success = [&] {
-    if (I->PrintSuccess)
-      R.Text = "success";
-  };
-  auto error = [&](const std::string &Why) {
+  auto error = [&](std::string Why) {
     R.Text = "(error " + smtQuote(Why) + ")";
     R.IsError = true;
+    R.Error = std::move(Why);
+  };
+  // Ends a command: reports the context's error if the command raised one.
+  auto success = [&] {
+    if (I->Ctx->hasError())
+      error(I->Ctx->takeError());
+    else if (I->PrintSuccess)
+      R.Text = "success";
   };
   if (!Form.isList() || Form.Kids.empty() ||
       Form.Kids[0].K != SExpr::Kind::Symbol) {
@@ -997,51 +959,43 @@ SmtSession::Reply SmtSession::execute(const SExpr &Form) {
     success();
   } else if (Head.isSymbol("declare-fun") || Head.isSymbol("declare-const")) {
     Ctx.declare(Form);
-    if (Ctx.hasError())
-      error(Ctx.takeError());
-    else
-      success();
+    success();
   } else if (Head.isSymbol("assert")) {
     Ctx.assertForm(Form);
-    if (Ctx.hasError())
-      error(Ctx.takeError());
-    else
-      success();
+    success();
   } else if (Head.isSymbol("push") || Head.isSymbol("pop")) {
-    uint64_t N = 1;
-    if (Form.Kids.size() == 2 && Form.Kids[1].K == SExpr::Kind::Number &&
-        Form.Kids[1].Number >= 0)
-      N = static_cast<uint64_t>(Form.Kids[1].Number);
+    // (push) and (pop) mean one level; an argument must be one numeral.
+    bool Numeral = Form.Kids.size() == 2 &&
+                   Form.Kids[1].K == SExpr::Kind::Number &&
+                   Form.Kids[1].Number >= 0;
+    if (Form.Kids.size() != 1 && !Numeral) {
+      error("malformed " + Head.Text);
+      return R;
+    }
+    uint64_t N = Numeral ? static_cast<uint64_t>(Form.Kids[1].Number) : 1;
     if (Head.isSymbol("push"))
       Ctx.push(N);
     else
       Ctx.pop(N);
-    if (Ctx.hasError())
-      error(Ctx.takeError());
-    else
-      success();
-  } else if (Head.isSymbol("check-sat")) {
-    SmtCheck C = Ctx.checkSat();
-    ++Checks;
-    SBD_OBS_INC(SessionChecks);
-    R.Text = statusName(C.Status);
-  } else if (Head.isSymbol("check-sat-assuming")) {
+    success();
+  } else if (Head.isSymbol("check-sat") ||
+             Head.isSymbol("check-sat-assuming")) {
     std::vector<BE> Assumptions;
-    if (Form.Kids.size() != 2 || !Form.Kids[1].isList()) {
-      error("malformed check-sat-assuming");
-      return R;
+    if (Head.isSymbol("check-sat-assuming")) {
+      if (Form.Kids.size() != 2 || !Form.Kids[1].isList()) {
+        error("malformed check-sat-assuming");
+        return R;
+      }
+      for (const SExpr &Lit : Form.Kids[1].Kids)
+        Ctx.compileAssumption(Lit, Assumptions);
+      if (Ctx.hasError()) {
+        error(Ctx.takeError());
+        return R;
+      }
     }
-    for (const SExpr &Lit : Form.Kids[1].Kids)
-      if (!Ctx.compileAssumption(Lit, Assumptions))
-        break;
-    if (Ctx.hasError()) {
-      error(Ctx.takeError());
-      return R;
-    }
-    SmtCheck C = Ctx.checkSat(Assumptions);
+    R.Text = statusName(Ctx.checkSat(Assumptions).Status);
     ++Checks;
     SBD_OBS_INC(SessionChecks);
-    R.Text = statusName(C.Status);
   } else if (Head.isSymbol("get-model")) {
     if (Ctx.haveChecked() && Ctx.last().Status == SolveStatus::Sat)
       R.Text = Ctx.renderModel();
@@ -1055,6 +1009,7 @@ SmtSession::Reply SmtSession::execute(const SExpr &Form) {
     } else if (Form.Kids[1].isSymbol(":statistics") ||
                Form.Kids[1].isSymbol(":all-statistics")) {
       R.Text = Ctx.renderStatistics();
+      I->Statistics = R.Text;
     } else if (Form.Kids[1].isSymbol(":name")) {
       R.Text = "(:name \"sbd\")";
     } else if (Form.Kids[1].isSymbol(":error-behavior")) {
@@ -1087,7 +1042,8 @@ std::vector<SmtSession::Reply> SmtSession::executeAll(const std::string &Text) {
   SExprParseResult Parsed = parseSExprs(Text);
   if (!Parsed.Ok) {
     Reply R;
-    R.Text = "(error " + smtQuote("parse error: " + Parsed.Error) + ")";
+    R.Error = "parse error: " + Parsed.Error;
+    R.Text = "(error " + smtQuote(R.Error) + ")";
     R.IsError = true;
     Out.push_back(std::move(R));
     return Out;

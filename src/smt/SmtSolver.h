@@ -17,16 +17,14 @@
 ///    a consistent implicant splits into one ERE-satisfiability query per
 ///    variable.
 ///
-/// Two driving modes share the compiler:
-///
-///  - `SmtSolver::solveScript` runs a whole script in one call, now
-///    including incremental scripts — `(push)`/`(pop)` scope assertions and
-///    every `(check-sat)` produces one entry in `SmtResult::Checks`;
-///  - `SmtSession` (DESIGN.md §15) keeps the compiled state alive *between*
-///    commands: one persistent arena and derivative graph serve repeated
-///    check-sats, so later checks reuse every interned term, memoized
-///    derivative, and dead/alive fact earlier checks established. This is
-///    the engine behind the resident `sbd-server` front end.
+/// One command interpreter, `SmtSession` (DESIGN.md §15), runs every
+/// command. It keeps the compiled state alive *between* commands: one
+/// persistent arena and derivative graph serve repeated check-sats, so
+/// later checks reuse every interned term, memoized derivative, and
+/// dead/alive fact earlier checks established. It is the engine behind
+/// the resident `sbd-server` front end. `SmtSolver::solveScript` runs a
+/// whole script in one call by feeding a fresh session its forms; every
+/// `(check-sat)` produces one entry in `SmtResult::Checks`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,9 +88,13 @@ class SmtSolver {
 public:
   explicit SmtSolver(RegexSolver &S) : Solver(S) {}
 
-  /// Parses and solves a whole script, including incremental ones: every
-  /// check-sat appends to `SmtResult::Checks`, and the top-level verdict is
-  /// the last check's.
+  /// Parses and solves a whole script, including incremental ones, through
+  /// one SmtSession: every check-sat appends to `SmtResult::Checks`, and
+  /// the top-level verdict is the last check's. A script without a
+  /// check-sat gets one implicit final check. The script stops at an
+  /// (exit), and at the first error of a declaration, assertion, push, pop
+  /// or check-sat-assuming, which makes the result Unsupported with the
+  /// error as its Note; errors of other commands leave the verdict alone.
   SmtResult solveScript(const std::string &Script,
                         const SolveOptions &Opts = {});
 
@@ -131,6 +133,7 @@ public:
     /// command produces no output (e.g. successes with :print-success off).
     std::string Text;
     bool IsError = false;       ///< Text is an (error "…") response
+    std::string Error;          ///< the error message, unquoted, if IsError
     bool ExitRequested = false; ///< the command was (exit)
   };
 
@@ -143,7 +146,8 @@ public:
   std::vector<Reply> executeAll(const std::string &Text);
 
   /// Result of the most recent check-sat, as a script-level SmtResult
-  /// (cumulative Stats/CubesTried over the session's lifetime).
+  /// (cumulative Stats/CubesTried over the session's lifetime; Statistics
+  /// is the most recent (get-info :statistics) answer).
   SmtResult lastResult() const;
 
   /// check-sat commands served so far (also counted in obs SessionChecks).

@@ -268,6 +268,31 @@ TEST_F(SmtSessionTest, PushPastTheDepthCapIsAnErrorAndTheSessionKeepsServing) {
   EXPECT_EQ(runOne("(check-sat)"), "sat");
 }
 
+TEST_F(SmtSessionTest, MalformedPushPopArgumentsAreErrors) {
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (str.to_re "a")))
+    (push)
+    (assert (str.in_re s re.none)))");
+  for (const char *Bad : {"(push -1)", "(push x)", "(push 1 2)", "(pop -5)",
+                          "(pop x)", "(pop 1 2)"}) {
+    std::string Err = runOne(Bad);
+    EXPECT_EQ(Err.rfind("(error \"malformed p", 0), 0u) << Bad << ": " << Err;
+    EXPECT_EQ(Session.pushDepth(), 1u) << Bad;
+    EXPECT_EQ(Session.numAssertions(), 2u) << Bad;
+  }
+  // The scoped contradiction is still live.
+  EXPECT_EQ(runOne("(check-sat)"), "unsat");
+  // (push), (push 0) and (pop N) for valid N keep their meaning.
+  EXPECT_TRUE(run("(push 0)").empty());
+  EXPECT_EQ(Session.pushDepth(), 1u);
+  EXPECT_TRUE(run("(push)").empty());
+  EXPECT_EQ(Session.pushDepth(), 2u);
+  EXPECT_TRUE(run("(pop 2)").empty());
+  EXPECT_EQ(Session.pushDepth(), 0u);
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+}
+
 TEST_F(SmtSessionTest, OutOfRangeBoundIsAnErrorNotAVerdict) {
   run(R"(
     (declare-const s String)
@@ -336,6 +361,67 @@ TEST(SmtScriptChecksTest, ScriptWithoutChecksStillRunsImplicitFinalCheck) {
   EXPECT_EQ(R.Status, SolveStatus::Sat);
   ASSERT_EQ(R.Checks.size(), 1u); // the implicit final check is recorded
   EXPECT_EQ(R.Checks[0].Status, SolveStatus::Sat);
+}
+
+/// A script through solveScript and the same text through a session give
+/// the same per-check verdicts and models: both run one interpreter.
+TEST(SmtScriptChecksTest, SolveScriptAgreesWithASessionFedTheSameText) {
+  const std::string Text = R"(
+    (declare-const s String)
+    (declare-const t String)
+    (assert (str.in_re s (re.+ (re.range "a" "c"))))
+    (check-sat)
+    (get-model)
+    (push 1)
+    (assert (or (str.in_re t (str.to_re "xy")) (str.in_re s re.none)))
+    (assert (>= (str.len s) 3))
+    (check-sat)
+    (get-model)
+    (check-sat-assuming ((str.in_re t re.none)))
+    (get-model)
+    (pop 1)
+    (assert (str.in_re s (str.to_re "b")))
+    (check-sat)
+    (get-model))";
+  RegexManager M;
+  TrManager T{M};
+  DerivativeEngine E{M, T};
+  RegexSolver Solver{E};
+  SmtSolver Smt{Solver};
+  SmtResult Script = Smt.solveScript(Text);
+
+  RegexManager M2;
+  TrManager T2{M2};
+  DerivativeEngine E2{M2, T2};
+  RegexSolver Solver2{E2};
+  SmtSession Session{Solver2};
+  std::vector<SmtSession::Reply> Replies = Session.executeAll(Text);
+  // Each check-sat reply is followed by its get-model reply.
+  std::vector<std::pair<std::string, std::string>> Session2;
+  for (size_t I = 0; I + 1 < Replies.size(); ++I)
+    if (!Replies[I].Text.empty() && !Replies[I].IsError &&
+        Replies[I].Text[0] != '(')
+      Session2.emplace_back(Replies[I].Text, Replies[I + 1].Text);
+
+  ASSERT_EQ(Script.Checks.size(), 4u);
+  ASSERT_EQ(Session2.size(), Script.Checks.size());
+  for (size_t I = 0; I != Script.Checks.size(); ++I) {
+    const SmtCheck &C = Script.Checks[I];
+    EXPECT_EQ(Session2[I].first, statusName(C.Status)) << I;
+    if (C.Status != SolveStatus::Sat)
+      continue;
+    std::string Model = "(";
+    for (size_t J = 0; J != C.Model.size(); ++J)
+      Model += std::string(J ? "\n " : "") + "(define-fun " +
+               C.Model[J].first + " () String \"" + C.Model[J].second + "\")";
+    EXPECT_EQ(Session2[I].second, Model + ")") << I;
+  }
+  EXPECT_EQ(Script.Checks[0].Status, SolveStatus::Sat);
+  EXPECT_EQ(Script.Checks[1].Status, SolveStatus::Sat);
+  EXPECT_EQ(Script.Checks[2].Status, SolveStatus::Unsat);
+  EXPECT_EQ(Script.Checks[3].Status, SolveStatus::Sat);
+  EXPECT_EQ(Script.Status, SolveStatus::Sat);
+  EXPECT_EQ(Script.Model, Session.lastResult().Model);
 }
 
 } // namespace

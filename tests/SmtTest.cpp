@@ -532,6 +532,64 @@ TEST_F(SmtTest, TrailingFormsAfterCheckSatKeepTheVerdict) {
   EXPECT_EQ(R.Status, SolveStatus::Sat);
 }
 
+TEST_F(SmtTest, ReadOnlyAndUnknownCommandErrorsKeepTheVerdict) {
+  // get-model after an unsat check is an error the script does not report.
+  SmtResult U = run(R"(
+    (declare-const s String)
+    (assert (str.in_re s re.none))
+    (check-sat)
+    (get-model)
+    (get-value (s)))");
+  EXPECT_EQ(U.Status, SolveStatus::Unsat);
+  EXPECT_EQ(U.Stop, StopReason::None);
+  ASSERT_EQ(U.Checks.size(), 1u);
+  // An unknown command before the check leaves its verdict unchanged.
+  SmtResult S = run(R"(
+    (declare-const s String)
+    (frobnicate s)
+    (echo 42)
+    (assert (str.in_re s (str.to_re "ok")))
+    (check-sat))");
+  EXPECT_EQ(S.Status, SolveStatus::Sat);
+  EXPECT_EQ(S.Stop, StopReason::None);
+  EXPECT_TRUE(S.Note.empty()) << S.Note;
+  EXPECT_EQ(modelValue(S, "s"), "ok");
+}
+
+TEST_F(SmtTest, FormsAfterExitAreNotRun) {
+  SmtResult R = run(R"(
+    (declare-const s String)
+    (check-sat)
+    (exit)
+    (assert false)
+    (check-sat))");
+  ASSERT_EQ(R.Checks.size(), 1u);
+  EXPECT_EQ(R.Status, SolveStatus::Sat);
+}
+
+TEST_F(SmtTest, MalformedPushPopIsUnsupported) {
+  // A bad argument moves no frame: read as (pop 1), (pop -5) would drop
+  // the live contradiction and answer sat.
+  for (const char *Bad : {"(pop -5)", "(pop x)", "(pop 1 2)"}) {
+    SmtResult R = run(std::string(R"(
+      (declare-const s String)
+      (push 1)
+      (assert (str.in_re s re.none)))") +
+                      Bad + "(check-sat)");
+    EXPECT_EQ(R.Status, SolveStatus::Unsupported) << Bad;
+    EXPECT_EQ(R.Stop, StopReason::UnsupportedFragment) << Bad;
+    EXPECT_EQ(R.Note, "malformed pop") << Bad;
+    EXPECT_TRUE(R.Checks.empty()) << Bad;
+  }
+  for (const char *Bad : {"(push -1)", "(push x)", "(push 1 2)"}) {
+    SmtResult R = run(std::string("(declare-const s String)") + Bad +
+                      "(check-sat)");
+    EXPECT_EQ(R.Status, SolveStatus::Unsupported) << Bad;
+    EXPECT_EQ(R.Note, "malformed push") << Bad;
+  }
+  EXPECT_EQ(run("(push 0)(pop 0)(check-sat)").Status, SolveStatus::Sat);
+}
+
 TEST_F(SmtTest, StopReasonsAreMachineReadable) {
   SmtResult Unsup = run("(declare-const s String)"
                         "(assert (str.replace s \"a\" \"b\"))(check-sat)");
