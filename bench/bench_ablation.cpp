@@ -5,10 +5,7 @@
 ///
 ///  1. search order — BFS (shortest witness) vs DFS (SMT-backtracking
 ///     style) on satisfiable instances with deep models;
-///  2. dead-state detection — incremental SCC condensation (the paper's
-///     strategy) vs lazy reverse-reachability recomputation, measured on
-///     unsat instances where the bot rule does all the work;
-///  3. eager-pipeline minimization — determinize vs determinize+minimize
+///  2. eager-pipeline minimization — determinize vs determinize+minimize
 ///     (the intro's "after the fact" remark), on the blowup family.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,15 +25,11 @@ using namespace sbd;
 namespace {
 
 SolveResult solveFresh(const std::string &Pattern, SearchStrategy Strategy,
-                       DeadDetection Mode, const SolveOptions &Base) {
+                       const SolveOptions &Base) {
   RegexManager M;
   TrManager T(M);
   DerivativeEngine E(M, T);
-  // RegexSolver owns its graph; rebuild it in the requested mode by
-  // constructing the solver around a graph... the solver constructs the
-  // graph internally, so we go through the options only for strategy and
-  // emulate the mode with a local solver when needed.
-  RegexSolver S(E, Mode);
+  RegexSolver S(E);
   SolveOptions Opts = Base;
   Opts.Strategy = Strategy;
   return S.checkSat(parseRegexOrDie(M, Pattern), Opts);
@@ -54,35 +47,13 @@ int main(int Argc, char **Argv) {
   for (uint32_t K : {4u, 6u, 8u, 10u}) {
     std::string P =
         "~(.*a.{" + std::to_string(K) + "})&.*b.{" + std::to_string(K) + "}";
-    SolveResult Bfs = solveFresh(P, SearchStrategy::Bfs,
-                                 DeadDetection::IncrementalScc, Args.Opts);
-    SolveResult Dfs = solveFresh(P, SearchStrategy::Dfs,
-                                 DeadDetection::IncrementalScc, Args.Opts);
+    SolveResult Bfs = solveFresh(P, SearchStrategy::Bfs, Args.Opts);
+    SolveResult Dfs = solveFresh(P, SearchStrategy::Dfs, Args.Opts);
     std::printf("%-34s %12zu %12zu\n", P.c_str(), Bfs.StatesExplored,
                 Dfs.StatesExplored);
   }
 
-  std::printf("\n== Ablation 2: dead detection, incremental SCC vs lazy ==\n");
-  std::printf("%-34s %12s %12s\n", "instance (unsat)", "scc ms", "lazy ms");
-  for (uint32_t K : {6u, 8u, 10u, 12u}) {
-    std::string P =
-        "(.*a.{" + std::to_string(K) + "})&(.*b.{" + std::to_string(K) + "})";
-    // Repeat to stabilize timing a little.
-    int64_t SccUs = 0, LazyUs = 0;
-    for (int Rep = 0; Rep != 3; ++Rep) {
-      SccUs += solveFresh(P, SearchStrategy::Bfs,
-                          DeadDetection::IncrementalScc, Args.Opts)
-                   .TimeUs;
-      LazyUs += solveFresh(P, SearchStrategy::Bfs,
-                           DeadDetection::LazyReverse, Args.Opts)
-                    .TimeUs;
-    }
-    std::printf("%-34s %12.2f %12.2f\n", P.c_str(),
-                static_cast<double>(SccUs) / 3000.0,
-                static_cast<double>(LazyUs) / 3000.0);
-  }
-
-  std::printf("\n== Ablation 3: eager pipeline, minimize after the fact ==\n");
+  std::printf("\n== Ablation 2: eager pipeline, minimize after the fact ==\n");
   std::printf("%-34s %14s %14s\n", "instance", "plain states",
               "minimized states");
   for (uint32_t K : {4u, 6u, 8u}) {
@@ -101,7 +72,7 @@ int main(int Argc, char **Argv) {
                 static_cast<double>(R2.TimeUs) / 1000.0);
   }
 
-  std::printf("\n== Ablation 4: simpler-arc-first heuristic (DFS, sat) ==\n");
+  std::printf("\n== Ablation 3: simpler-arc-first heuristic (DFS, sat) ==\n");
   std::printf("%-44s %10s %10s\n", "instance", "plain", "heuristic");
   {
     // Asymmetric alternatives: one branch is a long corridor, the other a
@@ -133,10 +104,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("\ninterpretation: DFS removes the frontier blowup on deep sat\n"
-              "instances; incremental SCC and lazy recomputation agree on\n"
-              "results (tested) and are both cheap at this scale — the SCC\n"
-              "version avoids the O(V+E) recomputation per bot-rule query;\n"
-              "minimization shrinks the eager pipeline's *output* but not\n"
+              "instances; minimization shrinks the eager pipeline's *output* but not\n"
               "its peak, so it cannot rescue the blowup family; and the\n"
               "simpler-arc-first heuristic is essentially neutral here —\n"
               "visited-state dedup already bounds wrong-branch corridors,\n"

@@ -1,4 +1,5 @@
 //===- solver/DerivativeGraph.cpp - The solver's regex graph G --------------===//
+// sbd-lint: hot-path
 
 #include "solver/DerivativeGraph.h"
 
@@ -10,9 +11,9 @@ using namespace sbd;
 void DerivativeGraph::clear() {
   Verts.clear();
   Index.clear();
-  Scc = SccIndex();
   NumEdges = 0;
-  DeadDirty = false;
+  Pending.clear();
+  Epoch = 0;
 }
 
 uint32_t DerivativeGraph::addVertex(Re R) {
@@ -24,11 +25,8 @@ uint32_t DerivativeGraph::addVertex(Re R) {
   Vx.Final = M.nullable(R);
   Verts.push_back(std::move(Vx));
   Index.insert(R.Id, V);
-  Scc.addVertex(V);
   if (Verts[V].Final)
     markAlive(V);
-  // A new open vertex can resurrect paths that looked dead (lazy mode).
-  DeadDirty = true;
   return V;
 }
 
@@ -45,13 +43,11 @@ void DerivativeGraph::close(Re R, const std::vector<Re> &Targets) {
     Verts[V].Succ.push_back(W);
     Verts[W].Pred.push_back(V);
     ++NumEdges;
-    Scc.addEdge(V, W);
     if (Verts[W].Alive)
       markAlive(V);
   }
   Verts[V].Closed = true;
-  Scc.closeVertex(V);
-  DeadDirty = true;
+  Pending.push_back(V);
 }
 
 void DerivativeGraph::closeWithRow(Re R, const std::vector<Re> &Targets,
@@ -82,6 +78,60 @@ void DerivativeGraph::corruptArcRowForTest(Re R, size_t Idx, uint32_t Value) {
     Verts[*Hit].ArcRow[Idx] = Value;
 }
 
+void DerivativeGraph::settleDead() {
+  if (Pending.empty())
+    return;
+  ++Epoch;
+  // Candidates: the closed, non-alive vertices that reach a vertex closed
+  // since the last settle. Any other vertex that was not dead then still
+  // reaches the open or alive vertex that kept it so (edges are fixed at
+  // close and Alive only grows). No candidate is dead: it reaches a vertex
+  // that was open at the last settle. Alive vertices are skipped, and so
+  // are their predecessors, which are alive too.
+  Cands.clear();
+  auto collect = [&](uint32_t V) {
+    Vertex &Vx = Verts[V];
+    if (Vx.Alive || Vx.Stamp == Epoch)
+      return;
+    assert(Vx.Closed && !Vx.Dead && "candidates are closed and not dead");
+    Vx.Stamp = Epoch;
+    Vx.Escapes = false;
+    Cands.push_back(V);
+  };
+  for (uint32_t V : Pending)
+    collect(V);
+  Pending.clear();
+  for (size_t I = 0; I != Cands.size(); ++I)
+    for (uint32_t P : Verts[Cands[I]].Pred)
+      collect(P);
+
+  // A candidate escapes when a successor is neither a candidate nor dead:
+  // such a successor is open, alive, or still reaches one of those.
+  Escaping.clear();
+  for (uint32_t V : Cands) {
+    for (uint32_t W : Verts[V].Succ) {
+      if (Verts[W].Stamp != Epoch && !Verts[W].Dead) {
+        Verts[V].Escapes = true;
+        Escaping.push_back(V);
+        break;
+      }
+    }
+  }
+  // Escape propagates backwards within the candidates; the rest are dead.
+  while (!Escaping.empty()) {
+    uint32_t V = Escaping.back();
+    Escaping.pop_back();
+    for (uint32_t P : Verts[V].Pred) {
+      if (Verts[P].Stamp != Epoch || Verts[P].Escapes)
+        continue;
+      Verts[P].Escapes = true;
+      Escaping.push_back(P);
+    }
+  }
+  for (uint32_t V : Cands)
+    Verts[V].Dead = !Verts[V].Escapes;
+}
+
 bool DerivativeGraph::isClosed(Re R) const {
   const uint32_t *Hit = Index.find(R.Id);
   return Hit && Verts[*Hit].Closed;
@@ -92,20 +142,14 @@ bool DerivativeGraph::isFinal(Re R) const {
   return Hit && Verts[*Hit].Final;
 }
 
-bool DerivativeGraph::isAlive(Re R) {
+bool DerivativeGraph::isAlive(Re R) const {
   const uint32_t *Hit = Index.find(R.Id);
   return Hit && Verts[*Hit].Alive;
 }
 
-bool DerivativeGraph::isDead(Re R) {
+bool DerivativeGraph::isDead(Re R) const {
   const uint32_t *Hit = Index.find(R.Id);
-  if (!Hit)
-    return false;
-  if (Mode == DeadDetection::IncrementalScc)
-    return Scc.isDead(*Hit);
-  if (DeadDirty)
-    recomputeDeadLazy();
-  return Verts[*Hit].DeadLazy;
+  return Hit && Verts[*Hit].Dead;
 }
 
 std::vector<Re> DerivativeGraph::successors(Re R) const {
@@ -125,7 +169,6 @@ void DerivativeGraph::markAlive(uint32_t V) {
   // reach F through it.
   std::vector<uint32_t> Stack = {V};
   Verts[V].Alive = true;
-  Scc.markAlive(V);
   while (!Stack.empty()) {
     uint32_t Cur = Stack.back();
     Stack.pop_back();
@@ -133,36 +176,7 @@ void DerivativeGraph::markAlive(uint32_t V) {
       if (Verts[P].Alive)
         continue;
       Verts[P].Alive = true;
-      Scc.markAlive(P);
       Stack.push_back(P);
     }
-  }
-}
-
-void DerivativeGraph::recomputeDeadLazy() {
-  DeadDirty = false;
-  // v is not dead iff it can reach an open or alive vertex; compute the
-  // not-dead set by reverse reachability from { open ∨ alive }.
-  std::vector<uint32_t> Stack;
-  std::vector<bool> NotDead(Verts.size(), false);
-  for (uint32_t V = 0; V != Verts.size(); ++V) {
-    if (!Verts[V].Closed || Verts[V].Alive) {
-      NotDead[V] = true;
-      Stack.push_back(V);
-    }
-  }
-  while (!Stack.empty()) {
-    uint32_t Cur = Stack.back();
-    Stack.pop_back();
-    for (uint32_t P : Verts[Cur].Pred) {
-      if (NotDead[P])
-        continue;
-      NotDead[P] = true;
-      Stack.push_back(P);
-    }
-  }
-  for (uint32_t V = 0; V != Verts.size(); ++V) {
-    assert((!Verts[V].DeadLazy || !NotDead[V]) && "dead vertices stay dead");
-    Verts[V].DeadLazy = !NotDead[V];
   }
 }

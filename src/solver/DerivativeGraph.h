@@ -10,17 +10,15 @@
 ///   Dead  = { v : E*(v) ⊆ C \ Alive }      (fully explored, never final)
 ///
 /// Alive is propagated eagerly backwards over reverse edges whenever a final
-/// vertex or an edge into an alive vertex appears. For Dead two detection
-/// modes are provided:
-///
-///  - `IncrementalScc` (default, the paper's implementation strategy): a
-///    Union-Find SCC condensation with incremental cycle detection; adding
-///    a batch of edges merges the components it cyclizes, and deadness is
-///    propagated recursively over the condensation (see SccIndex).
-///  - `LazyReverse` (reference implementation): v is *not* dead iff some
-///    vertex in E*(v) is open or alive, so Dead is the complement of
-///    reverse reachability from the open-or-alive set, recomputed lazily
-///    when the graph changed. Tests cross-check the two modes.
+/// vertex or an edge into an alive vertex appears. Dead is settled in
+/// batches: close() queues the vertex, and settleDead() decides, in one
+/// linear pass over the closed vertices that reach a queued one, which of
+/// them can no longer reach an open or alive vertex. isDead() answers as
+/// of the last settle. dZ3 must keep Dead exact after every upd because
+/// Z3's core interleaves case splits with the bot rule; a solver that owns
+/// its whole exploration only needs the set where it applies it, so
+/// RegexSolver settles once when a query returns (and after each
+/// caseSplit).
 ///
 /// G is deliberately independent of any logical scope: deadness of a regex
 /// does not depend on side constraints, so one graph can serve every query
@@ -32,7 +30,6 @@
 #define SBD_SOLVER_DERIVATIVEGRAPH_H
 
 #include "re/Regex.h"
-#include "solver/SccIndex.h"
 #include "support/InternTable.h"
 
 #include <cstdint>
@@ -40,18 +37,10 @@
 
 namespace sbd {
 
-/// Strategy for maintaining the Dead set.
-enum class DeadDetection : uint8_t {
-  IncrementalScc, ///< union-find SCCs + incremental propagation (paper)
-  LazyReverse,    ///< lazy reverse-reachability recomputation (reference)
-};
-
 /// The persistent reachability graph over derivative regexes.
 class DerivativeGraph {
 public:
-  explicit DerivativeGraph(RegexManager &Mgr,
-                           DeadDetection Detect = DeadDetection::IncrementalScc)
-      : M(Mgr), Mode(Detect) {}
+  explicit DerivativeGraph(RegexManager &Mgr) : M(Mgr) {}
 
   /// Interns \p R as a vertex (no-op if present); returns its index.
   uint32_t addVertex(Re R);
@@ -60,7 +49,8 @@ public:
   bool hasVertex(Re R) const { return Index.find(R.Id) != nullptr; }
 
   /// The Upd rule (Fig. 3b): records all derivative targets of \p R and
-  /// marks it closed. No effect if R is already closed.
+  /// marks it closed. No effect if R is already closed. The new facts
+  /// reach isDead() at the next settleDead().
   void close(Re R, const std::vector<Re> &Targets);
 
   /// close() plus the dense successor row: records, alongside the edges,
@@ -83,26 +73,30 @@ public:
   /// SBD_AUDIT row checker detects corruption. No-op when out of range.
   void corruptArcRowForTest(Re R, size_t Idx, uint32_t Value);
 
+  /// Brings Dead up to date with every vertex closed since the last
+  /// settle. Only closed vertices that reach one of those can have died,
+  /// so the pass costs O(those vertices + their edges).
+  void settleDead();
+
   /// Is the vertex closed (fully expanded)?
   bool isClosed(Re R) const;
   /// ν(R) — final vertex?
   bool isFinal(Re R) const;
   /// Can R reach a final vertex through recorded edges?
-  bool isAlive(Re R);
-  /// Is R a proven dead end (bot rule precondition)?
-  bool isDead(Re R);
+  bool isAlive(Re R) const;
+  /// Was R a proven dead end (bot rule precondition) at the last settle?
+  bool isDead(Re R) const;
 
   /// Successor regexes of a closed/partially closed vertex.
   std::vector<Re> successors(Re R) const;
 
   size_t numVertices() const { return Verts.size(); }
   size_t numEdges() const { return NumEdges; }
-  DeadDetection mode() const { return Mode; }
 
-  /// Drops every vertex, edge, row, and SCC record, returning the graph to
-  /// its freshly constructed state (same manager, same mode). Deterministic
-  /// re-entry point for the differential oracle: solving the same regex
-  /// after clear() explores exactly the states a fresh solver would.
+  /// Drops every vertex, edge and row, returning the graph to its freshly
+  /// constructed state (same manager). Deterministic re-entry point for
+  /// the differential oracle: solving the same regex after clear()
+  /// explores exactly the states a fresh solver would.
   void clear();
 
 private:
@@ -111,8 +105,12 @@ private:
     bool Final = false;
     bool Closed = false;
     bool Alive = false;
-    bool DeadLazy = false;
+    bool Dead = false;
     bool HasRow = false;
+    /// settleDead scratch: a candidate of settle number Stamp that reaches
+    /// an open or alive vertex.
+    bool Escapes = false;
+    uint32_t Stamp = 0;
     std::vector<uint32_t> Succ;
     std::vector<uint32_t> Pred;
     /// Flattened (witness char, target Re.Id) pairs (see closeWithRow).
@@ -120,15 +118,14 @@ private:
   };
 
   void markAlive(uint32_t V);
-  void recomputeDeadLazy();
 
   RegexManager &M;
-  DeadDetection Mode;
   std::vector<Vertex> Verts;
   FlatMap64 Index; // Re.Id -> vertex index
-  SccIndex Scc;
   size_t NumEdges = 0;
-  bool DeadDirty = false;
+  std::vector<uint32_t> Pending; // closed since the last settle
+  uint32_t Epoch = 0;            // settles so far; candidate stamps
+  std::vector<uint32_t> Cands, Escaping; // settleDead scratch
 };
 
 } // namespace sbd

@@ -1,4 +1,5 @@
 //===- solver/RegexSolver.cpp - Decision procedure (Section 5) --------------===//
+// sbd-lint: hot-path
 
 #include "solver/RegexSolver.h"
 
@@ -10,8 +11,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
 using namespace sbd;
 
@@ -19,7 +18,8 @@ namespace {
 
 /// Per-query BFS bookkeeping: how a regex vertex was first reached.
 struct Reached {
-  Re Parent;
+  Re R;
+  uint32_t Parent; ///< index of the parent's entry
   uint32_t Ch;
   uint32_t Depth;
 };
@@ -75,8 +75,10 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   obs::FrontierTrace Frontier;
 #endif
 
-  /// Fills Result.Stats/TimeUs; every return path goes through here.
+  /// Settles Dead and fills Result.Stats/TimeUs; every return path goes
+  /// through here, so the next query's bot rule sees this one's dead ends.
   auto finalize = [&] {
+    Graph.settleDead();
     Result.TimeUs = Timer.elapsedUs();
     SolveStats &St = Result.Stats;
     St.TotalUs = Result.TimeUs;
@@ -162,43 +164,48 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   };
 
   // Breadth-first unfolding of the der/ite/or/ere rules. Each queue entry is
-  // a regex goal for some suffix s_k.. of the string; depth = k.
-  std::deque<Re> Queue;
-  std::unordered_map<uint32_t, Reached> Visited; // Re.Id -> how reached
+  // a regex goal for some suffix s_k.. of the string; depth = k. Queue
+  // entries index Reach; BFS pops at QueueHead, DFS at the back.
+  std::vector<Reached> Reach; // in first-reached order
+  FlatMap64 Visited;          // Re.Id -> index into Reach
+  std::vector<uint32_t> Queue;
+  size_t QueueHead = 0;
 
-  auto finishSat = [&](Re Final) {
+  /// Records the first arrival at \p Next; returns its Reach index.
+  auto reach = [&](Re Next, uint32_t Parent, uint32_t Ch, uint32_t Depth) {
+    const uint32_t Idx = static_cast<uint32_t>(Reach.size());
+    Visited.insert(Next.Id, Idx);
+    Reach.push_back(Reached{Next, Parent, Ch, Depth});
+    return Idx;
+  };
+
+  auto finishSat = [&](uint32_t Final) {
     // Reconstruct the witness by walking parents back to R.
     std::vector<uint32_t> Word;
-    Re Cur = Final;
-    while (true) {
-      const Reached &Info = Visited.at(Cur.Id);
-      if (Info.Depth == 0)
-        break; // reached the root goal
-      Word.push_back(Info.Ch);
-      Cur = Info.Parent;
-    }
+    for (uint32_t Cur = Final; Reach[Cur].Depth != 0; Cur = Reach[Cur].Parent)
+      Word.push_back(Reach[Cur].Ch);
     std::reverse(Word.begin(), Word.end());
     Result.Status = SolveStatus::Sat;
     Result.Witness = std::move(Word);
-    Result.StatesExplored = Visited.size();
+    Result.StatesExplored = Reach.size();
     finalize();
     return Result;
   };
 
   Graph.addVertex(R);
-  Visited.emplace(R.Id, Reached{R, 0, 0});
+  reach(R, 0, 0, 0);
 
   // der rule, ε case: |s| = 0 ∧ ν(r).
   if (M.nullable(R))
-    return finishSat(R);
+    return finishSat(0);
   if (Graph.isDead(R)) {
     // bot rule: r was already proven a dead end by an earlier query.
     Result.Status = SolveStatus::Unsat;
-    Result.StatesExplored = Visited.size();
+    Result.StatesExplored = Reach.size();
     finalize();
     return Result;
   }
-  Queue.push_back(R);
+  Queue.push_back(0);
 
   // Deadline discipline: the clock is read every (CheckMask+1) steps, and
   // the mask adapts — when the gap between two reads exceeds the target
@@ -229,15 +236,17 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   /// Arc-count threshold above which an expansion forces a clock check.
   constexpr size_t BigExpansion = 16;
 
-  while (!Queue.empty()) {
-    if (Queue.size() > PeakFrontier)
-      PeakFrontier = Queue.size();
+  const bool Dfs = Opts.Strategy == SearchStrategy::Dfs;
+  while (QueueHead != Queue.size()) {
+    const size_t Open = Queue.size() - QueueHead;
+    if (Open > PeakFrontier)
+      PeakFrontier = Open;
 #if SBD_OBS
     if (SlowArmed)
-      Frontier.push(Queue.size());
+      Frontier.push(Open);
 #endif
     // Budget checks (time checked adaptively to keep it off the hot path).
-    if (Opts.MaxStates && Visited.size() > Opts.MaxStates) {
+    if (Opts.MaxStates && Reach.size() > Opts.MaxStates) {
       Result.Status = SolveStatus::Unknown;
       Result.Stop = StopReason::StateBudget;
       Result.Note = "state budget exhausted";
@@ -250,13 +259,15 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
       break;
     }
 
-    bool Dfs = Opts.Strategy == SearchStrategy::Dfs;
-    Re Cur = Dfs ? Queue.back() : Queue.front();
-    if (Dfs)
+    uint32_t CurIdx;
+    if (Dfs) {
+      CurIdx = Queue.back();
       Queue.pop_back();
-    else
-      Queue.pop_front();
-    uint32_t Depth = Visited.at(Cur.Id).Depth;
+    } else {
+      CurIdx = Queue[QueueHead++];
+    }
+    const Re Cur = Reach[CurIdx].R;
+    const uint32_t Depth = Reach[CurIdx].Depth;
 
     // Replay fast path: an earlier query already expanded Cur and recorded
     // its dense successor row (witness char, target Re.Id pairs). Replaying
@@ -273,16 +284,16 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
       for (size_t I = 0; I < Row->size(); I += 2) {
         uint32_t Ch = (*Row)[I];
         Re Next{(*Row)[I + 1]};
-        if (Visited.count(Next.Id))
+        if (Visited.find(Next.Id))
           continue;
-        Visited.emplace(Next.Id, Reached{Cur, Ch, Depth + 1});
+        const uint32_t NextIdx = reach(Next, CurIdx, Ch, Depth + 1);
         if (M.nullable(Next)) {
           SBD_OBS_ADD(CacheProbeTimeUs, ProbeTimer.elapsedUs());
-          return finishSat(Next);
+          return finishSat(NextIdx);
         }
         if (Graph.isDead(Next))
           continue; // bot rule
-        Queue.push_back(Next);
+        Queue.push_back(NextIdx);
       }
       SBD_OBS_ADD(CacheProbeTimeUs, ProbeTimer.elapsedUs());
       continue;
@@ -337,7 +348,7 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
 
     for (size_t I = 0; I != Targets.size(); ++I) {
       Re Next = Targets[I];
-      if (Visited.count(Next.Id))
+      if (Visited.find(Next.Id))
         continue;
       // ite rule: the branch guard must be satisfiable — arcs() guarantees
       // it; pick a concrete representative for the witness.
@@ -349,18 +360,18 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
         assert(Sampled && "arcs must carry satisfiable guards");
         Ch = *Sampled;
       }
-      Visited.emplace(Next.Id, Reached{Cur, Ch, Depth + 1});
+      const uint32_t NextIdx = reach(Next, CurIdx, Ch, Depth + 1);
       // ere rule: in(s_{k+1}.., Next); ε sub-case checked on dequeue.
       if (M.nullable(Next))
-        return finishSat(Next);
+        return finishSat(NextIdx);
       if (Graph.isDead(Next))
         continue; // bot rule
-      Queue.push_back(Next);
+      Queue.push_back(NextIdx);
     }
   }
 
   if (Result.Status == SolveStatus::Unknown && !Result.Note.empty()) {
-    Result.StatesExplored = Visited.size();
+    Result.StatesExplored = Reach.size();
     finalize();
     return Result;
   }
@@ -368,7 +379,7 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   // The whole reachable component is closed and contains no final vertex:
   // R is a dead end, hence unsatisfiable (Theorem 5.2).
   Result.Status = SolveStatus::Unsat;
-  Result.StatesExplored = Visited.size();
+  Result.StatesExplored = Reach.size();
   finalize();
   assert(Graph.isDead(R) && "exhausted exploration must prove deadness");
   return Result;
@@ -406,6 +417,7 @@ RegexSolver::CaseSplit RegexSolver::caseSplit(Re R) {
     Targets.push_back(A.Target);
   Graph.addVertex(R);
   Graph.close(R, Targets);
+  Graph.settleDead();
   return Out;
 }
 

@@ -38,13 +38,14 @@ struct MembershipLiteral {
 /// The derivative-based regex satisfiability solver.
 class RegexSolver {
 public:
-  explicit RegexSolver(DerivativeEngine &Eng,
-                       DeadDetection Mode = DeadDetection::IncrementalScc)
+  explicit RegexSolver(DerivativeEngine &Eng)
       : Engine(Eng), M(Eng.regexManager()), T(Eng.trManager()),
-        Graph(Eng.regexManager(), Mode) {}
+        Graph(Eng.regexManager()) {}
 
   /// Decides satisfiability of in(s, R) for an uninterpreted s: is L(R)
-  /// nonempty? Returns a shortest witness on Sat.
+  /// nonempty? Returns a shortest witness on Sat. Every return settles the
+  /// graph's Dead set (DerivativeGraph::settleDead), so a later query's bot
+  /// rule starts from every dead end this one proved.
   SolveResult checkSat(Re R, const SolveOptions &Opts = {});
 
   /// Decides a conjunction of membership literals on the same string by
@@ -68,8 +69,10 @@ public:
   /// One application of the der/ite/or rules of Fig. 3a, for embedding the
   /// procedure into an external DPLL(T)-style loop: in(s, R) is equivalent
   /// to (|s| = 0 ∧ EmptyCase) ∨ ⋁_arcs (Arc.Guard(s₀) ∧ in(s₁.., Arc.Target)).
-  /// The persistent graph is updated (upd rule) as a side effect, so a
-  /// caller can consult graph().isDead(...) to apply the bot rule.
+  /// The persistent graph is updated (upd rule) and its Dead set settled as
+  /// a side effect, so a caller can consult graph().isDead(...) on any
+  /// target right away to apply the bot rule, as an SMT core would between
+  /// splits.
   struct CaseSplit {
     bool EmptyCase;          ///< ν(R): the |s| = 0 disjunct is viable
     std::vector<TrArc> Arcs; ///< the |s| > 0 disjuncts (satisfiable guards)
@@ -93,6 +96,8 @@ public:
   bool matchesWord(Re R, const std::vector<uint32_t> &Word);
 
   /// The persistent graph (shared across queries; exposes Dead/Alive).
+  /// isDead answers as of the last settle: the end of the last checkSat or
+  /// caseSplit.
   DerivativeGraph &graph() { return Graph; }
 
   /// Clears the persistent graph, making the next query behave exactly as

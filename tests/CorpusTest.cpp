@@ -70,4 +70,38 @@ TEST_F(CorpusTest, GeneratedSuitesRoundTrip) {
     roundTrip(Suite);
 }
 
+TEST_F(CorpusTest, WarmGraphAnswersLikeAResetGraph) {
+  // Dead ends settled at the end of one query feed the next query's bot
+  // rule. That may shrink an exploration but never change its answer: each
+  // query solved back to back on one graph must give the verdict and
+  // witness it gives after resetGraph() (same arena).
+  std::vector<Re> Queries;
+  auto add = [&](const std::vector<BenchSuite> &Suites) {
+    for (const BenchSuite &Suite : Suites)
+      for (const BenchInstance &Inst : Suite.Instances)
+        Queries.push_back(parseRegexOrDie(M, Inst.Pattern));
+  };
+  add(nonBooleanSuites(0.25, 7));
+  add(booleanSuites(0.25, 7));
+  add(handwrittenSuites());
+  ASSERT_GE(Queries.size(), 2000u);
+
+  SolveOptions Opts;
+  Opts.MaxStates = 20000;
+  std::vector<SolveResult> Warm;
+  for (Re Q : Queries)
+    Warm.push_back(Solver.checkSat(Q, Opts));
+  size_t Pruned = 0;
+  for (size_t I = 0; I != Queries.size(); ++I) {
+    Solver.resetGraph();
+    SolveResult Cold = Solver.checkSat(Queries[I], Opts);
+    ASSERT_EQ(Warm[I].Status, Cold.Status) << M.toString(Queries[I]);
+    EXPECT_EQ(Warm[I].Witness, Cold.Witness) << M.toString(Queries[I]);
+    EXPECT_LE(Warm[I].StatesExplored, Cold.StatesExplored)
+        << M.toString(Queries[I]);
+    Pruned += Warm[I].StatesExplored < Cold.StatesExplored;
+  }
+  EXPECT_GT(Pruned, 0u); // the warm graph did prune
+}
+
 } // namespace

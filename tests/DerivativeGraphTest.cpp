@@ -1,8 +1,10 @@
-//===- tests/DerivativeGraphTest.cpp - Graph + SCC dead/alive tests ----------===//
+//===- tests/DerivativeGraphTest.cpp - Graph dead/alive tests ---------------===//
 
 #include "solver/DerivativeGraph.h"
 
 #include "support/Rng.h"
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,7 @@ TEST_F(GraphTest, OpenVerticesAreNeverDead) {
   DerivativeGraph G(M);
   Re A = F.plain(0);
   G.addVertex(A);
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A));
   EXPECT_FALSE(G.isClosed(A));
 }
@@ -48,6 +51,7 @@ TEST_F(GraphTest, FinalVerticesAreAlive) {
   EXPECT_TRUE(G.isAlive(A));
   EXPECT_TRUE(G.isFinal(A));
   G.close(A, {});
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A));
 }
 
@@ -55,6 +59,7 @@ TEST_F(GraphTest, ClosedSinkIsDead) {
   DerivativeGraph G(M);
   Re A = F.plain(0);
   G.close(A, {}); // no successors, not final
+  G.settleDead();
   EXPECT_TRUE(G.isDead(A));
 }
 
@@ -62,10 +67,13 @@ TEST_F(GraphTest, DeadPropagatesBackwards) {
   DerivativeGraph G(M);
   Re A = F.plain(0), B = F.plain(1), C = F.plain(2);
   G.close(A, {B});
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A)); // B still open
   G.close(B, {C});
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A));
   G.close(C, {});
+  G.settleDead();
   EXPECT_TRUE(G.isDead(C));
   EXPECT_TRUE(G.isDead(B));
   EXPECT_TRUE(G.isDead(A));
@@ -77,6 +85,7 @@ TEST_F(GraphTest, AliveBlocksDeath) {
   G.close(A, {B});
   G.close(B, {});
   EXPECT_TRUE(G.isAlive(A));
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A));
   EXPECT_FALSE(G.isDead(B));
 }
@@ -87,8 +96,10 @@ TEST_F(GraphTest, CycleOfClosedVerticesIsDead) {
   // A → B → C → A, all closed, none final: the whole SCC is dead.
   G.close(A, {B});
   G.close(B, {C});
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A));
   G.close(C, {A});
+  G.settleDead();
   EXPECT_TRUE(G.isDead(A));
   EXPECT_TRUE(G.isDead(B));
   EXPECT_TRUE(G.isDead(C));
@@ -99,8 +110,10 @@ TEST_F(GraphTest, CycleWithEscapeToOpenIsNotDead) {
   Re A = F.plain(0), B = F.plain(1), Exit = F.plain(9);
   G.close(A, {B});
   G.close(B, {A, Exit});
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A)); // Exit is still open
   G.close(Exit, {});
+  G.settleDead();
   EXPECT_TRUE(G.isDead(Exit));
   EXPECT_TRUE(G.isDead(A));
   EXPECT_TRUE(G.isDead(B));
@@ -114,6 +127,7 @@ TEST_F(GraphTest, CycleReachingFinalIsAlive) {
   G.close(Fin, {});
   EXPECT_TRUE(G.isAlive(A));
   EXPECT_TRUE(G.isAlive(B));
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A));
 }
 
@@ -121,6 +135,7 @@ TEST_F(GraphTest, SelfLoopDeadEnd) {
   DerivativeGraph G(M);
   Re A = F.plain(0);
   G.close(A, {A});
+  G.settleDead();
   EXPECT_TRUE(G.isDead(A));
 }
 
@@ -132,8 +147,10 @@ TEST_F(GraphTest, TwoNestedCyclesMerge) {
   G.close(A, {B});
   G.close(B, {C, D});
   G.close(C, {A});
+  G.settleDead();
   EXPECT_FALSE(G.isDead(A)); // D open
   G.close(D, {B});
+  G.settleDead();
   EXPECT_TRUE(G.isDead(A));
   EXPECT_TRUE(G.isDead(D));
 }
@@ -148,9 +165,10 @@ TEST_F(GraphTest, UpdIsIdempotentOnClosedVertices) {
   EXPECT_EQ(G.successors(A).size(), 1u);
 }
 
-/// Randomized stress: the incremental SCC mode must agree with the lazy
-/// reverse-reachability reference on every prefix of a random build
-/// sequence.
+/// Randomized stress: after every settle, at random points of a random
+/// build sequence, the settled Dead set must equal the definition computed
+/// from scratch: v is dead iff everything reachable from v (v included) is
+/// closed and non-final. Between settles isDead keeps its settled answers.
 class GraphAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GraphAgreementTest, IncrementalAgreesWithLazyReference) {
@@ -164,36 +182,81 @@ TEST_P(GraphAgreementTest, IncrementalAgreesWithLazyReference) {
     // ~20% of vertices are final.
     Handles.push_back(Rand.chance(1, 5) ? F.final(I) : F.plain(I));
   }
+  auto indexOf = [&](Re R) {
+    return static_cast<uint32_t>(
+        std::find(Handles.begin(), Handles.end(), R) - Handles.begin());
+  };
 
-  DerivativeGraph Inc(M, DeadDetection::IncrementalScc);
-  DerivativeGraph Lazy(M, DeadDetection::LazyReverse);
+  // Brute-force oracle: forward reachability over recorded edges.
+  DerivativeGraph G(M);
+  auto reachable = [&](uint32_t From) {
+    std::vector<bool> Seen(NumVerts, false);
+    std::vector<uint32_t> Stack = {From};
+    Seen[From] = true;
+    while (!Stack.empty()) {
+      uint32_t Cur = Stack.back();
+      Stack.pop_back();
+      for (Re Succ : G.successors(Handles[Cur])) {
+        uint32_t W = indexOf(Succ);
+        if (!Seen[W]) {
+          Seen[W] = true;
+          Stack.push_back(W);
+        }
+      }
+    }
+    return Seen;
+  };
+  auto oracleDead = [&](uint32_t V) {
+    std::vector<bool> Seen = reachable(V);
+    for (uint32_t U = 0; U != NumVerts; ++U)
+      if (Seen[U] && (!G.isClosed(Handles[U]) || G.isFinal(Handles[U])))
+        return false;
+    return true;
+  };
+  auto oracleAlive = [&](uint32_t V) {
+    std::vector<bool> Seen = reachable(V);
+    for (uint32_t U = 0; U != NumVerts; ++U)
+      if (Seen[U] && G.isFinal(Handles[U]))
+        return true;
+    return false;
+  };
 
-  // Close vertices in random order with random successor sets; after each
-  // step, all three derived predicates must agree on every vertex.
+  // Close vertices in random order with random successor sets, settling
+  // after about a third of the steps and after the last one.
   std::vector<uint32_t> Order(NumVerts);
   for (uint32_t I = 0; I != NumVerts; ++I)
     Order[I] = I;
   for (uint32_t I = NumVerts; I > 1; --I)
     std::swap(Order[I - 1], Order[Rand.below(I)]);
 
+  std::vector<bool> Settled(NumVerts, false); // isDead at the last settle
   for (uint32_t Step = 0; Step != NumVerts; ++Step) {
     uint32_t V = Order[Step];
     std::vector<Re> Targets;
     size_t Fanout = Rand.below(4);
     for (size_t T = 0; T != Fanout; ++T)
       Targets.push_back(Handles[Rand.below(NumVerts)]);
-    Inc.close(Handles[V], Targets);
-    Lazy.close(Handles[V], Targets);
+    G.close(Handles[V], Targets);
 
+    const bool Settle = Step + 1 == NumVerts || Rand.chance(1, 3);
+    if (Settle)
+      G.settleDead();
     for (uint32_t U = 0; U != NumVerts; ++U) {
-      if (!Inc.hasVertex(Handles[U]))
+      if (!G.hasVertex(Handles[U]))
         continue;
-      ASSERT_EQ(Lazy.hasVertex(Handles[U]), true);
-      EXPECT_EQ(Inc.isDead(Handles[U]), Lazy.isDead(Handles[U]))
-          << "dead disagreement at step " << Step << " vertex " << U
+      EXPECT_EQ(G.isAlive(Handles[U]), oracleAlive(U))
+          << "alive disagreement at step " << Step << " vertex " << U
           << " seed " << GetParam();
-      EXPECT_EQ(Inc.isAlive(Handles[U]), Lazy.isAlive(Handles[U]));
-      EXPECT_EQ(Inc.isClosed(Handles[U]), Lazy.isClosed(Handles[U]));
+      if (Settle) {
+        Settled[U] = oracleDead(U);
+        EXPECT_EQ(G.isDead(Handles[U]), Settled[U])
+            << "dead disagreement at step " << Step << " vertex " << U
+            << " seed " << GetParam();
+      } else {
+        EXPECT_EQ(G.isDead(Handles[U]), Settled[U])
+            << "isDead changed between settles at step " << Step
+            << " vertex " << U << " seed " << GetParam();
+      }
     }
   }
 }

@@ -177,6 +177,32 @@ TEST_F(SolverTest, GraphDeadStatePersistsAcrossQueries) {
   EXPECT_TRUE(R.isUnsat());
 }
 
+TEST_F(SolverTest, SatQueryLeavesItsExploredDeadSideComponentDead) {
+  // BFS to the depth-10 witness closes every state of the empty side
+  // branch x·Side (a cyclic component: the window shifts on every
+  // character), so the query returns with Side proven dead.
+  Re Side = re(".*a.{3}&.*b.{3}");
+  SolveResult R = sat(re("x(.*a.{3}&.*b.{3})|y{10}"));
+  ASSERT_TRUE(R.isSat());
+  EXPECT_EQ(R.Witness, std::vector<uint32_t>(10, 'y'));
+  ASSERT_TRUE(S.graph().isClosed(Side));
+  EXPECT_TRUE(S.graph().isDead(Side));
+}
+
+TEST_F(SolverTest, LaterQueryPrunesWhatAnEarlierUnsatQueryProvedDead) {
+  Re Side = re(".*a.{3}&.*b.{3}");
+  Re Query = re("x(.*a.{3}&.*b.{3})|y{10}");
+  ASSERT_TRUE(S.checkSat(Side).isUnsat());
+  ASSERT_TRUE(S.graph().isDead(Side));
+  SolveResult Warm = sat(Query);
+  S.resetGraph();
+  SolveResult Cold = sat(Query);
+  ASSERT_TRUE(Cold.isSat());
+  EXPECT_EQ(Warm.Status, Cold.Status);
+  EXPECT_EQ(Warm.Witness, Cold.Witness);
+  EXPECT_LT(Warm.StatesExplored, Cold.StatesExplored);
+}
+
 TEST_F(SolverTest, DfsStrategyAgreesWithBfs) {
   SolveOptions Dfs;
   Dfs.Strategy = SearchStrategy::Dfs;
