@@ -60,8 +60,8 @@ GroupStats runGroup(const std::vector<BenchSuite> &Suites,
   BatchOptions BatchOpts;
   BatchOpts.NumThreads = Threads;
   // Keep arenas (and the persistent derivative graph) warm across the
-  // group's queries: repeated vertices replay their recorded dense
-  // successor rows (dense_row_hits) instead of re-expanding δdnf.
+  // group's queries: repeated vertices reuse their memoized δdnf and the
+  // dead-state facts of earlier queries.
   BatchOpts.ReuseArenas = true;
   BatchSolver Batch(BatchOpts);
   std::vector<BatchResult> Direct = Batch.solveAll(Queries);

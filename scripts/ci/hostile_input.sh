@@ -14,7 +14,11 @@
 #   - a 20-digit numeral (past int64) and (push 1000000000000), through
 #     sbd-server: a parse error and a depth-cap error, not an abort;
 #   - ((_ re.loop 100000 100000) (str.to_re "a")), through sbd-server, which
-#     must answer sat, and a{1000000} through sbd-analyze.
+#     must answer sat, and a{1000000} through sbd-analyze;
+#   - a union of 20,000 alternatives (x0|x1|...|x19999), through sbd-analyze
+#     --file, which must finish within UNION_BOUND_MS: the parser builds
+#     the union in one n-ary step (~150 ms under ASan), while interning
+#     every partial union is quadratic (~3 s in a default build).
 #
 # Gates (all hard failures):
 #   - every process exits below 128, i.e. not by a signal. Sanitizer
@@ -25,6 +29,7 @@
 #   - sbd-server answers sat on the wide literal and the 100,000-loop.
 #
 # Usage: hostile_input.sh <build-dir>    (CI runs it on build-asan)
+UNION_BOUND_MS=2000
 . "$(dirname "$0")/common.sh"
 
 require python3 "generates the deep inputs"
@@ -71,6 +76,8 @@ with open(f"{work}/wide_loop.smt2", "w") as f:
             '(assert (str.in_re s ((_ re.loop 100000 100000) (str.to_re "a"))))\n'
             "(check-sat)\n"
             '(echo "alive")\n')
+with open(f"{work}/wide_union.txt", "w") as f:
+    f.write("(" + "|".join(f"x{i}" for i in range(20000)) + ")\n")
 with open(f"{work}/truncated.smt2", "w") as f:
     f.write("(declare-const s String)\n"
             '(echo "alive")\n'
@@ -121,6 +128,19 @@ check "sbd-server <(push 1000000000000)>" $? "$WORK/out10" '"alive"'
 check "sbd-server <100,000-iteration loop>" $? "$WORK/out11" sat '"alive"'
 "$ANALYZE" 'a{1000000}' > "$WORK/out12" 2>&1
 check "sbd-analyze <a{1000000}>" $? "$WORK/out12"
+START_NS=$(date +%s%N)
+"$ANALYZE" --file "$WORK/wide_union.txt" > "$WORK/out13" 2>&1
+RC=$?
+UNION_MS=$((($(date +%s%N) - START_NS) / 1000000))
+check "sbd-analyze --file <20,000-alternative union>" $RC "$WORK/out13"
+if [ "$UNION_MS" -gt "$UNION_BOUND_MS" ]; then
+  echo "FAIL: the 20,000-alternative union took ${UNION_MS} ms" \
+    "(bound ${UNION_BOUND_MS} ms)"
+  FAILED=1
+else
+  echo "ok: the 20,000-alternative union took ${UNION_MS} ms" \
+    "(bound ${UNION_BOUND_MS} ms)"
+fi
 set -e
 
 if [ "$FAILED" -ne 0 ]; then

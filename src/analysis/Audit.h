@@ -89,8 +89,8 @@ enum class ViolationKind : uint8_t {
   TrUnsatIteGuard,   ///< ite guard unsatisfiable (⊥) — breaks the ite rule
   TrNotDnf,          ///< Inter node inside a claimed-DNF transition regex
   TrUnsatBranch,     ///< DNF path condition unsatisfiable (branch not clean)
-  // --- Compressed exploration (PR 4: dense rows over minterm ids) ----------
-  DfaRowMismatch,    ///< dense successor row disagrees with uncompressed δdnf
+  // --- Lazy DFA (CachedMatcher rows over minterm ids) ----------------------
+  DfaRowMismatch,    ///< lazy-DFA row entry disagrees with uncompressed δdnf
 
   NumKinds ///< sentinel — keep last
 };
@@ -655,53 +655,6 @@ inline void checkDnf(const TrManager &T, Tr X, Report &Out) {
   Walker{T, Out}.walk(X, CharSet::full());
 }
 
-/// --- Compressed exploration: dense successor rows (PR 4) ------------------
-
-/// Validates a recorded dense successor row (flattened (witness char,
-/// target Re.Id) pairs — see DerivativeGraph::closeWithRow) against a fresh
-/// uncompressed arc extraction of \p Dnf. Order-insensitive: the recording
-/// expansion may have sorted its arcs (PreferSimplerArcs). A row is
-/// consistent iff it has exactly one pair per arc, every pair is justified
-/// by an arc whose guard contains the witness and whose target matches, and
-/// every arc target occurs in the row.
-inline void checkDenseRow(const TrManager &T, Tr Dnf,
-                          const std::vector<uint32_t> &Row, uint32_t NodeId,
-                          Report &Out) {
-  std::vector<TrArc> Arcs = T.arcs(Dnf);
-  Out.noteChecked(Arcs.size() ? Arcs.size() : 1);
-  if (Row.size() != Arcs.size() * 2) {
-    Out.add(ViolationKind::DfaRowMismatch, NodeId,
-            "row has " + std::to_string(Row.size() / 2) + " pairs, δdnf has " +
-                std::to_string(Arcs.size()) + " arcs");
-    return;
-  }
-  for (size_t I = 0; I < Row.size(); I += 2) {
-    uint32_t Ch = Row[I], Tgt = Row[I + 1];
-    bool Justified = false;
-    for (const TrArc &A : Arcs)
-      if (A.Target.Id == Tgt && A.Guard.contains(Ch)) {
-        Justified = true;
-        break;
-      }
-    if (!Justified)
-      Out.add(ViolationKind::DfaRowMismatch, NodeId,
-              "row pair (" + std::to_string(Ch) + ", " +
-                  std::to_string(Tgt) + ") matches no δdnf arc");
-  }
-  for (const TrArc &A : Arcs) {
-    bool Present = false;
-    for (size_t I = 1; I < Row.size(); I += 2)
-      if (Row[I] == A.Target.Id) {
-        Present = true;
-        break;
-      }
-    if (!Present)
-      Out.add(ViolationKind::DfaRowMismatch, NodeId,
-              "δdnf arc target " + std::to_string(A.Target.Id) +
-                  " missing from row");
-  }
-}
-
 /// --- Arena walkers (Audit.cpp, libsbd_analysis) ---------------------------
 
 /// Full audit of a regex arena: every node through checkReNode plus the
@@ -753,15 +706,6 @@ inline void hookDnfResult(const TrManager &T, Tr X) {
   Report Out;
   checkDnf(T, X, Out);
   publish(Out, "dnf");
-}
-
-/// Replay-time hook: validates a dense row against re-deriving through the
-/// uncompressed δdnf before the solver replays it.
-inline void hookDenseRow(const TrManager &T, Tr Dnf,
-                         const std::vector<uint32_t> &Row, uint32_t NodeId) {
-  Report Out;
-  checkDenseRow(T, Dnf, Row, NodeId, Out);
-  publish(Out, "dense row");
 }
 
 /// checkSat-exit hook: full audit of both arenas (defined in Audit.cpp).

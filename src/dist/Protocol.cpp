@@ -119,8 +119,6 @@ void dist::encodeRequest(std::vector<uint8_t> &Out, const WireRequest &Req) {
   putI64(P, Req.Opts.TimeoutMs);
   putU64(P, Req.Opts.MaxStates);
   putU8(P, static_cast<uint8_t>(Req.Opts.Strategy));
-  putU8(P, static_cast<uint8_t>((Req.Opts.PreferSimplerArcs ? 1 : 0) |
-                                (Req.Opts.EagerRowRecording ? 2 : 0)));
   appendFrame(Out, FrameType::Request, P.data(), P.size());
 }
 
@@ -133,12 +131,9 @@ dist::decodeRequest(const std::vector<uint8_t> &Payload) {
   Req.Opts.TimeoutMs = C.i64();
   Req.Opts.MaxStates = static_cast<size_t>(C.u64());
   uint8_t Strat = C.u8();
-  uint8_t Flags = C.u8();
   if (!C.done() || Strat > static_cast<uint8_t>(SearchStrategy::Dfs))
     return std::nullopt;
   Req.Opts.Strategy = static_cast<SearchStrategy>(Strat);
-  Req.Opts.PreferSimplerArcs = (Flags & 1) != 0;
-  Req.Opts.EagerRowRecording = (Flags & 2) != 0;
   return Req;
 }
 

@@ -82,7 +82,7 @@ int dist::runWorker(int InFd, int OutFd, const WorkerConfig &Config) {
         Q.Opts = Req->Opts;
         WireResponse Resp;
         Resp.Id = Req->Id;
-        Resp.Result = portfolio::solveOnStack(*W, Q, Config.ReuseArenas);
+        Resp.Result = portfolio::solveOnStack(*W, Q);
         Dirty = true;
         Out.clear();
         encodeResponse(Out, Resp);

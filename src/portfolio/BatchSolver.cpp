@@ -17,7 +17,7 @@ using namespace sbd;
 using portfolio::SolverStack;
 
 BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
-                                    bool LongLived) {
+                                    bool /*ignored*/) {
   BatchResult Out;
   obs::ScopedSpan Span("query", "batch");
   Span.arg("pattern", Q.Pattern);
@@ -35,10 +35,7 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
     return Out;
   }
   Out.ParseOk = true;
-  SolveOptions Opts = Q.Opts;
-  if (LongLived)
-    Opts.EagerRowRecording = true;
-  Out.Result = W.P.checkSat(Parsed.Value, Opts);
+  Out.Result = W.P.checkSat(Parsed.Value, Q.Opts);
   // Sat witnesses are re-validated by the classical derivative walk
   // (matchesWord, §8.1). This is a pure guard: verdicts and witnesses are
   // unchanged on the (only observed) passing path, and a divergence is
@@ -117,7 +114,7 @@ BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
         Local += W->stats();
         W = std::make_unique<SolverStack>();
       }
-      Results[I] = solveOnStack(*W, Queries[I], Opts.ReuseArenas);
+      Results[I] = solveOnStack(*W, Queries[I]);
       Dirty = true;
       // Safe point for SIGUSR1-driven exposition dumps (one relaxed load
       // when no dump is pending).

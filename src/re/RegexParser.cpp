@@ -71,17 +71,25 @@ private:
   }
 
   Re parseUnion() {
-    Re R = parseInter();
-    while (!Failed && consumeIf('|'))
-      R = M.union_(R, parseInter());
-    return R;
+    return parseOperands('|', &Parser::parseInter, &RegexManager::unionList);
   }
 
   Re parseInter() {
-    Re R = parseConcat();
-    while (!Failed && consumeIf('&'))
-      R = M.inter(R, parseConcat());
-    return R;
+    return parseOperands('&', &Parser::parseConcat, &RegexManager::interList);
+  }
+
+  /// Operand (Op Operand)*, built by one n-ary call: folding pairwise would
+  /// intern every partial result and cost quadratic time in the operands.
+  Re parseOperands(char Op, Re (Parser::*Operand)(),
+                   Re (RegexManager::*Build)(std::vector<Re>)) {
+    Re First = (this->*Operand)();
+    if (Failed || !consumeIf(Op))
+      return First;
+    std::vector<Re> Operands{First};
+    do
+      Operands.push_back((this->*Operand)());
+    while (!Failed && consumeIf(Op));
+    return (M.*Build)(std::move(Operands));
   }
 
   bool startsAtom() const {

@@ -50,34 +50,6 @@ void DerivativeGraph::close(Re R, const std::vector<Re> &Targets) {
   Pending.push_back(V);
 }
 
-void DerivativeGraph::closeWithRow(Re R, const std::vector<Re> &Targets,
-                                   const std::vector<uint32_t> &Chars) {
-  assert(Targets.size() == Chars.size() && "one witness char per arc");
-  close(R, Targets);
-  uint32_t V = *Index.find(R.Id); // close() interned the vertex
-  if (Verts[V].HasRow)
-    return;
-  Verts[V].ArcRow.reserve(Targets.size() * 2);
-  for (size_t I = 0; I != Targets.size(); ++I) {
-    Verts[V].ArcRow.push_back(Chars[I]);
-    Verts[V].ArcRow.push_back(Targets[I].Id);
-  }
-  Verts[V].HasRow = true;
-}
-
-const std::vector<uint32_t> *DerivativeGraph::arcRow(Re R) const {
-  const uint32_t *Hit = Index.find(R.Id);
-  if (!Hit || !Verts[*Hit].HasRow)
-    return nullptr;
-  return &Verts[*Hit].ArcRow;
-}
-
-void DerivativeGraph::corruptArcRowForTest(Re R, size_t Idx, uint32_t Value) {
-  const uint32_t *Hit = Index.find(R.Id);
-  if (Hit && Verts[*Hit].HasRow && Idx < Verts[*Hit].ArcRow.size())
-    Verts[*Hit].ArcRow[Idx] = Value;
-}
-
 void DerivativeGraph::settleDead() {
   if (Pending.empty())
     return;

@@ -119,7 +119,7 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
 #undef SBD_COPY_Copy
     // MintermUs is informational only: computeMinterms runs *inside* the
     // derive/DNF regions, so it is excluded from the residual.
-    int64_t Attributed = St.DeriveUs + St.DnfUs + St.CacheProbeUs;
+    int64_t Attributed = St.DeriveUs + St.DnfUs;
     St.SearchUs = St.TotalUs > Attributed ? St.TotalUs - Attributed : 0;
     // Fold this query's contribution into the process-wide registry under
     // the unified counter names.
@@ -269,36 +269,6 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
     const Re Cur = Reach[CurIdx].R;
     const uint32_t Depth = Reach[CurIdx].Depth;
 
-    // Replay fast path: an earlier query already expanded Cur and recorded
-    // its dense successor row (witness char, target Re.Id pairs). Replaying
-    // the row skips δdnf construction, arc extraction, sorting, and guard
-    // sampling entirely. Soundness: Q(δdnf) is deterministic per regex, the
-    // row stores every arc (no determinization — lazy alternation is
-    // preserved), and witnesses stay valid because guards are interned.
-    if (const std::vector<uint32_t> *Row = Graph.arcRow(Cur)) {
-      SBD_OBS_INC(DenseRowHits);
-#if SBD_OBS
-      Stopwatch ProbeTimer;
-#endif
-      SBD_AUDIT_DENSE_ROW(T, Engine.derivativeDnf(Cur), *Row, Cur.Id);
-      for (size_t I = 0; I < Row->size(); I += 2) {
-        uint32_t Ch = (*Row)[I];
-        Re Next{(*Row)[I + 1]};
-        if (Visited.find(Next.Id))
-          continue;
-        const uint32_t NextIdx = reach(Next, CurIdx, Ch, Depth + 1);
-        if (M.nullable(Next)) {
-          SBD_OBS_ADD(CacheProbeTimeUs, ProbeTimer.elapsedUs());
-          return finishSat(NextIdx);
-        }
-        if (Graph.isDead(Next))
-          continue; // bot rule
-        Queue.push_back(NextIdx);
-      }
-      SBD_OBS_ADD(CacheProbeTimeUs, ProbeTimer.elapsedUs());
-      continue;
-    }
-
     // der rule, |s| > 0 case: unfold δdnf(Cur) and upd the graph.
     Tr Dnf = Engine.derivativeDnf(Cur);
     std::vector<TrArc> Arcs = T.arcs(Dnf);
@@ -309,62 +279,24 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
       Result.Note = "timeout";
       break;
     }
-    if (Opts.PreferSimplerArcs) {
-      // DFS pops from the back, so order large-to-small to explore the
-      // syntactically smallest residue first; BFS gains the same bias in
-      // dequeue order by sorting small-to-large.
-      std::stable_sort(Arcs.begin(), Arcs.end(),
-                       [&](const TrArc &A, const TrArc &B) {
-                         uint32_t SA = M.node(A.Target).Size;
-                         uint32_t SB = M.node(B.Target).Size;
-                         return Dfs ? SA > SB : SA < SB;
-                       });
-    }
-    // Record the dense row when this is a *re*-expansion (the vertex was
-    // already closed by an earlier query or caseSplit): a vertex seen twice
-    // is likely to be seen again, and recording on the second pass keeps
-    // one-shot queries free of per-vertex row allocations. Long-lived
-    // stacks opt into first-expansion recording instead.
-    bool RecordRow = Opts.EagerRowRecording || Graph.isClosed(Cur);
     std::vector<Re> Targets;
-    std::vector<uint32_t> Chars;
     Targets.reserve(Arcs.size());
-    if (RecordRow)
-      Chars.reserve(Arcs.size());
-    for (const TrArc &A : Arcs) {
+    for (const TrArc &A : Arcs)
       Targets.push_back(A.Target);
-      if (RecordRow) {
-        // Witnesses for the whole row (not just unvisited arcs) so later
-        // queries can replay it verbatim.
-        auto Ch = A.Guard.sample();
-        assert(Ch && "arcs must carry satisfiable guards");
-        Chars.push_back(*Ch);
-      }
-    }
-    if (RecordRow)
-      Graph.closeWithRow(Cur, Targets, Chars);
-    else
-      Graph.close(Cur, Targets);
+    Graph.close(Cur, Targets);
 
-    for (size_t I = 0; I != Targets.size(); ++I) {
-      Re Next = Targets[I];
-      if (Visited.find(Next.Id))
+    for (const TrArc &A : Arcs) {
+      if (Visited.find(A.Target.Id))
         continue;
       // ite rule: the branch guard must be satisfiable — arcs() guarantees
       // it; pick a concrete representative for the witness.
-      uint32_t Ch;
-      if (RecordRow) {
-        Ch = Chars[I];
-      } else {
-        auto Sampled = Arcs[I].Guard.sample();
-        assert(Sampled && "arcs must carry satisfiable guards");
-        Ch = *Sampled;
-      }
-      const uint32_t NextIdx = reach(Next, CurIdx, Ch, Depth + 1);
+      auto Ch = A.Guard.sample();
+      assert(Ch && "arcs must carry satisfiable guards");
+      const uint32_t NextIdx = reach(A.Target, CurIdx, *Ch, Depth + 1);
       // ere rule: in(s_{k+1}.., Next); ε sub-case checked on dequeue.
-      if (M.nullable(Next))
+      if (M.nullable(A.Target))
         return finishSat(NextIdx);
-      if (Graph.isDead(Next))
+      if (Graph.isDead(A.Target))
         continue; // bot rule
       Queue.push_back(NextIdx);
     }

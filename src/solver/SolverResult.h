@@ -116,17 +116,6 @@ struct SolveOptions {
   size_t MaxStates = 0;
   /// Exploration order (derivative solver only).
   SearchStrategy Strategy = SearchStrategy::Bfs;
-  /// Heuristic (the paper's future-work direction): visit arcs whose
-  /// target regex is syntactically smaller first — small residues tend to
-  /// be closer to ε, steering DFS toward witnesses. Never affects the
-  /// verdict, only exploration order.
-  bool PreferSimplerArcs = false;
-  /// Record a vertex's dense successor row on its *first* expansion rather
-  /// than on re-expansion. Pays one row allocation per vertex up front, so
-  /// it only makes sense when the solver stack is long-lived and queries
-  /// share vertices (BatchSolver turns it on under ReuseArenas). Never
-  /// affects the verdict.
-  bool EagerRowRecording = false;
 };
 
 /// Every SolveStats field, declared once. The third column of each row is
@@ -171,13 +160,11 @@ struct SolveOptions {
   C(uint64_t, SolverSteps, "solver-steps", Set)                                \
   C(uint64_t, TimeoutChecks, "", Set)                                          \
   /* Phase times, microseconds. MintermUs overlaps DeriveUs/DnfUs; SearchUs */ \
-  /* is TotalUs minus DeriveUs, DnfUs and CacheProbeUs. */                     \
+  /* is TotalUs minus DeriveUs and DnfUs. */                                   \
   F(int64_t, ParseUs, "", "parse_us", Sum)                                     \
   T(int64_t, MintermUs, "minterm-time-us", "minterm_us", MintermTimeUs)        \
   T(int64_t, DeriveUs, "derive-time-us", "derive_us", DeriveTimeUs)            \
   T(int64_t, DnfUs, "dnf-time-us", "dnf_us", DnfTimeUs)                        \
-  T(int64_t, CacheProbeUs, "cache-probe-time-us", "cache_probe_us",            \
-    CacheProbeTimeUs)                                                          \
   T(int64_t, ScanUs, "scan-time-us", "scan_us", ScanTimeUs)                    \
   F(int64_t, SearchUs, "search-time-us", "search_us", Sum)                     \
   F(int64_t, TotalUs, "solve-time-us", "total_us", Sum)                        \

@@ -68,13 +68,13 @@ namespace obs {
   X(MintermComputations, "minterm_computations") /* computeMinterms() calls */ \
   X(MintermsProduced, "minterms_produced") /* minterms they returned */        \
   /* Alphabet compression + lazy-DFA layer (charset/AlphabetCompressor.h, */   \
-  /* core/CachedMatcher.h, solver dense rows). */                              \
+  /* core/CachedMatcher.h). */                                                 \
   X(AlphabetMinterms, "alphabet_minterms") /* minterm classes assigned */      \
   X(DfaStatesBuilt, "dfa_states_built") /* lazy-DFA rows filled */             \
   X(DfaEvictions, "dfa_evictions") /* lazy-DFA states evicted */               \
-  X(DenseRowHits, "dense_row_hits") /* expansions served by a dense row */     \
-  /* Nothing increments these two; bench/sbdbench/Paths.cpp reads them, so */ \
-  /* they stay until that benchmark's next change. */                          \
+  /* Nothing increments these three; bench/sbdbench/Paths.cpp reads them, */ \
+  /* so they stay until that benchmark's next change. */                       \
+  X(DenseRowHits, "dense_row_hits")                                            \
   X(CompiledPromotions, "compiled_promotions")                                 \
   X(CompiledCharsScanned, "compiled_chars_scanned")                            \
   /* Solver search loop. */                                                    \
@@ -125,7 +125,6 @@ namespace obs {
   X(MintermTimeUs, "minterm_time_us")                                          \
   X(DeriveTimeUs, "derive_time_us")                                            \
   X(DnfTimeUs, "dnf_time_us")                                                  \
-  X(CacheProbeTimeUs, "cache_probe_time_us")                                   \
   X(ScanTimeUs, "scan_time_us")                                                \
   X(SearchTimeUs, "search_time_us")                                            \
   X(SolveTimeUs, "solve_time_us")

@@ -24,8 +24,6 @@ WireRequest sampleRequest() {
   Req.Opts.TimeoutMs = 250;
   Req.Opts.MaxStates = 4096;
   Req.Opts.Strategy = SearchStrategy::Dfs;
-  Req.Opts.PreferSimplerArcs = true;
-  Req.Opts.EagerRowRecording = true;
   return Req;
 }
 
@@ -58,6 +56,10 @@ TEST(DistProtocolTest, RequestRoundTrip) {
   Frame F;
   ASSERT_TRUE(Reader.next(F));
   EXPECT_EQ(F.Type, FrameType::Request);
+  // id, pattern (u32 length + bytes), timeout, state budget, strategy: the
+  // strategy byte is the last one, with no flags byte after it.
+  EXPECT_EQ(F.Payload.size(), 8 + 4 + Req.Pattern.size() + 8 + 8 + 1);
+  EXPECT_EQ(F.Payload.back(), static_cast<uint8_t>(SearchStrategy::Dfs));
   std::optional<WireRequest> Back = decodeRequest(F.Payload);
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(Back->Id, Req.Id);
@@ -65,8 +67,6 @@ TEST(DistProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(Back->Opts.TimeoutMs, Req.Opts.TimeoutMs);
   EXPECT_EQ(Back->Opts.MaxStates, Req.Opts.MaxStates);
   EXPECT_EQ(Back->Opts.Strategy, Req.Opts.Strategy);
-  EXPECT_TRUE(Back->Opts.PreferSimplerArcs);
-  EXPECT_TRUE(Back->Opts.EagerRowRecording);
   EXPECT_TRUE(Reader.idle());
 }
 
@@ -218,13 +218,13 @@ TEST(DistProtocolTest, MalformedPayloadsDecodeToNullopt) {
   ASSERT_TRUE(decodeRequest(Payload).has_value());
   std::vector<uint8_t> Short(Payload.begin(), Payload.end() - 1);
   EXPECT_FALSE(decodeRequest(Short).has_value());
-  // Trailing garbage.
+  // Trailing garbage, e.g. the flags byte older encoders appended.
   std::vector<uint8_t> Long = Payload;
   Long.push_back(0);
   EXPECT_FALSE(decodeRequest(Long).has_value());
   // Out-of-range enum.
   std::vector<uint8_t> BadStrat = Payload;
-  BadStrat[BadStrat.size() - 2] = 0xEE; // Strategy byte
+  BadStrat.back() = 0xEE; // Strategy byte
   EXPECT_FALSE(decodeRequest(BadStrat).has_value());
 
   // Response with a witness count pointing past the payload.

@@ -87,8 +87,8 @@ TEST(MetricsTest, SolveStatsJsonParses) {
   EXPECT_EQ(R.Value.get("derive_us")->asNumber(), 42.0);
   for (const char *Key :
        {"engine", "dnf_calls", "memo_hits", "arena_nodes", "peak_frontier",
-        "parse_us", "minterm_us", "dnf_us", "cache_probe_us", "scan_us",
-        "search_us", "total_us"})
+        "parse_us", "minterm_us", "dnf_us", "scan_us", "search_us",
+        "total_us"})
     EXPECT_NE(R.Value.get(Key), nullptr) << Key;
   EXPECT_EQ(R.Value.get("engine")->asString(), "deriv_bfs");
 }
@@ -118,7 +118,6 @@ TEST(MetricsTest, SolveStatsJsonGolden) {
   St.MintermUs = 18;
   St.DeriveUs = 19;
   St.DnfUs = 20;
-  St.CacheProbeUs = 21;
   St.ScanUs = 22;
   St.SearchUs = 23;
   St.TotalUs = 24;
@@ -138,7 +137,7 @@ TEST(MetricsTest, SolveStatsJsonGolden) {
             "\"arena_nodes\": 13, \"peak_frontier\": 14, "
             "\"solver_steps\": 15, \"timeout_checks\": 16, "
             "\"parse_us\": 17, \"minterm_us\": 18, \"derive_us\": 19, "
-            "\"dnf_us\": 20, \"cache_probe_us\": 21, \"scan_us\": 22, "
+            "\"dnf_us\": 20, \"scan_us\": 22, "
             "\"search_us\": 23, \"total_us\": 24, "
             "\"predicted_class\": \"kleene_only\", \"risk_score\": 25, "
             "\"predicted_states\": 26, \"analysis_us\": 27, "

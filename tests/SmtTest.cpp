@@ -505,8 +505,8 @@ TEST_F(SmtTest, GetInfoStatistics) {
       "verdict-cache-misses", "verdict-cache-inserts",
       "verdict-cache-evictions", "minterm-time-us",
       "derive-time-us",       "dnf-time-us",
-      "cache-probe-time-us",  "scan-time-us",
-      "search-time-us",       "solve-time-us",
+      "scan-time-us",         "search-time-us",
+      "solve-time-us",
       "solve-latency-count",  "solve-latency-p50-us",
       "solve-latency-p90-us", "solve-latency-p99-us"};
   EXPECT_EQ(Keys, Expected);

@@ -128,9 +128,9 @@ void printPhaseProfile(const JsonValue &Stats, double TotalUs) {
     const char *Label;
   };
   const Row Rows[] = {
-      {"parse_us", "parse"},   {"derive_us", "derive"},
-      {"dnf_us", "dnf"},       {"cache_probe_us", "cache probe"},
-      {"scan_us", "scan"},     {"search_us", "search (residual)"},
+      {"parse_us", "parse"}, {"derive_us", "derive"},
+      {"dnf_us", "dnf"},     {"scan_us", "scan"},
+      {"search_us", "search (residual)"},
   };
   std::printf("where the time went (total %.1f ms):\n", TotalUs / 1000.0);
   for (const Row &R : Rows) {
