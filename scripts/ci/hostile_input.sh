@@ -18,7 +18,18 @@
 #   - a union of 20,000 alternatives (x0|x1|...|x19999), through sbd-analyze
 #     --file, which must finish within UNION_BOUND_MS: the parser builds
 #     the union in one n-ary step (~150 ms under ASan), while interning
-#     every partial union is quadratic (~3 s in a default build).
+#     every partial union is quadratic (~3 s in a default build);
+#   - through sbd-server, a script asserting 13 disjunctions
+#     (or (str.in_re s .*a.*) (str.in_re s .*b.*)), each on two fresh
+#     letters, under (<= (str.len s) 3): 2^13 implicants as cubes, one
+#     regex once the disjunctions fold (paper Section 2); it must answer
+#     unsat;
+#   - through sbd-server, a one-variable ite chain 30 deep in condition
+#     position, C_k = (ite C_k-1 (str.in_re s b+) (str.in_re s "c<k-1>")),
+#     checked, then checked again with s = "zz" asserted: sat, then unsat
+#     within ITE_BOUND_MS. The folded regex shares each condition between
+#     both branches, so its tree has 2^30 leaves; the verdict-cache key
+#     print must stop at its cap.
 #
 # Gates (all hard failures):
 #   - every process exits below 128, i.e. not by a signal. Sanitizer
@@ -26,10 +37,12 @@
 #     signal deaths too;
 #   - sbd-server still answers the (echo "alive") that follows the deep
 #     term and the wide literal, and the commands before the truncation;
-#   - sbd-server answers sat on the wide literal and the 100,000-loop.
+#   - sbd-server answers sat on the wide literal and the 100,000-loop,
+#     unsat on the 13 disjunctions, and sat then unsat on the ite chain.
 #
 # Usage: hostile_input.sh <build-dir>    (CI runs it on build-asan)
 UNION_BOUND_MS=2000
+ITE_BOUND_MS=2000
 . "$(dirname "$0")/common.sh"
 
 require python3 "generates the deep inputs"
@@ -78,6 +91,23 @@ with open(f"{work}/wide_loop.smt2", "w") as f:
             '(echo "alive")\n')
 with open(f"{work}/wide_union.txt", "w") as f:
     f.write("(" + "|".join(f"x{i}" for i in range(20000)) + ")\n")
+with open(f"{work}/disjunctions.smt2", "w") as f:
+    f.write("(declare-const s String)\n(assert (<= (str.len s) 3))\n")
+    for i in range(13):
+        a, b = chr(97 + 2 * i), chr(98 + 2 * i)
+        f.write(f'(assert (or (str.in_re s (re.++ re.all (str.to_re "{a}") re.all))'
+                f' (str.in_re s (re.++ re.all (str.to_re "{b}") re.all))))\n')
+    f.write("(check-sat)\n")
+c = '(str.in_re s (str.to_re "a"))'
+for k in range(1, 31):
+    c = (f'(ite {c} (str.in_re s (re.+ (str.to_re "b")))'
+         f' (str.in_re s (str.to_re "c{k - 1}")))')
+with open(f"{work}/ite_chain.smt2", "w") as f:
+    f.write("(declare-const s String)\n"
+            f"(assert {c})\n"
+            "(check-sat)\n"
+            '(assert (str.in_re s (str.to_re "zz")))\n'
+            "(check-sat)\n")
 with open(f"{work}/truncated.smt2", "w") as f:
     f.write("(declare-const s String)\n"
             '(echo "alive")\n'
@@ -101,6 +131,15 @@ check() {
     fi
   done
   echo "ok: $1 (exit $2)"
+}
+# bounded <label> <elapsed-ms> <bound-ms>
+bounded() {
+  if [ "$2" -gt "$3" ]; then
+    echo "FAIL: $1 took $2 ms (bound $3 ms)"
+    FAILED=1
+  else
+    echo "ok: $1 took $2 ms (bound $3 ms)"
+  fi
 }
 
 set +e
@@ -133,14 +172,15 @@ START_NS=$(date +%s%N)
 RC=$?
 UNION_MS=$((($(date +%s%N) - START_NS) / 1000000))
 check "sbd-analyze --file <20,000-alternative union>" $RC "$WORK/out13"
-if [ "$UNION_MS" -gt "$UNION_BOUND_MS" ]; then
-  echo "FAIL: the 20,000-alternative union took ${UNION_MS} ms" \
-    "(bound ${UNION_BOUND_MS} ms)"
-  FAILED=1
-else
-  echo "ok: the 20,000-alternative union took ${UNION_MS} ms" \
-    "(bound ${UNION_BOUND_MS} ms)"
-fi
+bounded "the 20,000-alternative union" "$UNION_MS" "$UNION_BOUND_MS"
+"$SERVER" < "$WORK/disjunctions.smt2" > "$WORK/out14" 2>&1
+check "sbd-server <13 disjunctions under a length bound>" $? "$WORK/out14" unsat
+START_NS=$(date +%s%N)
+"$SERVER" < "$WORK/ite_chain.smt2" > "$WORK/out15" 2>&1
+RC=$?
+ITE_MS=$((($(date +%s%N) - START_NS) / 1000000))
+check "sbd-server <30-deep ite chain>" $RC "$WORK/out15" sat unsat
+bounded "the 30-deep ite chain" "$ITE_MS" "$ITE_BOUND_MS"
 set -e
 
 if [ "$FAILED" -ne 0 ]; then

@@ -154,7 +154,7 @@ bool parseNumber(const std::string &Line, size_t &Pos, uint64_t &Out) {
 std::string cache::canonicalVerdictKey(const RegexManager &M, Re R,
                                        const SolveOptions &Opts,
                                        size_t MaxKeyBytes) {
-  std::string Key = M.toString(R);
+  std::string Key = M.toString(R, MaxKeyBytes);
   if (Key.size() > MaxKeyBytes)
     return std::string();
   Key += "\n|max_states=";

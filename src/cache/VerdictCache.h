@@ -75,7 +75,8 @@ struct VerdictCacheCounters {
 /// strategy; the wall-clock budget is deliberately excluded — a definite
 /// verdict is valid under any deadline). Returns an empty string when the
 /// print exceeds \p MaxKeyBytes (pathologically shared DAGs can print
-/// large); callers must skip the cache for such queries.
+/// exponentially large, so the print stops once it passes the cap);
+/// callers must skip the cache for such queries.
 std::string canonicalVerdictKey(const RegexManager &M, Re R,
                                 const SolveOptions &Opts,
                                 size_t MaxKeyBytes = 1 << 16);

@@ -17,8 +17,8 @@
 /// `equals`, `contains`, `notMatch`, `notLike`, `notEquals`, and the
 /// combinators allOf / anyOf / not), and the paper's "sanity check for
 /// SMT" — can this rule ever fire? — is answered by the symbolic-Boolean-
-/// derivative solver through the same implicant-enumeration used by the
-/// SMT front end.
+/// derivative solver through the SMT front end, which folds each field's
+/// Boolean structure into one regex.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -122,14 +122,3 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
   }
   return Out;
 }
-
-SolveResult
-PortfolioSolver::checkMembership(const std::vector<MembershipLiteral> &Literals,
-                                 const SolveOptions &Opts) {
-  // in(s,r1) ∧ ¬in(s,r2) ∧ …  ⇒  in(s, r1 & ~r2 & …)   (Section 2)
-  std::vector<Re> Parts;
-  Parts.reserve(Literals.size());
-  for (const MembershipLiteral &L : Literals)
-    Parts.push_back(L.Positive ? L.Regex : M.complement(L.Regex));
-  return checkSat(M.interList(std::move(Parts)), Opts);
-}

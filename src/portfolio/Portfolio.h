@@ -49,11 +49,11 @@ RouteDecision planRoute(const analysis::RegexFeatures &F,
 
 /// Analyzer-routed front end over a RegexSolver plus lazily-used baseline
 /// engines sharing its arena and its analyzer, so a routed term is folded
-/// once (DESIGN.md §14). Drop-in for RegexSolver::checkSat /
-/// checkMembership; BatchSolver and SmtSolver route through this. Fresh
-/// Sat answers are not witness-checked here: callers run
-/// RegexSolver::matchesWord (the classical derivative walk) after
-/// checkSat, which sbdbench's traced pass mirrors (DESIGN.md §15).
+/// once (DESIGN.md §14). Drop-in for RegexSolver::checkSat; BatchSolver
+/// and SmtSolver route through this. Fresh Sat answers are not
+/// witness-checked here: callers run RegexSolver::matchesWord (the
+/// classical derivative walk) after checkSat, which sbdbench's traced pass
+/// mirrors (DESIGN.md §15).
 class PortfolioSolver {
 public:
   explicit PortfolioSolver(RegexSolver &Sol)
@@ -62,11 +62,6 @@ public:
   /// Routed satisfiability check. Verdicts (and witness lengths — every
   /// engine used here searches breadth-first) are independent of routing.
   SolveResult checkSat(Re R, const SolveOptions &Opts = {});
-
-  /// Conjunction of membership literals, folded to one ERE exactly like
-  /// RegexSolver::checkMembership, then routed.
-  SolveResult checkMembership(const std::vector<MembershipLiteral> &Literals,
-                              const SolveOptions &Opts = {});
 
   /// The wrapped derivative solver (shared arena, witness check, analyzer).
   RegexSolver &solver() { return S; }

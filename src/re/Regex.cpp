@@ -496,7 +496,10 @@ static int nodePrec(RegexKind K) {
   sbd_unreachable("covered switch");
 }
 
-void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out) const {
+void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out,
+                             size_t Limit) const {
+  if (Out.size() > Limit)
+    return;
   const RegexNode &N = node(R);
   int Prec = nodePrec(N.Kind);
   bool Paren = Prec < ParentPrec;
@@ -517,18 +520,18 @@ void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out) const {
     // Concat tail at precedence 2 prints bare, so no frame per link.
     Re Cur = R;
     while (kind(Cur) == RegexKind::Concat) {
-      printPrec(node(Cur).Kids[0], 3, Out);
+      printPrec(node(Cur).Kids[0], 3, Out, Limit);
       Cur = node(Cur).Kids[1];
     }
-    printPrec(Cur, 2, Out);
+    printPrec(Cur, 2, Out, Limit);
     break;
   }
   case RegexKind::Star:
-    printPrec(N.Kids[0], 5, Out);
+    printPrec(N.Kids[0], 5, Out, Limit);
     Out += '*';
     break;
   case RegexKind::Loop: {
-    printPrec(N.Kids[0], 5, Out);
+    printPrec(N.Kids[0], 5, Out, Limit);
     Out += '{';
     Out += std::to_string(N.LoopMin);
     if (N.LoopMax == LoopInf) {
@@ -546,27 +549,27 @@ void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out) const {
     for (size_t I = 0; I != N.Kids.size(); ++I) {
       if (I)
         Out += '|';
-      printPrec(N.Kids[I], 1, Out);
+      printPrec(N.Kids[I], 1, Out, Limit);
     }
     break;
   case RegexKind::Inter:
     for (size_t I = 0; I != N.Kids.size(); ++I) {
       if (I)
         Out += '&';
-      printPrec(N.Kids[I], 2, Out);
+      printPrec(N.Kids[I], 2, Out, Limit);
     }
     break;
   case RegexKind::Compl:
     Out += '~';
-    printPrec(N.Kids[0], 4, Out);
+    printPrec(N.Kids[0], 4, Out, Limit);
     break;
   }
   if (Paren)
     Out += ')';
 }
 
-std::string RegexManager::toString(Re R) const {
+std::string RegexManager::toString(Re R, size_t MaxBytes) const {
   std::string Out;
-  printPrec(R, 0, Out);
+  printPrec(R, 0, Out, MaxBytes);
   return Out;
 }

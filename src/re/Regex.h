@@ -178,7 +178,10 @@ public:
   std::vector<CharSet> collectPredicates(Re R) const;
 
   /// Renders R using the textual regex syntax accepted by RegexParser.
-  std::string toString(Re R) const;
+  /// Printing stops once the text passes \p MaxBytes, so a result longer
+  /// than that is a prefix of the full rendering (a shared subterm prints
+  /// once per occurrence, so the full text can be exponential in the DAG).
+  std::string toString(Re R, size_t MaxBytes = SIZE_MAX) const;
 
 private:
   Re intern(RegexNode Node);
@@ -192,7 +195,7 @@ private:
 
   Re makeBoolean(RegexKind K, std::vector<Re> Rs);
 
-  void printPrec(Re R, int ParentPrec, std::string &Out) const;
+  void printPrec(Re R, int ParentPrec, std::string &Out, size_t Limit) const;
 
   std::vector<RegexNode> Nodes;
   InternTable ConsTable;

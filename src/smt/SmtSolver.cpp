@@ -12,8 +12,10 @@
 #include "support/Unicode.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <type_traits>
+#include <unordered_map>
 
 using namespace sbd;
 
@@ -44,9 +46,8 @@ std::string smtQuote(const std::string &S) {
 /// per-command (hasError()/takeError()) so a session survives them.
 class ScriptContext {
 public:
-  ScriptContext(RegexSolver &S, portfolio::PortfolioSolver &P,
-                const SolveOptions &Options)
-      : Solver(S), Port(P), M(S.regexManager()), Opts(Options) {
+  ScriptContext(portfolio::PortfolioSolver &P, const SolveOptions &Options)
+      : Port(P), M(P.solver().regexManager()), Opts(Options) {
     FrameAsserts.emplace_back();
   }
 
@@ -100,14 +101,14 @@ public:
       unsupported("malformed assert");
       return;
     }
-    BE E = compileBool(Form.Kids[1], /*Positive=*/true);
+    BE E = compileBool(Form.Kids[1]);
     if (!HasErr)
       FrameAsserts.back().push_back(E);
   }
 
   /// Compiles one check-sat-assuming term into \p Out; on error, nothing.
   void compileAssumption(const SExpr &Term, std::vector<BE> &Out) {
-    BE E = compileBool(Term, /*Positive=*/true);
+    BE E = compileBool(Term);
     if (!HasErr)
       Out.push_back(E);
   }
@@ -147,18 +148,32 @@ public:
 
   size_t pushDepth() const { return FrameAsserts.size() - 1; }
 
-  /// Solves the conjunction of every live assertion plus \p Assumptions.
+  /// Solves the conjunction of every live assertion and the assumptions
+  /// \p Live.
   /// The compiled state (atoms, arena, graph facts) persists; only the
   /// per-check verdict is fresh.
-  const SmtCheck &checkSat(const std::vector<BE> &Assumptions) {
+  const SmtCheck &checkSat(std::vector<BE> Live) {
     Last = SmtCheck();
-    std::vector<BE> Agenda;
-    for (const std::vector<BE> &F : FrameAsserts)
-      Agenda.insert(Agenda.end(), F.begin(), F.end());
-    Agenda.insert(Agenda.end(), Assumptions.begin(), Assumptions.end());
-    solve(Agenda);
-    CubesTriedTotal += Last.CubesTried;
+    ++ChecksRun;
     HaveChecked = true;
+    for (const std::vector<BE> &F : FrameAsserts)
+      Live.insert(Live.end(), F.begin(), F.end());
+    Agenda.assign(1, conj(std::move(Live)));
+    Cube.clear();
+    SawUnknown = false;
+    bool Found = enumerate();
+    CubesTriedTotal += Last.CubesTried;
+    if (Found) {
+      Last.Status = SolveStatus::Sat;
+    } else if (SawUnknown || Last.CubesTried >= MaxCubes) {
+      Last.Status = SolveStatus::Unknown;
+      Last.Stop = SawUnknown ? StopReason::SubqueryUnknown
+                             : StopReason::CubeBudget;
+      Last.Note = SawUnknown ? "regex query budget exhausted"
+                             : "implicant budget exhausted";
+    } else {
+      Last.Status = SolveStatus::Unsat;
+    }
     return Last;
   }
 
@@ -233,7 +248,6 @@ public:
   }
 
 private:
-  RegexSolver &Solver;
   /// Analyzer-driven engine selection for every membership sub-query
   /// (portfolio/Portfolio.h); the verdict cache, when attached, hangs off
   /// this router too.
@@ -254,9 +268,19 @@ private:
   std::set<std::string> StringVars;
   std::vector<Atom> Atoms;
   std::map<std::pair<std::string, uint32_t>, uint32_t> AtomIndex;
+  /// neg's memo: a formula's node id → its negation.
+  std::unordered_map<uint32_t, BE> NegMemo;
   /// Scoped assertions: FrameAsserts[0] is the base level, each (push)
   /// opens a new frame, (pop) drops the newest.
   std::vector<std::vector<BE>> FrameAsserts;
+  /// enumerate's pending conjuncts (a stack) and the current cube's atoms.
+  std::vector<BE> Agenda;
+  std::vector<uint32_t> Cube;
+  /// A query of the current check answered unknown.
+  bool SawUnknown = false;
+  /// Cubes, partial ones included, one check may solve before answering
+  /// unknown (CubeBudget).
+  static constexpr size_t MaxCubes = 4096;
 
   BE unsupportedExpr(const std::string &Why) {
     unsupported(Why);
@@ -301,9 +325,70 @@ private:
     return std::nullopt;
   }
 
+  /// --- Boolean fold --------------------------------------------------------
+  ///
+  /// Compiled formulas are negation-free And/Or trees over membership atoms
+  /// in which no And or Or has two atom operands on one variable (Section
+  /// 2), so every And and Or spans variables.
+
+  /// K (And or Or) over \p Kids, with the atom operands on each variable
+  /// merged into one atom (`&`/`|` of their regexes).
+  BE fold(BoolExprKind K, std::vector<BE> Kids) {
+    bool IsAnd = K == BoolExprKind::And;
+    BE E = IsAnd ? B.and_(std::move(Kids)) : B.or_(std::move(Kids));
+    const BoolExprNode &N = B.node(E);
+    if (N.Kind != K)
+      return E; // a constant or a single operand
+    std::map<std::string, std::vector<Re>> PerVar;
+    std::vector<BE> Out;
+    for (BE Kid : N.Kids) {
+      const BoolExprNode &KN = B.node(Kid);
+      if (KN.Kind == BoolExprKind::Atom)
+        PerVar[Atoms[KN.Atom].Var].push_back(Atoms[KN.Atom].Regex);
+      else
+        Out.push_back(Kid);
+    }
+    for (auto &[Var, Parts] : PerVar)
+      Out.push_back(atomExpr(Var, IsAnd ? M.interList(std::move(Parts))
+                                        : M.unionList(std::move(Parts))));
+    return IsAnd ? B.and_(std::move(Out)) : B.or_(std::move(Out));
+  }
+
+  BE conj(std::vector<BE> Kids) {
+    return fold(BoolExprKind::And, std::move(Kids));
+  }
+  BE disj(std::vector<BE> Kids) {
+    return fold(BoolExprKind::Or, std::move(Kids));
+  }
+
+  /// The negation of \p E, pushed down by De Morgan to `~` on each atom's
+  /// regex. Memoized per node, so it is linear in E's DAG.
+  BE neg(BE E) {
+    if (auto It = NegMemo.find(E.Id); It != NegMemo.end())
+      return It->second;
+    // Copy: the recursion grows the expression arena.
+    BoolExprNode N = B.node(E);
+    BE Out;
+    if (N.Kind == BoolExprKind::True || N.Kind == BoolExprKind::False) {
+      Out = B.not_(E);
+    } else if (N.Kind == BoolExprKind::Atom) {
+      Atom A = Atoms[N.Atom];
+      Out = atomExpr(A.Var, M.complement(A.Regex));
+    } else {
+      assert(N.Kind != BoolExprKind::Not && "compiled formulas have no Not");
+      std::vector<BE> Kids;
+      for (BE Kid : N.Kids)
+        Kids.push_back(neg(Kid));
+      Out = N.Kind == BoolExprKind::And ? disj(std::move(Kids))
+                                        : conj(std::move(Kids));
+    }
+    NegMemo.emplace(E.Id, Out);
+    return Out;
+  }
+
   /// --- Boolean layer -------------------------------------------------------
 
-  BE compileBool(const SExpr &E, bool) {
+  BE compileBool(const SExpr &E) {
     if (HasErr)
       return B.falseExpr();
     if (E.isSymbol("true"))
@@ -317,20 +402,19 @@ private:
     if (Head.isSymbol("and") || Head.isSymbol("or")) {
       std::vector<BE> Kids;
       for (size_t I = 1; I != E.Kids.size(); ++I)
-        Kids.push_back(compileBool(E.Kids[I], true));
-      return Head.isSymbol("and") ? B.and_(std::move(Kids))
-                                  : B.or_(std::move(Kids));
+        Kids.push_back(compileBool(E.Kids[I]));
+      return Head.isSymbol("and") ? conj(std::move(Kids))
+                                  : disj(std::move(Kids));
     }
     if (Head.isSymbol("not")) {
       if (E.Kids.size() != 2)
         return unsupportedExpr("malformed not");
-      return B.not_(compileBool(E.Kids[1], true));
+      return neg(compileBool(E.Kids[1]));
     }
     if (Head.isSymbol("=>")) {
       if (E.Kids.size() != 3)
         return unsupportedExpr("malformed =>");
-      return B.or2(B.not_(compileBool(E.Kids[1], true)),
-                   compileBool(E.Kids[2], true));
+      return disj({neg(compileBool(E.Kids[1])), compileBool(E.Kids[2])});
     }
     if (Head.isSymbol("str.in_re") || Head.isSymbol("str.in.re")) {
       if (E.Kids.size() != 3)
@@ -348,22 +432,22 @@ private:
     if (Head.isSymbol("distinct")) {
       if (E.Kids.size() != 3)
         return unsupportedExpr("only binary distinct is supported");
-      return B.not_(compileEquality(E.Kids[1], E.Kids[2]));
+      return neg(compileEquality(E.Kids[1], E.Kids[2]));
     }
     if (Head.isSymbol("xor")) {
       if (E.Kids.size() != 3)
         return unsupportedExpr("malformed xor");
-      BE L = compileBool(E.Kids[1], true);
-      BE Rb = compileBool(E.Kids[2], true);
-      return B.or2(B.and2(L, B.not_(Rb)), B.and2(B.not_(L), Rb));
+      BE L = compileBool(E.Kids[1]);
+      BE Rb = compileBool(E.Kids[2]);
+      return disj({conj({L, neg(Rb)}), conj({neg(L), Rb})});
     }
     if (Head.isSymbol("ite")) {
       if (E.Kids.size() != 4)
         return unsupportedExpr("malformed ite");
-      BE C = compileBool(E.Kids[1], true);
-      BE Tb = compileBool(E.Kids[2], true);
-      BE Eb = compileBool(E.Kids[3], true);
-      return B.or2(B.and2(C, Tb), B.and2(B.not_(C), Eb));
+      BE C = compileBool(E.Kids[1]);
+      BE Tb = compileBool(E.Kids[2]);
+      BE Eb = compileBool(E.Kids[3]);
+      return disj({conj({C, Tb}), conj({neg(C), Eb})});
     }
     if (Head.isSymbol("<=") || Head.isSymbol(">=") || Head.isSymbol("<") ||
         Head.isSymbol(">"))
@@ -375,29 +459,25 @@ private:
   }
 
   BE compileEquality(const SExpr &L, const SExpr &Rhs) {
-    // (= s "lit") → membership in the literal word.
-    if (auto Var = asStringVar(L); Var && Rhs.K == SExpr::Kind::String)
-      return atomExpr(*Var, M.word(decodeSmtString(Rhs.Text)));
-    if (auto Var = asStringVar(Rhs); Var && L.K == SExpr::Kind::String)
-      return atomExpr(*Var, M.word(decodeSmtString(L.Text)));
-    // (= (str.len s) k).
-    if (auto Len = asLenOf(L); Len && Rhs.K == SExpr::Kind::Number)
-      return lengthAtom(*Len, "=", Rhs.Number);
-    if (auto Len = asLenOf(Rhs); Len && L.K == SExpr::Kind::Number)
-      return lengthAtom(*Len, "=", L.Number);
-    // (= (str.at s k) "c"): character k exists and equals c; the empty
-    // string means |s| <= k (SMT-LIB's out-of-range semantics).
-    if (auto At = asAtOf(L); At && Rhs.K == SExpr::Kind::String)
-      return atAtom(At->first, At->second, Rhs.Text);
-    if (auto At = asAtOf(Rhs); At && L.K == SExpr::Kind::String)
-      return atAtom(At->first, At->second, L.Text);
-    // (= (str.to_code (str.at s k)) n).
-    if (auto Code = asCodeOf(L); Code && Rhs.K == SExpr::Kind::Number)
-      return codeAtom(Code->first, Code->second, "=", Rhs.Number);
-    if (auto Code = asCodeOf(Rhs); Code && L.K == SExpr::Kind::Number)
-      return codeAtom(Code->first, Code->second, "=", L.Number);
-    if (L.K == SExpr::Kind::String && Rhs.K == SExpr::Kind::String)
+    using K = SExpr::Kind;
+    if (L.K == K::String && Rhs.K == K::String)
       return L.Text == Rhs.Text ? B.trueExpr() : B.falseExpr();
+    // Each form may have the constant on either side.
+    for (auto [T, C] : {std::pair{&L, &Rhs}, std::pair{&Rhs, &L}}) {
+      // (= s "lit") → membership in the literal word.
+      if (auto Var = asStringVar(*T); Var && C->K == K::String)
+        return atomExpr(*Var, M.word(decodeSmtString(C->Text)));
+      // (= (str.len s) k).
+      if (auto Len = asLenOf(*T); Len && C->K == K::Number)
+        return lengthAtom(*Len, "=", C->Number);
+      // (= (str.at s k) "c"): character k exists and equals c; the empty
+      // string means |s| <= k (SMT-LIB's out-of-range semantics).
+      if (auto At = asAtOf(*T); At && C->K == K::String)
+        return atAtom(At->first, At->second, C->Text);
+      // (= (str.to_code (str.at s k)) n).
+      if (auto Code = asCodeOf(*T); Code && C->K == K::Number)
+        return codeAtom(Code->first, Code->second, "=", C->Number);
+    }
     return unsupportedExpr("unsupported equality");
   }
 
@@ -421,6 +501,22 @@ private:
     return std::nullopt;
   }
 
+  /// Narrows [Lo, Hi] to the x with x Op N, for Op one of = <= < >= >.
+  /// N is clamped by the caller, so N ± 1 cannot overflow.
+  static void narrow(const std::string &Op, int64_t N, int64_t &Lo,
+                     int64_t &Hi) {
+    if (Op == "=")
+      Lo = Hi = N;
+    else if (Op == "<=")
+      Hi = N;
+    else if (Op == "<")
+      Hi = N - 1;
+    else if (Op == ">=")
+      Lo = N;
+    else
+      Lo = N + 1;
+  }
+
   /// (str.to_code (str.at Var K)) Op N as a membership atom. Per SMT-LIB,
   /// str.to_code yields -1 when its argument is not a single character —
   /// here, when |Var| <= K.
@@ -431,54 +527,25 @@ private:
     std::optional<uint32_t> Ku = bound(K, "str.at index");
     if (!Ku)
       return B.falseExpr();
-    // The set of character codes satisfying "code Op N".
-    CharSet Chars;
-    bool MinusOneSatisfies = false; // does the out-of-range value -1 satisfy?
-    auto Clamp = [](int64_t V) {
-      if (V < 0)
-        return int64_t(0);
-      if (V > int64_t(MaxCodePoint))
-        return int64_t(MaxCodePoint);
-      return V;
-    };
-    if (Op == "=") {
-      if (N == -1)
-        MinusOneSatisfies = true;
-      else if (N >= 0 && N <= int64_t(MaxCodePoint))
-        Chars = CharSet::singleton(static_cast<uint32_t>(N));
-    } else if (Op == "<=") {
-      MinusOneSatisfies = true; // -1 <= N for every N >= -1 of interest
-      if (N >= 0)
-        Chars = CharSet::range(0, static_cast<uint32_t>(Clamp(N)));
-      else
-        MinusOneSatisfies = N >= -1;
-    } else if (Op == "<") {
-      MinusOneSatisfies = N > -1;
-      if (N > 0)
-        Chars = CharSet::range(0, static_cast<uint32_t>(Clamp(N - 1)));
-    } else if (Op == ">=") {
-      MinusOneSatisfies = N <= -1;
-      if (N <= int64_t(MaxCodePoint))
-        Chars = CharSet::range(static_cast<uint32_t>(Clamp(N)), MaxCodePoint);
-    } else if (Op == ">") {
-      MinusOneSatisfies = N < -1;
-      if (N < int64_t(MaxCodePoint))
-        Chars =
-            CharSet::range(static_cast<uint32_t>(Clamp(N + 1)), MaxCodePoint);
-    } else {
-      return unsupportedExpr("unknown comparison " + Op);
-    }
-    // Position-k character in Chars: .{K} [Chars] .*; the -1 case adds the
-    // |s| <= K disjunct.
+    // The codes x with x Op N: only -1 and [0, MaxCodePoint] occur, so
+    // clamping N one past either end keeps every answer.
+    int64_t Lo = -1, Hi = MaxCodePoint;
+    narrow(Op, std::clamp<int64_t>(N, -2, int64_t(MaxCodePoint) + 1), Lo, Hi);
+    // A position-K character code in [Lo, Hi] is .{K} [Lo-Hi] .*; the -1
+    // case adds the |s| <= K disjunct.
     std::vector<BE> Cases;
-    if (!Chars.isEmpty()) {
+    int64_t First = std::max<int64_t>(Lo, 0);
+    Hi = std::min<int64_t>(Hi, MaxCodePoint);
+    if (First <= Hi) {
+      CharSet Chars = CharSet::range(static_cast<uint32_t>(First),
+                                     static_cast<uint32_t>(Hi));
       Re Prefix = M.loop(M.anyChar(), *Ku, *Ku);
       Cases.push_back(atomExpr(
           Var, M.concat(Prefix, M.concat(M.pred(Chars), M.top()))));
     }
-    if (MinusOneSatisfies)
+    if (Lo <= -1 && -1 <= Hi)
       Cases.push_back(atomExpr(Var, M.loop(M.anyChar(), 0, *Ku)));
-    return B.or_(std::move(Cases));
+    return disj(std::move(Cases));
   }
 
   /// (str.at Var K) = Value as a membership atom.
@@ -526,31 +593,21 @@ private:
 
   /// len(Var) Op K as a membership in `.{m,n}`.
   BE lengthAtom(const std::string &Var, const std::string &Op, int64_t K) {
-    Re Any = M.anyChar();
-    // len(Var) in [Lo, Hi]; no Hi leaves it unbounded.
-    auto Window = [&](int64_t Lo, std::optional<int64_t> Hi) {
-      std::optional<uint32_t> L = bound(Lo, "str.len bound");
-      std::optional<uint32_t> H = Hi ? bound(*Hi, "str.len bound") : LoopInf;
-      if (!L || !H)
-        return B.falseExpr();
-      return atomExpr(Var, M.loop(Any, *L, *H));
-    };
-    if (Op == "=")
-      return K < 0 ? B.falseExpr() : Window(K, K);
-    if (Op == "<=")
-      return K < 0 ? B.falseExpr() : Window(0, K);
-    if (Op == "<")
-      return K <= 0 ? B.falseExpr() : Window(0, K - 1);
-    if (Op == ">=")
-      return K <= 0 ? B.trueExpr() : Window(K, std::nullopt);
-    if (Op == ">") {
-      // K + 1 overflows only past every bound(), so reject K first.
-      if (K < 0)
-        return B.trueExpr();
-      return bound(K, "str.len bound") ? Window(K + 1, std::nullopt)
-                                       : B.falseExpr();
-    }
-    return unsupportedExpr("unknown comparison " + Op);
+    // Lengths at or past LoopInf do not fit a loop bound (bound() reports
+    // them), so clamping K one past either end keeps every answer.
+    int64_t Lo = 0, Hi = INT64_MAX; // INT64_MAX: unbounded
+    narrow(Op, std::clamp<int64_t>(K, -1, int64_t(LoopInf) + 1), Lo, Hi);
+    Lo = std::max<int64_t>(Lo, 0);
+    if (Hi < Lo)
+      return B.falseExpr();
+    if (Lo == 0 && Hi == INT64_MAX)
+      return B.trueExpr();
+    std::optional<uint32_t> L = bound(Lo, "str.len bound");
+    std::optional<uint32_t> H =
+        Hi == INT64_MAX ? LoopInf : bound(Hi, "str.len bound");
+    if (!L || !H)
+      return B.falseExpr();
+    return atomExpr(Var, M.loop(M.anyChar(), *L, *H));
   }
 
   BE compileStringPredicate(const std::string &Op, const SExpr &E) {
@@ -657,153 +714,107 @@ private:
   }
 
   /// --- Solving --------------------------------------------------------------
+  ///
+  /// A check is a depth-first search for a cube: the atoms met on taking
+  /// one branch of each Or. A cube is solved per variable: the intersection
+  /// of its atoms on that variable is one routed query.
 
-  /// NNF with negations pushed onto atoms.
-  BE nnf(BE E, bool Positive) {
-    // Copy: recursive calls may grow the expression arena.
-    BoolExprNode N = B.node(E);
-    switch (N.Kind) {
-    case BoolExprKind::False:
-      return Positive ? B.falseExpr() : B.trueExpr();
-    case BoolExprKind::True:
-      return Positive ? B.trueExpr() : B.falseExpr();
-    case BoolExprKind::Atom:
-      return Positive ? E : B.not_(E);
-    case BoolExprKind::Not: {
-      BE Kid = N.Kids[0];
-      return nnf(Kid, !Positive);
-    }
-    case BoolExprKind::And:
-    case BoolExprKind::Or: {
-      std::vector<BE> Kids = N.Kids;
-      for (BE &Kid : Kids)
-        Kid = nnf(Kid, Positive);
-      bool MakeAnd = (N.Kind == BoolExprKind::And) == Positive;
-      return MakeAnd ? B.and_(std::move(Kids)) : B.or_(std::move(Kids));
-    }
-    }
-    return E;
+  bool cubeHas(const std::string &Var) const {
+    return std::any_of(Cube.begin(), Cube.end(),
+                       [&](uint32_t A) { return Atoms[A].Var == Var; });
   }
 
-  /// Tries one implicant: per-variable intersection queries.
-  bool tryCube(const std::map<uint32_t, bool> &Assign, bool &SawUnknown) {
-    std::map<std::string, std::vector<MembershipLiteral>> PerVar;
-    for (const auto &[AtomIdx, Value] : Assign)
-      PerVar[Atoms[AtomIdx].Var].push_back({Atoms[AtomIdx].Regex, Value});
+  /// Solves \p R, the intersection of the cube's atoms on \p Var.
+  SolveResult solveVar(const std::string &Var, Re &R) {
+    std::vector<Re> Parts;
+    for (uint32_t A : Cube)
+      if (Atoms[A].Var == Var)
+        Parts.push_back(Atoms[A].Regex);
+    R = M.interList(std::move(Parts));
+    SolveResult Res = Port.checkSat(R, Opts);
+    CumStats += Res.Stats;
+    ++RegexQueries;
+    SawUnknown |= Res.Status == SolveStatus::Unknown;
+    return Res;
+  }
+
+  /// Solves the complete cube, one query per variable, into Last.Model.
+  bool tryCube() {
+    ++Last.CubesTried;
     std::vector<std::pair<std::string, std::string>> Model;
-    for (const auto &[Var, Literals] : PerVar) {
-      SolveResult R = Port.checkMembership(Literals, Opts);
-      CumStats += R.Stats;
-      ++RegexQueries;
-      if (R.Status == SolveStatus::Unknown) {
-        SawUnknown = true;
+    for (const std::string &Var : StringVars) {
+      // Unconstrained variables default to the empty string.
+      if (!cubeHas(Var)) {
+        Model.emplace_back(Var, "");
+        continue;
+      }
+      Re R;
+      SolveResult Res = solveVar(Var, R);
+      if (!Res.isSat())
+        return false;
+      // Check the witness against the variable's regex (a classical
+      // derivative walk, §8.1): an independent end-to-end membership check,
+      // sharing no δdnf memo with the search, before the model is emitted.
+      if (!Port.solver().matchesWord(R, Res.Witness)) {
+        SawUnknown = true; // soundness guard: never emit a bad model
         return false;
       }
-      if (!R.isSat())
-        return false;
-      // Check the witness against every literal (a classical derivative
-      // walk each, §8.1): an independent end-to-end membership check, sharing
-      // no δdnf memo with the search, before the model is emitted.
-      for (const MembershipLiteral &L : Literals)
-        if (Solver.matchesWord(L.Regex, R.Witness) != L.Positive) {
-          SawUnknown = true; // soundness guard: never emit a bad model
-          return false;
-        }
-      Model.emplace_back(Var, toUtf8(R.Witness));
+      Model.emplace_back(Var, toUtf8(Res.Witness));
     }
-    // Unconstrained variables default to the empty string.
-    for (const std::string &Var : StringVars)
-      if (!PerVar.count(Var))
-        Model.emplace_back(Var, "");
-    std::sort(Model.begin(), Model.end());
     Last.Model = std::move(Model);
     return true;
   }
 
-  /// DFS over implicants of the NNF formula list (conjunctive agenda).
-  bool enumerate(std::vector<BE> Agenda, size_t Next,
-                 std::map<uint32_t, bool> &Assign, bool &SawUnknown,
-                 size_t &CubesTried, size_t MaxCubes) {
-    if (CubesTried >= MaxCubes)
+  /// Depth-first search for a cube of the conjunction of Agenda, used as a
+  /// stack and left as found when the search fails. Only Or nodes branch,
+  /// and after the fold each of them spans variables.
+  bool enumerate() {
+    if (Last.CubesTried >= MaxCubes)
       return false;
-    if (Next == Agenda.size()) {
-      ++CubesTried;
-      return tryCube(Assign, SawUnknown);
-    }
-    BE Cur_ = Agenda[Next];
-    const BoolExprNode &N = B.node(Cur_);
-    switch (N.Kind) {
-    case BoolExprKind::False:
-      return false;
-    case BoolExprKind::True:
-      return enumerate(Agenda, Next + 1, Assign, SawUnknown, CubesTried,
-                       MaxCubes);
-    case BoolExprKind::Atom:
-    case BoolExprKind::Not: {
-      bool Value = N.Kind == BoolExprKind::Atom;
-      uint32_t AtomIdx =
-          Value ? N.Atom : B.node(N.Kids[0]).Atom;
-      auto It = Assign.find(AtomIdx);
-      if (It != Assign.end()) {
-        if (It->second != Value)
-          return false; // conflicting literal: dead branch
-        return enumerate(Agenda, Next + 1, Assign, SawUnknown, CubesTried,
-                         MaxCubes);
-      }
-      Assign.emplace(AtomIdx, Value);
-      bool Found = enumerate(Agenda, Next + 1, Assign, SawUnknown,
-                             CubesTried, MaxCubes);
+    if (Agenda.empty())
+      return tryCube();
+    BE E = Agenda.back();
+    Agenda.pop_back();
+    // Solving adds no nodes to B, so N stays valid.
+    const BoolExprNode &N = B.node(E);
+    bool Found = false;
+    if (N.Kind == BoolExprKind::True ||
+        (N.Kind == BoolExprKind::Atom &&
+         std::find(Cube.begin(), Cube.end(), N.Atom) != Cube.end())) {
+      Found = enumerate();
+    } else if (N.Kind == BoolExprKind::Atom) {
+      // A second atom on a variable: solve the variable now, so that a
+      // contradiction prunes this branch before it splits further.
+      const std::string &Var = Atoms[N.Atom].Var;
+      bool Check = cubeHas(Var);
+      Cube.push_back(N.Atom);
+      Re R;
+      if (Check)
+        ++Last.CubesTried;
+      Found = (!Check || solveVar(Var, R).isSat()) && enumerate();
       if (!Found)
-        Assign.erase(AtomIdx);
-      return Found;
-    }
-    case BoolExprKind::And: {
-      std::vector<BE> NewAgenda = Agenda;
-      NewAgenda.insert(NewAgenda.begin() + static_cast<ptrdiff_t>(Next) + 1,
-                       N.Kids.begin(), N.Kids.end());
-      NewAgenda[Next] = B.trueExpr();
-      return enumerate(std::move(NewAgenda), Next, Assign, SawUnknown,
-                       CubesTried, MaxCubes);
-    }
-    case BoolExprKind::Or: {
+        Cube.pop_back();
+    } else if (N.Kind == BoolExprKind::And) {
+      // Atoms on top: they join the cube before the kids that branch.
+      for (bool TakeAtoms : {false, true})
+        for (auto It = N.Kids.rbegin(); It != N.Kids.rend(); ++It)
+          if ((B.node(*It).Kind == BoolExprKind::Atom) == TakeAtoms)
+            Agenda.push_back(*It);
+      Found = enumerate();
+      if (!Found)
+        Agenda.resize(Agenda.size() - N.Kids.size());
+    } else if (N.Kind == BoolExprKind::Or) {
       for (BE Kid : N.Kids) {
-        std::vector<BE> NewAgenda = Agenda;
-        NewAgenda[Next] = Kid;
-        if (enumerate(std::move(NewAgenda), Next, Assign, SawUnknown,
-                      CubesTried, MaxCubes))
-          return true;
-        if (CubesTried >= MaxCubes)
-          return false;
+        Agenda.push_back(Kid);
+        Found = enumerate();
+        if (Found)
+          break;
+        Agenda.pop_back();
       }
-      return false;
     }
-    }
-    return false;
-  }
-
-  void solve(const std::vector<BE> &Assertions) {
-    ++ChecksRun;
-    BE Formula = nnf(B.and_(Assertions), /*Positive=*/true);
-    bool SawUnknown = false;
-    size_t CubesTried = 0;
-    const size_t MaxCubes = 4096;
-    std::map<uint32_t, bool> Assign;
-    bool Found = enumerate({Formula}, 0, Assign, SawUnknown, CubesTried,
-                           MaxCubes);
-    Last.CubesTried = CubesTried;
-    if (Found) {
-      Last.Status = SolveStatus::Sat;
-      return;
-    }
-    if (SawUnknown || CubesTried >= MaxCubes) {
-      Last.Status = SolveStatus::Unknown;
-      Last.Stop = SawUnknown ? StopReason::SubqueryUnknown
-                             : StopReason::CubeBudget;
-      Last.Note = SawUnknown ? "regex query budget exhausted"
-                             : "implicant budget exhausted";
-      return;
-    }
-    Last.Status = SolveStatus::Unsat;
+    if (!Found)
+      Agenda.push_back(E);
+    return Found;
   }
 };
 
@@ -874,17 +885,16 @@ SmtResult SmtSolver::solveScript(const std::string &Script,
 /// --- Session mode ----------------------------------------------------------
 
 struct SmtSession::Impl {
-  RegexSolver &Solver;
   SolveOptions Opts;
   portfolio::PortfolioSolver Port;
-  /// Reconstructed on (reset); the arena behind Solver persists.
+  /// Reconstructed on (reset); the arena behind Port persists.
   std::optional<ScriptContext> Ctx;
   bool PrintSuccess = false;
   /// The most recent (get-info :statistics) answer.
   std::string Statistics;
 
-  Impl(RegexSolver &S, const SolveOptions &O) : Solver(S), Opts(O), Port(S) {
-    Ctx.emplace(Solver, Port, Opts);
+  Impl(RegexSolver &S, const SolveOptions &O) : Opts(O), Port(S) {
+    Ctx.emplace(Port, Opts);
   }
 };
 
@@ -902,7 +912,7 @@ size_t SmtSession::numAssertions() const { return I->Ctx->numAssertions(); }
 size_t SmtSession::pushDepth() const { return I->Ctx->pushDepth(); }
 
 void SmtSession::reset() {
-  I->Ctx.emplace(I->Solver, I->Port, I->Opts);
+  I->Ctx.emplace(I->Port, I->Opts);
   I->PrintSuccess = false;
   I->Statistics.clear();
 }

@@ -9,13 +9,14 @@
 ///
 ///  - every regex term compiles to a symbolic ERE;
 ///  - `str.len` comparisons compile to `.{m,n}` regexes;
-///  - Boolean structure over memberships of one string compiles to a single
-///    extended regex (conjunction → `&`, negation → `~`, disjunction → `|`),
-///    the reduction of Section 2;
-///  - multiple string variables are handled by implicant enumeration over
-///    the Boolean skeleton — atoms of distinct variables are independent, so
-///    a consistent implicant splits into one ERE-satisfiability query per
-///    variable.
+///  - at assert time, Boolean structure over memberships of one string
+///    compiles to a single extended regex (and → `&`, or → `|`, not → `~`),
+///    the reduction of Section 2, so a check over one string is one query.
+///    Negation is pushed through the and/or left, which span strings, by De
+///    Morgan with a per-node memo: linear in the formula DAG;
+///  - cubes (implicants) are enumerated only for disjunctions across
+///    strings. A cube splits into one ERE query per string, asked as soon
+///    as a second atom on that string joins it.
 ///
 /// One command interpreter, `SmtSession` (DESIGN.md §15), runs every
 /// command. It keeps the compiled state alive *between* commands: one
@@ -55,7 +56,7 @@ struct SmtCheck {
   std::string Note;
   /// Variable assignment (UTF-8 values) when Sat.
   std::vector<std::pair<std::string, std::string>> Model;
-  /// Implicants (cubes) the Boolean skeleton enumeration tried.
+  /// Cubes solved, partial ones included; 1 for a formula on one string.
   size_t CubesTried = 0;
 };
 
@@ -74,7 +75,7 @@ struct SmtResult {
   std::optional<bool> ExpectedSat;
   /// Work attribution summed over every regex sub-query the script ran.
   SolveStats Stats;
-  /// Implicants tried, summed over every check-sat in the script.
+  /// Cubes solved, summed over every check-sat in the script.
   size_t CubesTried = 0;
   /// Rendered answer to `(get-info :statistics)`, when the script asked
   /// for it (Z3-style keyword list).

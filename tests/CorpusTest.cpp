@@ -6,7 +6,7 @@
 /// re-read and solved through the SMT front end (smt/SmtSolver), and the
 /// verdict is compared with the instance's ground-truth label and with the
 /// solver's direct answer. This chains regex parser → printer → s-expr
-/// reader → theory compiler → implicant enumeration → derivative solver,
+/// reader → theory compiler → Boolean fold → derivative solver,
 /// exactly the path an external user of the exported corpus exercises.
 ///
 //===----------------------------------------------------------------------===//

@@ -59,7 +59,7 @@ struct OAtom {
   int64_t Index = 0;  ///< At, Code: the str.at position
 };
 
-/// Boolean skeleton node; Kids index into Script::Nodes.
+/// Boolean skeleton node; Kids index into ScriptCase::Nodes.
 struct ONode {
   enum Kind { Leaf, True, False, Not, And, Or, Ite, Implies };
   Kind K = True;
@@ -98,7 +98,7 @@ public:
   }
 
   /// The script text, one command per entry (declarations first).
-  std::vector<std::string> commands() const { return Text; }
+  const std::vector<std::string> &commands() const { return Text; }
 
   /// The full script, for failure messages.
   std::string scriptText() const {
@@ -112,7 +112,6 @@ public:
   const std::vector<OCommand> &body() const { return Body; }
   size_t preludeSize() const { return Text.size() - Body.size(); }
   size_t boundFormula(unsigned Var) const { return Bounds[Var]; }
-  unsigned numVars() const { return NumVars; }
 
   /// Whether some bounded assignment satisfies every formula in \p Live.
   bool satisfiable(const std::vector<size_t> &Live) {
@@ -566,7 +565,7 @@ bool runCase(uint64_t Seed, unsigned NumVars, cache::VerdictCache &Cache,
   SmtSession Session{Solver};
   Session.setVerdictCache(&Cache);
 
-  std::vector<std::string> Cmds = Case.commands();
+  const std::vector<std::string> &Cmds = Case.commands();
   auto Fail = [&](size_t Cmd, const std::string &What) {
     ADD_FAILURE() << "seed " << Seed << ", " << NumVars
                   << " variable(s), command " << Cmd << " `" << Cmds[Cmd]

@@ -2,6 +2,7 @@
 
 #include "smt/SmtSolver.h"
 
+#include "cache/VerdictCache.h"
 #include "core/Derivatives.h"
 #include "re/RegexParser.h"
 
@@ -430,8 +431,8 @@ TEST_F(SmtTest, UnsupportedConstructsReportCleanly) {
 }
 
 TEST_F(SmtTest, DeepDisjunctionEnumeration) {
-  // An or-tree where only the last branch is realizable: the implicant
-  // enumeration must backtrack through all dead branches.
+  // An or-tree where only the last branch is realizable; over one
+  // variable the whole tree folds into one regex.
   std::string Script = "(declare-const s String)\n(assert (or";
   for (int I = 0; I != 12; ++I)
     Script += " (and (str.in_re s (str.to_re \"x" + std::to_string(I) +
@@ -448,6 +449,89 @@ TEST_F(SmtTest, DeepDisjunctionEnumeration) {
            "\")) (str.in_re s re.none))";
   Bad += "))\n(check-sat)";
   EXPECT_EQ(run(Bad).Status, SolveStatus::Unsat);
+}
+
+/// `(ite C_{k-1} (str.in_re V (re.+ "b")) (str.in_re s "c<k-1>"))` nested
+/// \p Depth deep in condition position from C_0 = (str.in_re s "a"), where
+/// V is s, or t at odd levels when \p TwoVars. It asserts C_Depth (whose
+/// one-variable language is {c<Depth-1>}), checks, then asserts s = "zz"
+/// and checks again: sat, then unsat.
+static std::string iteChainScript(int Depth, bool TwoVars) {
+  std::string C = "(str.in_re s (str.to_re \"a\"))";
+  for (int K = 1; K <= Depth; ++K)
+    C = "(ite " + C + " (str.in_re " + (TwoVars && K % 2 ? "t" : "s") +
+        " (re.+ (str.to_re \"b\"))) (str.in_re s (str.to_re \"c" +
+        std::to_string(K - 1) + "\")))";
+  return std::string("(declare-const s String)\n") +
+         (TwoVars ? "(declare-const t String)\n" : "") + "(assert " + C +
+         ")\n(check-sat)\n(assert (str.in_re s (str.to_re \"zz\")))\n"
+         "(check-sat)";
+}
+
+TEST_F(SmtTest, OneVariableDisjunctionIsOneRegexQuery) {
+  // in(s,A) ∨ in(s,B) is in(s, A|B): one cube, one query (Section 2).
+  SmtResult R = run(R"(
+    (declare-const s String)
+    (assert (or (str.in_re s (re.+ (str.to_re "a")))
+                (str.in_re s (re.+ (str.to_re "b")))))
+    (assert (not (str.in_re s (str.to_re "a"))))
+    (check-sat)
+    (get-info :statistics))");
+  ASSERT_EQ(R.Status, SolveStatus::Sat);
+  EXPECT_EQ(R.CubesTried, 1u);
+  EXPECT_NE(R.Statistics.find(":regex-queries 1\n"), std::string::npos)
+      << R.Statistics;
+  std::string V = modelValue(R, "s");
+  EXPECT_TRUE(E.matches(parseRegexOrDie(M, "(a+|b+)&~(a)"), V)) << V;
+}
+
+TEST_F(SmtTest, ThirteenDisjunctionsUnderALengthBoundAreUnsat) {
+  // Each assert needs one of two letters, 26 letters in all; three
+  // characters cover at most three asserts. As cubes this is 2^13 branches.
+  std::string Script =
+      "(declare-const s String)\n(assert (<= (str.len s) 3))\n";
+  for (char A = 'a'; A <= 'y'; A += 2)
+    Script += std::string("(assert (or (str.in_re s (re.++ re.all (str.to_re "
+                          "\"") + A + "\") re.all)) (str.in_re s (re.++ "
+                          "re.all (str.to_re \"" + char(A + 1) +
+              "\") re.all))))\n";
+  SmtResult R = run(Script + "(check-sat)");
+  EXPECT_EQ(R.Status, SolveStatus::Unsat) << R.Note;
+  EXPECT_EQ(R.CubesTried, 1u);
+}
+
+TEST_F(SmtTest, NestedIteChainOnOneVariableFoldsToOneRegex) {
+  // The fold shares each condition between both branches: linear in the
+  // formula, while the tree of the folded term doubles per level (the
+  // verdict-cache key print stops at its cap).
+  SmtResult R = run(iteChainScript(30, /*TwoVars=*/false));
+  ASSERT_EQ(R.Checks.size(), 2u);
+  EXPECT_EQ(R.Checks[0].Status, SolveStatus::Sat);
+  ASSERT_EQ(R.Checks[0].Model.size(), 1u);
+  EXPECT_EQ(R.Checks[0].Model[0].second, "c29");
+  EXPECT_EQ(R.Checks[1].Status, SolveStatus::Unsat) << R.Checks[1].Note;
+  EXPECT_EQ(R.Checks[1].CubesTried, 1u);
+
+  // Through a session with a verdict cache, whose key print stops at its
+  // cap instead of rendering the 2^30-leaf tree.
+  cache::VerdictCache Cache;
+  SmtSession Session(Solver);
+  Session.setVerdictCache(&Cache);
+  std::vector<std::string> Replies;
+  for (const SmtSession::Reply &Rep :
+       Session.executeAll(iteChainScript(30, /*TwoVars=*/false)))
+    Replies.push_back(Rep.Text);
+  EXPECT_EQ(Replies, (std::vector<std::string>{"", "", "sat", "", "unsat"}));
+}
+
+TEST_F(SmtTest, NestedIteChainAcrossTwoVariablesPrunesEarly) {
+  // Disjunctions that span s and t remain cubes; a cube's atoms on one
+  // variable are solved as soon as a second one joins, so contradictions
+  // prune the search long before the implicant budget.
+  SmtResult R = run(iteChainScript(22, /*TwoVars=*/true));
+  ASSERT_EQ(R.Checks.size(), 2u);
+  EXPECT_EQ(R.Checks[0].Status, SolveStatus::Sat) << R.Checks[0].Note;
+  EXPECT_EQ(R.Checks[1].Status, SolveStatus::Unsat) << R.Checks[1].Note;
 }
 
 TEST_F(SmtTest, NegativeLengthBounds) {

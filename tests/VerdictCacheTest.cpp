@@ -111,6 +111,22 @@ TEST_F(VerdictCacheTest, OversizedKeysAreSkipped) {
   EXPECT_FALSE(canonicalVerdictKey(M, R, SolveOptions{}).empty());
 }
 
+TEST_F(VerdictCacheTest, KeyPrintStopsAtTheCap) {
+  // (R & b+) | (~R & ck), 40 deep: a linear DAG whose print doubles per
+  // level. The key print must stop at the cap, not render 2^40 copies.
+  Re R = parse("a");
+  for (int K = 0; K != 40; ++K)
+    R = M.union_(M.inter(R, parse("b+")),
+                 M.inter(M.complement(R), parse("c" + std::to_string(K))));
+  EXPECT_TRUE(canonicalVerdictKey(M, R, SolveOptions{}).empty());
+  std::string Prefix = M.toString(R, 100);
+  EXPECT_GT(Prefix.size(), 100u);
+  EXPECT_LT(Prefix.size(), 200u);
+  // Under the cap the print is the full one.
+  Re Small = parse("(abc|d)*&~(e)");
+  EXPECT_EQ(M.toString(Small, 1000), M.toString(Small));
+}
+
 TEST_F(VerdictCacheTest, InsertOverwritesExistingEntry) {
   VerdictCache C;
   std::string K = key("a|b");
