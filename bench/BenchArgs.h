@@ -18,10 +18,6 @@
 ///   --stats-json <file> write the merged counter registry, the histogram
 ///                      registry (p50/p90/p99), and the summed per-query
 ///                      SolveStats as a flat JSON document
-///   --json <file>      write the harness's own result summary (per-group
-///                      timings etc.) as JSON — the machine-readable twin
-///                      of the human table, consumed by the perf-smoke
-///                      guard in scripts/check.sh
 ///   --slow-log <file>  JSONL sink for slow-query explain artifacts
 ///                      (replay them with tools/sbd-explain)
 ///   --slow-threshold-us <n>   capture queries slower than n microseconds
@@ -35,7 +31,6 @@
 #ifndef SBD_BENCH_BENCHARGS_H
 #define SBD_BENCH_BENCHARGS_H
 
-#include "portfolio/BatchSolver.h"
 #include "solver/SlowQueryLog.h"
 #include "solver/SolverResult.h"
 #include "support/Exposition.h"
@@ -57,7 +52,6 @@ struct BenchArgs {
   bool Quick = false;
   std::string TraceFile;
   std::string StatsJsonFile;
-  std::string JsonFile;
   std::string SlowLogFile;
   int64_t SlowThresholdUs = -1;
   uint64_t SlowNodeThreshold = 0;
@@ -95,8 +89,6 @@ struct BenchArgs {
         A.TraceFile = need("--trace");
       else if (!std::strcmp(Argv[I], "--stats-json"))
         A.StatsJsonFile = need("--stats-json");
-      else if (!std::strcmp(Argv[I], "--json"))
-        A.JsonFile = need("--json");
       else if (!std::strcmp(Argv[I], "--slow-log"))
         A.SlowLogFile = need("--slow-log");
       else if (!std::strcmp(Argv[I], "--slow-threshold-us"))
@@ -110,7 +102,7 @@ struct BenchArgs {
         std::fprintf(stderr,
                      "usage: %s [--scale f] [--timeout-ms n] "
                      "[--max-states n] [--seed n] [--threads n] [--quick] "
-                     "[--trace file] [--stats-json file] [--json file] "
+                     "[--trace file] [--stats-json file] "
                      "[--slow-log file] [--slow-threshold-us n] "
                      "[--slow-node-threshold n] [--expo file]\n",
                      Argv[0]);
@@ -193,42 +185,6 @@ struct BenchArgs {
     return Ok;
   }
 };
-
-/// Prints the standard per-phase breakdown table for a run whose summed
-/// per-query stats are \p Agg.
-inline void printPhaseTable(const SolveStats &Agg) {
-  auto Ms = [](int64_t Us) { return static_cast<double>(Us) / 1000.0; };
-  std::printf("phase breakdown (summed over queries):\n");
-  std::printf("  %-8s %10s\n", "phase", "time(ms)");
-  std::printf("  %-8s %10.1f\n", "parse", Ms(Agg.ParseUs));
-  std::printf("  %-8s %10.1f\n", "derive", Ms(Agg.DeriveUs));
-  std::printf("  %-8s %10.1f\n", "dnf", Ms(Agg.DnfUs));
-  std::printf("  %-8s %10.1f\n", "scan", Ms(Agg.ScanUs));
-  std::printf("  %-8s %10.1f\n", "search", Ms(Agg.SearchUs));
-  std::printf("  %-8s %10.1f\n", "total", Ms(Agg.TotalUs));
-  std::printf("  derivatives=%llu dnf-calls=%llu arcs=%llu minterms=%llu\n",
-              static_cast<unsigned long long>(Agg.DerivativeCalls),
-              static_cast<unsigned long long>(Agg.DnfCalls),
-              static_cast<unsigned long long>(Agg.ArcsEnumerated),
-              static_cast<unsigned long long>(Agg.MintermsProduced));
-}
-
-/// Prints the per-engine phase table BatchSolver aggregates, one row per
-/// engine that answered at least one query.
-inline void printEnginePhaseTable(const std::vector<EnginePhaseRow> &Rows) {
-  if (Rows.empty())
-    return;
-  auto Ms = [](int64_t Us) { return static_cast<double>(Us) / 1000.0; };
-  std::printf("per-engine phase breakdown:\n");
-  std::printf("  %-12s %8s %10s %10s %10s %10s\n", "engine", "queries",
-              "derive(ms)", "dnf(ms)", "search(ms)", "total(ms)");
-  for (const EnginePhaseRow &R : Rows)
-    std::printf("  %-12s %8llu %10.1f %10.1f %10.1f %10.1f\n",
-                solveEngineName(R.Engine),
-                static_cast<unsigned long long>(R.Queries),
-                Ms(R.Stats.DeriveUs), Ms(R.Stats.DnfUs), Ms(R.Stats.SearchUs),
-                Ms(R.Stats.TotalUs));
-}
 
 } // namespace sbd
 

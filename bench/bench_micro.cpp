@@ -314,9 +314,8 @@ void BM_CachedMatcherThroughput(benchmark::State &State) {
   State.counters["states"] =
       static_cast<double>(Matcher.statesMaterialized());
   State.counters["memo_hit%"] = E.stats().memoHitRate() * 100.0;
-  // Exported so the perf-smoke snapshot records that the run really built
-  // DFA states and compressed the alphabet (BENCH_PR4.json had them as 0
-  // because only the corpus bench, which never takes this path, reported).
+  // Exported so the report shows the run really built DFA states over a
+  // compressed alphabet (CachedMatcherTest asserts that both grow).
   State.counters["dfa_states_built"] =
       static_cast<double>(D.get(obs::Counter::DfaStatesBuilt));
   State.counters["alphabet_minterms"] =
@@ -341,8 +340,9 @@ BENCHMARK(BM_GraphDeadStateReuse);
 } // namespace
 
 /// Custom main so the harness accepts `--quick` (a short smoke run used by
-/// scripts/check.sh) and `--json <path>` (machine-readable results for the
-/// perf-smoke guard) on top of the standard google-benchmark flags.
+/// scripts/check.sh) and `--json <path>` (machine-readable results, read
+/// by scripts/ci/obs_overhead.sh) on top of the standard google-benchmark
+/// flags.
 int main(int Argc, char **Argv) {
   std::vector<char *> Args(Argv, Argv + Argc);
   static char MinTime[] = "--benchmark_min_time=0.01";

@@ -9,19 +9,21 @@
 /// paper's architecture claims is small because the regex theory does the
 /// heavy lifting.
 ///
+/// It is also the corpus run behind the observation flags (--trace,
+/// --stats-json, --slow-log, --expo) that scripts/ci/bench_debug.sh and
+/// scripts/ci/obs_overhead.sh drive.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchArgs.h"
 #include "Workloads.h"
 
-#include "cache/VerdictCache.h"
 #include "re/RegexParser.h"
 #include "re/SmtPrinter.h"
 #include "smt/SmtSolver.h"
 #include "portfolio/BatchSolver.h"
 #include "support/Stopwatch.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace sbd;
@@ -106,65 +108,6 @@ GroupStats runGroup(const std::vector<BenchSuite> &Suites,
   return Stats;
 }
 
-/// Resident-session measurement (DESIGN.md §15): the whole corpus is
-/// replayed twice through ONE persistent SmtSession with a verdict cache
-/// attached, instances separated by (reset) — exactly the way the
-/// sbd-server front end is driven. Pass 1 is cold (every check solves),
-/// pass 2 is warm (every check should be a cache hit), so the cold/warm
-/// latency split is the cache's measured payoff.
-struct SessionStats {
-  size_t Instances = 0;
-  size_t Mismatches = 0; ///< warm verdict differed from cold (must be 0)
-  double ColdMs = 0, WarmMs = 0;
-  std::vector<int64_t> ColdUs, WarmUs; ///< per-instance check latencies
-  cache::VerdictCacheCounters Cache;
-};
-
-int64_t percentileUs(std::vector<int64_t> V, double P) {
-  if (V.empty())
-    return 0;
-  std::sort(V.begin(), V.end());
-  size_t Idx = static_cast<size_t>(P * static_cast<double>(V.size() - 1));
-  return V[Idx];
-}
-
-SessionStats runSessionPasses(const std::vector<std::string> &Scripts,
-                              const SolveOptions &Opts) {
-  SessionStats Stats;
-  Stats.Instances = Scripts.size();
-
-  cache::VerdictCache Cache;
-  RegexManager M;
-  TrManager T(M);
-  DerivativeEngine E(M, T);
-  RegexSolver Solver(E);
-  SmtSession Session(Solver, Opts);
-  Session.setVerdictCache(&Cache);
-
-  std::vector<SolveStatus> ColdStatus(Scripts.size(), SolveStatus::Unknown);
-  for (int Pass = 0; Pass != 2; ++Pass) {
-    for (size_t I = 0; I != Scripts.size(); ++I) {
-      Stopwatch W;
-      Session.executeAll(Scripts[I]);
-      int64_t Us = W.elapsedUs();
-      SolveStatus Got = Session.lastResult().Status;
-      Session.executeAll("(reset)"); // arena and cache stay warm
-      if (Pass == 0) {
-        Stats.ColdMs += static_cast<double>(Us) / 1000.0;
-        Stats.ColdUs.push_back(Us);
-        ColdStatus[I] = Got;
-      } else {
-        Stats.WarmMs += static_cast<double>(Us) / 1000.0;
-        Stats.WarmUs.push_back(Us);
-        if (Got != ColdStatus[I])
-          ++Stats.Mismatches;
-      }
-    }
-  }
-  Stats.Cache = Cache.counters();
-  return Stats;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -186,11 +129,9 @@ int main(int Argc, char **Argv) {
   std::printf("%-4s %7s %8s %8s %12s %12s %10s\n", "grp", "total", "agree",
               "unknown", "direct(ms)", "via-smt(ms)", "overhead");
   SolveStats Agg;
-  std::vector<GroupStats> Results;
   for (const Group &G : Groups) {
     GroupStats S = runGroup(G.Suites, Args.Opts, Args.Threads);
     Agg += S.Work;
-    Results.push_back(S);
     double Overhead =
         S.DirectMs > 0 ? (S.ViaSmtMs - S.DirectMs) / S.DirectMs * 100.0 : 0;
     std::printf("%-4s %7zu %8zu %8zu %12.1f %12.1f %9.1f%%\n", G.Name,
@@ -198,106 +139,9 @@ int main(int Argc, char **Argv) {
                 Overhead);
     std::printf("     cache: %s\n", S.Cache.summary().c_str());
   }
-  std::printf("\n");
-  printPhaseTable(Agg);
-
-  // Session cold/warm replay over the whole corpus.
-  std::vector<std::string> Scripts;
-  {
-    RegexManager M;
-    for (const Group &G : Groups)
-      for (const BenchSuite &Suite : G.Suites)
-        for (const BenchInstance &Inst : Suite.Instances) {
-          RegexParseResult Parsed = parseRegex(M, Inst.Pattern);
-          if (Parsed.Ok)
-            Scripts.push_back(
-                regexToSmtScript(M, Parsed.Value, Inst.ExpectedSat));
-        }
-  }
-  SolveOptions SessionOpts = Args.Opts;
-  SessionOpts.Strategy = SearchStrategy::Dfs;
-  SessionStats Sess = runSessionPasses(Scripts, SessionOpts);
-  std::printf("\n== Resident session: corpus replayed twice, one arena ==\n");
-  std::printf("instances=%zu cold=%.1fms warm=%.1fms speedup=%.1fx "
-              "mismatches=%zu\n",
-              Sess.Instances, Sess.ColdMs, Sess.WarmMs,
-              Sess.WarmMs > 0 ? Sess.ColdMs / Sess.WarmMs : 0.0,
-              Sess.Mismatches);
-  std::printf("cold p50/p90/p99 = %lld/%lld/%lld us, "
-              "warm p50/p90/p99 = %lld/%lld/%lld us\n",
-              static_cast<long long>(percentileUs(Sess.ColdUs, 0.50)),
-              static_cast<long long>(percentileUs(Sess.ColdUs, 0.90)),
-              static_cast<long long>(percentileUs(Sess.ColdUs, 0.99)),
-              static_cast<long long>(percentileUs(Sess.WarmUs, 0.50)),
-              static_cast<long long>(percentileUs(Sess.WarmUs, 0.90)),
-              static_cast<long long>(percentileUs(Sess.WarmUs, 0.99)));
-  std::printf("verdict cache: hits=%llu misses=%llu inserts=%llu "
-              "evictions=%llu size=%zu hit-rate=%.1f%%\n",
-              static_cast<unsigned long long>(Sess.Cache.Hits),
-              static_cast<unsigned long long>(Sess.Cache.Misses),
-              static_cast<unsigned long long>(Sess.Cache.Inserts),
-              static_cast<unsigned long long>(Sess.Cache.Evictions),
-              Sess.Cache.Size, Sess.Cache.hitRate() * 100.0);
-
   std::printf("\nagree counts instances where the script path and the\n"
               "direct path return the same sat/unsat verdict (they must,\n"
               "modulo budget); overhead is the front end's relative cost.\n");
 
-  bool Ok = Args.endObservation(Agg);
-  if (!Args.JsonFile.empty()) {
-    std::string Doc = "{\n  \"groups\": [";
-    for (size_t I = 0; I != Groups.size(); ++I) {
-      const GroupStats &S = Results[I];
-      char Buf[256];
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s\n    {\"name\": \"%s\", \"total\": %zu, "
-                    "\"agree\": %zu, \"unknown\": %zu, "
-                    "\"direct_ms\": %.3f, \"via_smt_ms\": %.3f}",
-                    I ? "," : "", Groups[I].Name, S.Total, S.Agree,
-                    S.Unknown, S.DirectMs, S.ViaSmtMs);
-      Doc += Buf;
-    }
-    Doc += "\n  ],\n  \"session\": ";
-    {
-      char Buf[512];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "{\"instances\": %zu, \"mismatches\": %zu, "
-          "\"cold_ms\": %.3f, \"warm_ms\": %.3f, "
-          "\"cold_p50_us\": %lld, \"cold_p90_us\": %lld, "
-          "\"cold_p99_us\": %lld, \"warm_p50_us\": %lld, "
-          "\"warm_p90_us\": %lld, \"warm_p99_us\": %lld, "
-          "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-          "\"cache_inserts\": %llu}",
-          Sess.Instances, Sess.Mismatches, Sess.ColdMs, Sess.WarmMs,
-          static_cast<long long>(percentileUs(Sess.ColdUs, 0.50)),
-          static_cast<long long>(percentileUs(Sess.ColdUs, 0.90)),
-          static_cast<long long>(percentileUs(Sess.ColdUs, 0.99)),
-          static_cast<long long>(percentileUs(Sess.WarmUs, 0.50)),
-          static_cast<long long>(percentileUs(Sess.WarmUs, 0.90)),
-          static_cast<long long>(percentileUs(Sess.WarmUs, 0.99)),
-          static_cast<unsigned long long>(Sess.Cache.Hits),
-          static_cast<unsigned long long>(Sess.Cache.Misses),
-          static_cast<unsigned long long>(Sess.Cache.Inserts));
-      Doc += Buf;
-    }
-    Doc += ",\n  \"counters\": ";
-    Doc += obs::MetricsRegistry::global().snapshot().json();
-    Doc += ",\n  \"histograms\": ";
-    Doc += obs::HistogramRegistry::global().snapshot().json();
-    Doc += ",\n  \"aggregate\": ";
-    Doc += Agg.json();
-    Doc += "\n}\n";
-    std::FILE *F = std::fopen(Args.JsonFile.c_str(), "w");
-    if (F) {
-      std::fwrite(Doc.data(), 1, Doc.size(), F);
-      std::fclose(F);
-      std::printf("json: wrote %s\n", Args.JsonFile.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   Args.JsonFile.c_str());
-      Ok = false;
-    }
-  }
-  return Ok ? 0 : 1;
+  return Args.endObservation(Agg) ? 0 : 1;
 }

@@ -366,6 +366,7 @@ long VerdictCache::load(const std::string &Path) {
     if (!parseJsonString(Line, Pos, Status))
       continue;
     CachedVerdict V;
+    V.Proven = false;
     if (Status == "sat")
       V.Sat = true;
     else if (Status != "unsat")

@@ -18,11 +18,12 @@
 ///
 /// Trust model: the cache is *not* trusted. Every Sat hit must be
 /// revalidated by the caller — replay the cached witness through the
-/// reference matcher — before the verdict is served; a failed revalidation
-/// is a hard error surfaced through the audit counters
-/// (`verdict_cache_revalidation_failures`, `audit_violations`), never a
-/// silent fallback to re-solving. `noteRevalidationFailure()` implements
-/// that policy and drops the poisoned entry.
+/// reference matcher — before the verdict is served, and an Unsat entry
+/// read from disk (`Proven == false`) must be re-solved on its first hit.
+/// A failed revalidation is a hard error surfaced through the audit
+/// counters (`verdict_cache_revalidation_failures`, `audit_violations`),
+/// never a silent fallback to re-solving. `noteRevalidationFailure()`
+/// implements that policy and drops the poisoned entry.
 ///
 /// An optional JSONL persistent store (`save()`/`load()`) lets a warmed
 /// cache survive process restarts (`sbd-server --cache-load/--cache-save`).
@@ -49,6 +50,10 @@ struct CachedVerdict {
   bool Sat = false;
   /// Witness word (Sat entries only; empty means the empty-string witness).
   std::vector<uint32_t> Witness;
+  /// False for an entry read by load() until a solve in this process
+  /// agrees with it. Sat hits are checked by their witness on every hit;
+  /// an unproven Unsat hit is re-solved before it is served.
+  bool Proven = true;
 };
 
 /// Aggregated per-cache counters (the same values also feed the process
@@ -120,9 +125,9 @@ public:
   /// error.
   bool save(const std::string &Path) const;
 
-  /// Inserts every entry of a previously saved file (malformed lines are
-  /// skipped). Returns the number of entries loaded, or -1 when the file
-  /// cannot be opened.
+  /// Inserts every entry of a previously saved file, marked unproven
+  /// (malformed lines are skipped). Returns the number of entries loaded,
+  /// or -1 when the file cannot be opened.
   long load(const std::string &Path);
 
   /// --- Test hooks ----------------------------------------------------------

@@ -64,35 +64,10 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
   return Out;
 }
 
-namespace {
-
-/// Buckets every result's SolveStats by the engine that produced it.
-std::vector<EnginePhaseRow>
-bucketByEngine(const std::vector<BatchResult> &Results) {
-  EnginePhaseRow Rows[NumSolveEngines];
-  for (size_t I = 0; I != NumSolveEngines; ++I)
-    Rows[I].Engine = static_cast<SolveEngine>(I);
-  for (const BatchResult &R : Results) {
-    if (!R.ParseOk)
-      continue;
-    EnginePhaseRow &Row = Rows[static_cast<size_t>(R.Result.Stats.Engine)];
-    ++Row.Queries;
-    Row.Stats += R.Result.Stats;
-  }
-  std::vector<EnginePhaseRow> Out;
-  for (size_t I = 0; I != NumSolveEngines; ++I)
-    if (Rows[I].Queries)
-      Out.push_back(Rows[I]);
-  return Out;
-}
-
-} // namespace
-
 std::vector<BatchResult>
 BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
   std::vector<BatchResult> Results(Queries.size());
   Stats.reset();
-  Phases.clear();
 
   // The work loop every worker runs: claim the next unprocessed query index
   // and solve it on this worker's stack. Results are written to disjoint
@@ -128,7 +103,6 @@ BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
   unsigned Threads = Opts.NumThreads;
   if (Threads <= 1 || Queries.size() <= 1) {
     workLoop();
-    Phases = bucketByEngine(Results);
     return Results;
   }
   if (Threads > Queries.size())
@@ -140,6 +114,5 @@ BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
     Pool.emplace_back(workLoop);
   for (std::thread &Th : Pool)
     Th.join();
-  Phases = bucketByEngine(Results);
   return Results;
 }

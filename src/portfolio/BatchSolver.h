@@ -63,14 +63,6 @@ struct BatchOptions {
   size_t ArenaNodeBudget = 1 << 20;
 };
 
-/// Per-engine phase aggregation over one solveAll() call: every query's
-/// SolveStats summed into the bucket of the engine that answered it.
-struct EnginePhaseRow {
-  SolveEngine Engine = SolveEngine::DerivBfs;
-  uint64_t Queries = 0;
-  SolveStats Stats;
-};
-
 /// Fans independent queries over thread-local solver stacks.
 class BatchSolver {
 public:
@@ -83,15 +75,9 @@ public:
   /// solveAll() call (regex arena + transition arena + engine memos).
   const CacheStats &stats() const { return Stats; }
 
-  /// Per-engine phase table for the last solveAll() call, engines in enum
-  /// order, engines with zero queries omitted. The bench harnesses print
-  /// this as the per-engine phase breakdown.
-  const std::vector<EnginePhaseRow> &enginePhases() const { return Phases; }
-
 private:
   BatchOptions Opts;
   CacheStats Stats;
-  std::vector<EnginePhaseRow> Phases;
 };
 
 } // namespace sbd

@@ -51,13 +51,19 @@ RouteDecision portfolio::planRoute(const analysis::RegexFeatures &F,
 
 SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
   // Cross-query verdict cache (DESIGN.md §15). The probe runs before the
-  // analyzer: a hit skips analysis, routing, and solving entirely. An
-  // empty key means the canonical print exceeded the key cap — skip.
+  // analyzer: a hit skips analysis, routing, and solving entirely, except
+  // the first hit of an Unsat entry read from disk. An empty key means the
+  // canonical print exceeded the key cap — skip.
   std::string CacheKey;
+  bool Reprove = false;
   if (Cache) {
     Stopwatch HitTimer;
     CacheKey = cache::canonicalVerdictKey(M, R, Opts);
-    if (std::optional<cache::CachedVerdict> Hit = Cache->lookup(CacheKey)) {
+    std::optional<cache::CachedVerdict> Hit = Cache->lookup(CacheKey);
+    // An Unsat entry read from disk had no solve in this process: the solve
+    // below re-proves it, and its insert marks the entry proven.
+    Reprove = Hit && !Hit->Sat && !Hit->Proven;
+    if (Hit && !Reprove) {
       SolveResult Out;
       Out.Stats.Engine = SolveEngine::VerdictCache;
       if (Hit->Sat) {
@@ -109,6 +115,19 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
   }
   if (!Solved)
     Out = S.checkSat(R, Opts);
+
+  if (Reprove && Out.isSat()) {
+    // The fresh solve contradicts the loaded Unsat entry: the same hard
+    // error as a rejected cached witness. An Unknown is served as is and
+    // leaves the entry unproven.
+    Cache->noteRevalidationFailure(CacheKey);
+    Out.Status = SolveStatus::Unknown;
+    Out.Stop = StopReason::CacheRevalidationFailed;
+    Out.Note = "cached unsat failed revalidation: a fresh solve found a "
+               "witness";
+    Out.Witness.clear();
+    return Out;
+  }
 
   // Memoize definite verdicts only: Unknown/Unsupported depend on budgets
   // and fragment coverage, not on the language, so they must never be

@@ -71,7 +71,8 @@ public:
   /// solver stacks — its keys are canonical prints, not arena pointers.
   /// When attached, checkSat probes it before routing and memoizes every
   /// definite verdict. Sat hits are revalidated through the reference
-  /// matcher; a failed revalidation is a hard error
+  /// matcher, and an Unsat entry read from disk is re-solved on its first
+  /// hit; a failed revalidation is a hard error
   /// (StopReason::CacheRevalidationFailed), never a silent re-solve.
   void setVerdictCache(cache::VerdictCache *C) { Cache = C; }
 

@@ -3,6 +3,7 @@
 #include "core/CachedMatcher.h"
 
 #include "re/RegexParser.h"
+#include "support/Metrics.h"
 #include "support/Rng.h"
 #include "support/Unicode.h"
 
@@ -115,6 +116,23 @@ TEST_F(CachedMatcherTest, AuditDetectsCorruptedRow) {
   Matcher.corruptRowForTest(0, Matcher.compressor().classOf('a'), 0xFFFFFFFFu);
   EXPECT_GT(Matcher.auditRows(), 0u) << "corruption not detected";
 }
+
+#if SBD_OBS
+TEST_F(CachedMatcherTest, MatchingCountsLazyDfaStatesAndMinterms) {
+  // The matcher path builds DFA states over a compressed alphabet, and the
+  // registry must see both (SolverTest's witness-check case asserts they
+  // stay 0 on the solver path). The snapshot precedes construction: the
+  // compressor and the first row are built in the constructor.
+  const obs::MetricShard Before = obs::tlsShard();
+  CachedMatcher Matcher(E, re(".*(ab|ba){2}.*\\d.*"));
+  const obs::MetricShard Built = obs::tlsShard().since(Before);
+  EXPECT_TRUE(Matcher.matches(std::string("xabba7")));
+  const obs::MetricShard D = obs::tlsShard().since(Before);
+  EXPECT_GT(D.get(obs::Counter::AlphabetMinterms), 0u);
+  EXPECT_GT(D.get(obs::Counter::DfaStatesBuilt),
+            Built.get(obs::Counter::DfaStatesBuilt));
+}
+#endif
 
 TEST_F(CachedMatcherTest, LongTrafficStaysOnTheLazyRowsAndExact) {
   // One default-options matcher serves many words, well past 4,096

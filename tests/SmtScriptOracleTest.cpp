@@ -6,8 +6,8 @@
 /// memberships from the fuzz generator, plus every non-regex atom the front
 /// end accepts (`=`/`distinct` with a literal, `str.len` comparisons,
 /// prefixof/suffixof/contains, `str.at`, `str.to_code`), under
-/// and/or/not/ite/=>, with random push/pop, check-sat-assuming and several
-/// check-sats. The script runs through an SmtSession, and every answer is
+/// and/or/not/ite/=>, with random push/pop, reset-assertions, reset,
+/// check-sat-assuming and several check-sats. The script runs through an SmtSession, and every answer is
 /// judged against bounded exhaustive evaluation:
 ///
 ///  - each variable v carries `(<= (str.len v) k)`, so its candidates are
@@ -69,9 +69,19 @@ struct ONode {
 
 /// One command of a generated script.
 struct OCommand {
-  enum Kind { Assert, Push, Pop, Check, CheckAssuming };
+  enum Kind {
+    Assert,
+    Push,
+    Pop,
+    Check,
+    CheckAssuming,
+    ResetAssertions,
+    Reset,
+    Declare
+  };
   Kind K;
   std::vector<size_t> Formulas; ///< Assert: one; CheckAssuming: the list
+  unsigned Var = 0;             ///< Declare
 };
 
 bool compareInts(int64_t L, const std::string &Op, int64_t R) {
@@ -308,7 +318,7 @@ private:
     size_t Depth = 0;
     size_t NumCommands = 4 + Rand.below(7);
     for (size_t I = 0; I != NumCommands; ++I) {
-      uint64_t Pick = Rand.below(20);
+      uint64_t Pick = Rand.below(22);
       OCommand C;
       if (Pick < 8) {
         C.K = OCommand::Assert;
@@ -321,17 +331,34 @@ private:
         --Depth;
       } else if (Pick < 17) {
         C.K = OCommand::Check;
-      } else {
+      } else if (Pick < 20) {
         C.K = OCommand::CheckAssuming;
         size_t Count = 1 + Rand.below(2);
         for (size_t J = 0; J != Count; ++J)
           C.Formulas.push_back(formula(static_cast<unsigned>(Rand.below(3))));
+      } else {
+        C.K = Pick == 20 ? OCommand::ResetAssertions : OCommand::Reset;
+        Depth = 0;
       }
       Body.push_back(std::move(C));
     }
     if (Body.back().K != OCommand::Check)
       Body.push_back({OCommand::Check, {}});
     buildAlphabetAndBounds();
+    // Both resets drop every assertion, the bounds included, and (reset)
+    // also drops the declarations: restore what the enumeration needs.
+    std::vector<OCommand> Expanded;
+    for (OCommand &C : Body) {
+      OCommand::Kind K = C.K;
+      Expanded.push_back(std::move(C));
+      if (K == OCommand::Reset)
+        for (unsigned V = 0; V != NumVars; ++V)
+          Expanded.push_back({OCommand::Declare, {}, V});
+      if (K == OCommand::Reset || K == OCommand::ResetAssertions)
+        for (size_t B : Bounds)
+          Expanded.push_back({OCommand::Assert, {B}});
+    }
+    Body = std::move(Expanded);
     render();
   }
 
@@ -445,10 +472,13 @@ private:
     return Out + ")";
   }
 
+  static std::string declaration(unsigned Var) {
+    return std::string("(declare-const ") + VarNames[Var] + " String)";
+  }
+
   void render() {
     for (unsigned V = 0; V != NumVars; ++V)
-      Text.push_back(std::string("(declare-const ") + VarNames[V] +
-                     " String)");
+      Text.push_back(declaration(V));
     for (size_t B : Bounds)
       Text.push_back("(assert " + formulaText(B) + ")");
     for (const OCommand &C : Body) {
@@ -464,6 +494,15 @@ private:
         break;
       case OCommand::Check:
         Text.push_back("(check-sat)");
+        break;
+      case OCommand::ResetAssertions:
+        Text.push_back("(reset-assertions)");
+        break;
+      case OCommand::Reset:
+        Text.push_back("(reset)");
+        break;
+      case OCommand::Declare:
+        Text.push_back(declaration(C.Var));
         break;
       case OCommand::CheckAssuming: {
         std::string Out = "(check-sat-assuming (";
@@ -603,6 +642,12 @@ bool runCase(uint64_t Seed, unsigned NumVars, cache::VerdictCache &Cache,
       continue;
     case OCommand::Pop:
       Frames.pop_back();
+      continue;
+    case OCommand::ResetAssertions:
+    case OCommand::Reset:
+      Frames.assign(1, {});
+      continue;
+    case OCommand::Declare:
       continue;
     case OCommand::Check:
     case OCommand::CheckAssuming:

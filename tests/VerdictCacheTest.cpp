@@ -5,7 +5,8 @@
 /// §15): key canonicality (print → reparse round-trip), bounded capacity
 /// with least-recently-hit eviction, JSONL persistence, and — through the
 /// portfolio — the untrusted-cache revalidation contract: a poisoned Sat
-/// witness must surface as a hard error, never a silent re-solve.
+/// witness or a forged Unsat entry read from disk must surface as a hard
+/// error, never a silent re-solve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -299,6 +300,70 @@ TEST_F(VerdictCacheTest, CorruptedWitnessIsAHardErrorNeverASilentResolve) {
   SolveResult Warm = P.checkSat(R);
   EXPECT_EQ(Warm.Stats.Engine, SolveEngine::VerdictCache);
   EXPECT_EQ(Warm.Witness, Repaired.Witness);
+}
+
+/// An Unsat entry read from disk had no solve in this process. A forged one
+/// (its language has the witness "ab") must surface on its first hit as the
+/// same hard error as a corrupted witness, never as `unsat`.
+TEST_F(VerdictCacheTest, ForgedLoadedUnsatIsAHardErrorNeverAnUnsat) {
+  std::string Path = ::testing::TempDir() + "/verdict_cache_forged.jsonl";
+  Re R = parse("(ab)+");
+  {
+    VerdictCache Forger;
+    Forger.insert(canonicalVerdictKey(M, R, SolveOptions{}), {false, {}});
+    ASSERT_TRUE(Forger.save(Path));
+  }
+  VerdictCache C;
+  ASSERT_EQ(C.load(Path), 1);
+  std::remove(Path.c_str());
+  portfolio::PortfolioSolver P(Solver);
+  P.setVerdictCache(&C);
+
+  uint64_t AuditBefore = obs::MetricsRegistry::global().snapshot().get(
+      obs::Counter::AuditViolations);
+  SolveResult Hit = P.checkSat(R);
+  EXPECT_EQ(Hit.Status, SolveStatus::Unknown);
+  EXPECT_EQ(Hit.Stop, StopReason::CacheRevalidationFailed);
+  EXPECT_NE(Hit.Note.find("revalidation"), std::string::npos);
+  EXPECT_EQ(C.counters().RevalidationFailures, 1u);
+  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().get(
+                obs::Counter::AuditViolations),
+            AuditBefore + 1);
+
+  // The forged entry is gone: the next query solves and caches the truth.
+  SolveResult Repaired = P.checkSat(R);
+  EXPECT_EQ(Repaired.Status, SolveStatus::Sat);
+  EXPECT_NE(Repaired.Stats.Engine, SolveEngine::VerdictCache);
+}
+
+/// A genuine loaded Unsat entry is re-proved on its first hit only; after
+/// that it is served from the cache like an in-process entry.
+TEST_F(VerdictCacheTest, LoadedUnsatIsSolvedOnItsFirstHitOnly) {
+  std::string Path = ::testing::TempDir() + "/verdict_cache_unsat.jsonl";
+  Re R = parse("(ab)+&(ba)+");
+  {
+    VerdictCache Cold;
+    portfolio::PortfolioSolver P(Solver);
+    P.setVerdictCache(&Cold);
+    ASSERT_EQ(P.checkSat(R).Status, SolveStatus::Unsat);
+    ASSERT_TRUE(Cold.save(Path));
+  }
+  VerdictCache C;
+  ASSERT_EQ(C.load(Path), 1);
+  std::remove(Path.c_str());
+  portfolio::PortfolioSolver P(Solver);
+  P.setVerdictCache(&C);
+
+  SolveResult First = P.checkSat(R);
+  EXPECT_EQ(First.Status, SolveStatus::Unsat);
+  EXPECT_NE(First.Stats.Engine, SolveEngine::VerdictCache);
+  SolveResult Second = P.checkSat(R);
+  EXPECT_EQ(Second.Status, SolveStatus::Unsat);
+  EXPECT_EQ(Second.Stats.Engine, SolveEngine::VerdictCache);
+  VerdictCacheCounters N = C.counters();
+  EXPECT_EQ(N.Hits, 2u);
+  EXPECT_EQ(N.Inserts, 1u); // the load's; the re-proof overwrote in place
+  EXPECT_EQ(N.RevalidationFailures, 0u);
 }
 
 /// Cache verdicts must be identical to direct solves — the acceptance
