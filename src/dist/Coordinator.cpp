@@ -2,9 +2,7 @@
 
 #include "dist/Coordinator.h"
 
-#include "cache/VerdictCache.h"
 #include "dist/Protocol.h"
-#include "re/RegexParser.h"
 #include "support/Hashing.h"
 #include "support/Histogram.h"
 #include "support/Stopwatch.h"
@@ -16,6 +14,7 @@
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 
 #include <fcntl.h>
 
@@ -31,7 +30,16 @@ uint64_t hashBytes(const std::string &S) {
   return hashMix(H);
 }
 
+/// How long a submitter blocked on a full backlog re-polls without
+/// sleeping before it falls back to a sleeping poll. A worker answers a
+/// typical query in a few µs, so a sleep/wake per block would dominate.
+constexpr int64_t BlockedSpinUs = 50;
+
 } // namespace
+
+unsigned dist::shardOf(const std::string &Pattern, unsigned NumShards) {
+  return static_cast<unsigned>(hashBytes(Pattern) % NumShards);
+}
 
 //===----------------------------------------------------------------------===//
 // DistSolver::Impl
@@ -42,7 +50,6 @@ struct DistSolver::Impl {
   /// bounce Sent back to Queued exactly once (Requeued).
   struct Pending {
     BatchQuery Q;
-    unsigned Shard = 0;
     enum { Queued, Sent, Done } State = Queued;
     bool Requeued = false;
     int64_t SentAtUs = 0;
@@ -69,11 +76,6 @@ struct DistSolver::Impl {
   size_t DoneCount = 0;
   bool Drained = false;
   Stopwatch Clock;
-
-  /// Coordinator-local arena for shard hashing only (recycled periodically;
-  /// no handle outlives one submit call).
-  std::unique_ptr<RegexManager> ShardM = std::make_unique<RegexManager>();
-  size_t ShardParses = 0;
 
   explicit Impl(const DistOptions &O) : Opts(O) {
     if (Opts.NumWorkers == 0)
@@ -286,7 +288,7 @@ struct DistSolver::Impl {
         std::optional<WireResponse> Resp = decodeResponse(F.Payload);
         if (!Resp)
           return false;
-        handleResponse(W, *Resp);
+        handleResponse(W, std::move(*Resp));
         break;
       }
       case FrameType::Request:
@@ -297,7 +299,7 @@ struct DistSolver::Impl {
     return !W.Reader.error();
   }
 
-  void handleResponse(WorkerProc &W, const WireResponse &Resp) {
+  void handleResponse(WorkerProc &W, WireResponse &&Resp) {
     if (Resp.Id >= Queries.size())
       return;
     for (size_t I = 0; I != W.InFlight.size(); ++I) {
@@ -309,7 +311,7 @@ struct DistSolver::Impl {
     Pending &P = Queries[Resp.Id];
     if (P.State == Pending::Done)
       return; // stale duplicate; first verdict wins
-    P.Result = Resp.Result;
+    P.Result = std::move(Resp.Result);
     P.State = Pending::Done;
     ++DoneCount;
     SBD_OBS_HIST(DistRpcUs, Clock.elapsedUs() - P.SentAtUs);
@@ -480,28 +482,12 @@ struct DistSolver::Impl {
   // Submission + drain
   //===--------------------------------------------------------------------===//
 
-  unsigned shardOf(const BatchQuery &Q) {
-    // Recycle the hashing arena periodically — handles never escape this
-    // function, so a reset only costs re-interning.
-    if (++ShardParses % 512 == 0)
-      ShardM = std::make_unique<RegexManager>();
-    RegexParseResult Parsed = parseRegex(*ShardM, Q.Pattern);
-    std::string Key;
-    if (Parsed.Ok)
-      Key = cache::canonicalVerdictKey(*ShardM, Parsed.Value, Q.Opts);
-    if (Key.empty())
-      Key = Q.Pattern; // unparseable or oversized: shard by surface syntax
-    return static_cast<unsigned>(hashBytes(Key) % Opts.NumShards);
-  }
-
   uint64_t submit(const BatchQuery &Q) {
     uint64_t Id = Queries.size();
-    unsigned Shard = shardOf(Q);
     Pending P;
     P.Q = Q;
-    P.Shard = Shard;
     Queries.push_back(std::move(P));
-    unsigned HomeSlot = Shard % Opts.NumWorkers;
+    unsigned HomeSlot = shardOf(Q.Pattern, Opts.NumShards) % Opts.NumWorkers;
     int Home = firstAlive(HomeSlot);
     if (Home < 0) {
       spawnWorker(HomeSlot, /*Respawn=*/true);
@@ -514,12 +500,17 @@ struct DistSolver::Impl {
     Workers[Home].Queue.push_back(Id);
 
     // Backpressure: hold the submitter inside the event loop until the
-    // backlog fits the admission bound again.
+    // backlog fits the admission bound again. Every worker has work while
+    // the backlog is over the bound, so re-poll without sleeping for a
+    // short window before paying a sleep/wake per block.
     size_t Bound =
         size_t{Opts.MaxInFlightPerWorker} * Workers.size() * 4 + 16;
     pump(0);
-    while (outstanding() > Bound)
-      pump(100);
+    if (outstanding() > Bound) {
+      int64_t SpinUntilUs = Clock.elapsedUs() + BlockedSpinUs;
+      while (outstanding() > Bound)
+        pump(Clock.elapsedUs() < SpinUntilUs ? 0 : 100);
+    }
     return Id;
   }
 

@@ -7,16 +7,17 @@
 ///
 /// Scheduling model:
 ///
-///  - *Sharding.* Every query is parsed on a coordinator-local arena and
-///    hashed by its canonical verdict key (`cache::canonicalVerdictKey` —
-///    the same string the per-worker verdict caches key on), so
-///    similarity-equal queries land on the same shard and each worker's
-///    cache warms exactly for its shard: `shard = H(key) % K`,
-///    `worker = shard % N`.
+///  - *Sharding.* Every query is hashed by its pattern text, so equal
+///    texts land on the same shard in every process and at every stream
+///    position, and a repeated query finds the verdict its home worker's
+///    cache already holds: `shard = H(pattern) % K`, `worker = shard % N`.
+///    The coordinator never parses a pattern; canonical verdict keys are
+///    computed by the workers' caches alone.
 ///  - *Admission control.* At most `MaxInFlightPerWorker` requests are on
 ///    any worker's socket; the rest wait in per-worker queues. A streaming
 ///    submitter is backpressured: `submit()` pumps the event loop until the
-///    total backlog drops below the admission bound.
+///    total backlog drops below the admission bound, re-polling without
+///    sleeping for a short window before it falls back to a sleeping poll.
 ///  - *Work stealing.* A worker whose queue runs dry steals the
 ///    longest queue's tail, so a skewed shard hash cannot idle workers.
 ///  - *Robustness.* Per-query RPC timeout (the stuck worker is killed),
@@ -41,17 +42,24 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace sbd {
 namespace dist {
 
+/// The shard of a query with pattern text \p Pattern among \p NumShards
+/// (> 0): a hash of the text's bytes alone, so it does not depend on the
+/// process, the stream position or anything hashed before.
+unsigned shardOf(const std::string &Pattern, unsigned NumShards);
+
 /// Coordinator configuration.
 struct DistOptions {
   /// Worker processes to fork.
   unsigned NumWorkers = 4;
-  /// Shard count for the canonical-hash → worker mapping. 0 means
-  /// NumWorkers. More shards than workers smooths a skewed hash.
+  /// Shard count for the pattern-text-hash → worker mapping (see
+  /// shardOf). 0 means NumWorkers. More shards than workers smooths a
+  /// skewed hash.
   unsigned NumShards = 0;
   /// Admission bound: requests on one worker's socket at once.
   unsigned MaxInFlightPerWorker = 4;

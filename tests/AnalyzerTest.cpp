@@ -163,9 +163,10 @@ TEST(AnalyzerTest, LiteralPrefixIsSoundOnFuzzSamples) {
     for (uint32_t J = 0; J != F.PrefixLen; ++J)
       EXPECT_EQ(W[J], F.Prefix[J])
           << St.M.toString(R) << ": witness diverges from prefix at " << J;
-    if (F.PrefixExact && F.PrefixComplete)
+    if (F.PrefixExact && F.PrefixComplete) {
       EXPECT_EQ(W.size(), F.PrefixLen)
           << St.M.toString(R) << ": exact-word language, longer witness";
+    }
   }
   EXPECT_GT(SatSeen, 20u) << "fuzz samples degenerated; seed drifted?";
 }
@@ -260,8 +261,9 @@ TEST(AnalyzerTest, PortfolioAgreesWithDirectSolver) {
     SolveResult Direct = St.S.checkSat(R);
     SolveResult Routed = Port.checkSat(R);
     EXPECT_EQ(Direct.Status, Routed.Status) << P;
-    if (Routed.isSat())
+    if (Routed.isSat()) {
       EXPECT_TRUE(St.S.matchesWord(R, Routed.Witness)) << P;
+    }
   }
 }
 

@@ -92,9 +92,10 @@ TEST(BatchSolverTest, MatchesSequentialReferenceSolver) {
     SolveResult Ref = S.checkSat(R);
     ASSERT_TRUE(Results[I].ParseOk) << Patterns[I];
     EXPECT_EQ(Results[I].Result.Status, Ref.Status) << Patterns[I];
-    if (Ref.isSat())
+    if (Ref.isSat()) {
       EXPECT_EQ(Results[I].Result.Witness.size(), Ref.Witness.size())
           << Patterns[I];
+    }
   }
 }
 
@@ -258,8 +259,9 @@ TEST(BatchSolverTest, PerQueryStatsArePopulated) {
     // Derivative counters only tick on derivative-engine routes; the
     // portfolio may send small positive patterns to Antimirov.
     if (R.Result.Stats.Engine == SolveEngine::DerivBfs ||
-        R.Result.Stats.Engine == SolveEngine::DerivDfs)
+        R.Result.Stats.Engine == SolveEngine::DerivDfs) {
       EXPECT_GT(R.Result.Stats.DerivativeCalls, 0u);
+    }
     EXPECT_GT(R.Result.Stats.SolverSteps, 0u);
     EXPECT_GE(R.Result.Stats.ParseUs, 0);
     EXPECT_GE(R.Result.Stats.TotalUs, 0);

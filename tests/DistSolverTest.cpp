@@ -3,10 +3,11 @@
 /// \file
 /// End-to-end tests for the `src/dist` multi-process layer (DESIGN.md
 /// §16): verdict-stream determinism across worker counts (and against the
-/// in-process BatchSolver), steal correctness under a deliberately skewed
-/// shard hash, worker-crash requeue-once recovery, and respawn after
-/// total worker loss. These fork real worker processes over socketpairs —
-/// the same machinery sbd-dist and the CI consistency gate run.
+/// in-process BatchSolver), text-only shard routing, steal correctness
+/// under a deliberately skewed shard hash, worker-crash requeue-once
+/// recovery, and respawn after total worker loss. These fork real worker
+/// processes over socketpairs — the same machinery sbd-dist and the CI
+/// consistency gate run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #include "portfolio/BatchSolver.h"
 
 #include "gtest/gtest.h"
+
+#include <set>
 
 using namespace sbd;
 using namespace sbd::dist;
@@ -101,18 +104,34 @@ TEST(DistSolverTest, MatchesInProcessBatchSolver) {
   EXPECT_EQ(LocalStream, DistStream);
 }
 
-TEST(DistSolverTest, ShardRoutingIsDeterministic) {
-  // Equal queries hash to equal shards: two runs over a shuffled-free
-  // corpus dispatch identically (same steal-free distribution), which is
-  // observable as a repeatable stats profile with stealing disabled by
-  // saturation (every worker busy enough not to run dry is not
-  // guaranteed, so compare verdict streams — the invariant that matters).
-  std::vector<BatchQuery> Queries = mixedCorpus();
-  DistOptions Opts;
-  Opts.NumWorkers = 2;
-  DistSolver A(Opts);
-  DistSolver B(Opts);
-  EXPECT_EQ(streamOf(A.solveAll(Queries)), streamOf(B.solveAll(Queries)));
+//===----------------------------------------------------------------------===//
+// Shard routing
+//===----------------------------------------------------------------------===//
+
+TEST(DistSolverTest, ShardOfDependsOnTheTextAlone) {
+  // The example's canonical key print orders its `&` operands by node id,
+  // so a key-derived shard depends on what an arena interned before it.
+  // The text's shard is the same before and after hashing anything else,
+  // and the pinned value holds in every process.
+  const std::string Example = "sb.*&.{0,5}";
+  const unsigned K = 4;
+  unsigned Before = shardOf(Example, K);
+  EXPECT_EQ(Before, 1u);
+  shardOf(".{0,5}&sb.*", K);
+  for (const BatchQuery &Q : mixedCorpus())
+    shardOf(Q.Pattern, K);
+  EXPECT_EQ(shardOf(Example, K), Before);
+}
+
+TEST(DistSolverTest, ShardOfSpreadsACorpusOverShards) {
+  const unsigned K = 4;
+  std::set<unsigned> Reached;
+  for (const BatchQuery &Q : mixedCorpus()) {
+    unsigned Shard = shardOf(Q.Pattern, K);
+    EXPECT_LT(Shard, K) << Q.Pattern;
+    Reached.insert(Shard);
+  }
+  EXPECT_GT(Reached.size(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -120,9 +139,8 @@ TEST(DistSolverTest, ShardRoutingIsDeterministic) {
 //===----------------------------------------------------------------------===//
 
 TEST(DistSolverTest, IdleWorkersStealFromSkewedShards) {
-  // Every query is textually identical → one canonical key → one shard →
-  // one home worker. With 3 workers the other two can only make progress
-  // by stealing.
+  // Every query is textually identical → one shard → one home worker.
+  // With 3 workers the other two can only make progress by stealing.
   std::vector<BatchQuery> Queries;
   for (int I = 0; I != 24; ++I) {
     BatchQuery Q;
