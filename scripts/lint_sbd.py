@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific structural lints for the sbd tree (stdlib only).
 
-Three rules, each encoding an invariant the type system cannot:
+Five rules, each encoding an invariant the type system cannot:
 
 1. node-construction: `RegexNode{...}` / `TrNode{...}` aggregates (and
    `Nodes.push_back` / `Nodes.emplace_back` on the arenas) may appear only
@@ -26,6 +26,15 @@ Three rules, each encoding an invariant the type system cannot:
    (src/portfolio, DESIGN.md section 14). An ad-hoc engine pick bypasses
    the admission cap and the routing regression gates.
 
+5. one-verdict-gate: under src/ and tools/, `matchesWord(` is called only
+   in src/portfolio/Portfolio.cpp, the witness check at the exit of
+   PortfolioSolver::checkSat (DESIGN.md section 15). Its declaration and
+   definition in src/solver/RegexSolver.{h,cpp} are the other allowed
+   sites. A second copy of the check replays witnesses twice and types its
+   failures differently.
+
+Rules 1-4 cover src/; rule 5 also covers tools/.
+
 Exit status: 0 clean, 1 violations (printed as file:line: rule: message).
 """
 
@@ -35,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TOOLS = ROOT / "tools"
 
 # Rule 1: the only files allowed to construct arena nodes directly.
 INTERN_SITES = {
@@ -85,6 +95,12 @@ ROUTING_SITES = {SRC / "portfolio" / "Portfolio.cpp",
 ENGINE_CTOR = re.compile(
     r"\b(?:AntimirovSolver|BrzozowskiMintermSolver|EagerSolver)\s*[({\w]")
 
+# Rule 5: the one witness check and the matcher's own declaration/definition.
+GATE_SITES = {SRC / "portfolio" / "Portfolio.cpp",
+              SRC / "solver" / "RegexSolver.h",
+              SRC / "solver" / "RegexSolver.cpp"}
+MATCHES_WORD_CALL = re.compile(r"\bmatchesWord\s*\(")
+
 LINE_COMMENT = re.compile(r"//.*$")
 
 
@@ -94,10 +110,21 @@ def strip_comment(line: str) -> str:
     return LINE_COMMENT.sub("", line)
 
 
+def lint_gate(path: Path, lines):
+    """Rule 5 alone (the only rule that also covers tools/)."""
+    if path in GATE_SITES:
+        return []
+    return [(path, lineno, "one-verdict-gate",
+             "matchesWord is the verdict gate's witness check; call it only "
+             "from PortfolioSolver::checkSat (src/portfolio/Portfolio.cpp)")
+            for lineno, raw in enumerate(lines, 1)
+            if MATCHES_WORD_CALL.search(strip_comment(raw))]
+
+
 def lint_file(path: Path):
-    violations = []
     text = path.read_text(encoding="utf-8", errors="replace")
     lines = text.splitlines()
+    violations = lint_gate(path, lines)
     hot_path = HOT_PATH_MARKER in text
     is_intern_site = path in INTERN_SITES
     obs_allowed = path in OBS_ALLOWLIST
@@ -160,9 +187,13 @@ def lint_file(path: Path):
 
 def main() -> int:
     files = sorted(SRC.rglob("*.h")) + sorted(SRC.rglob("*.cpp"))
+    tools = sorted(TOOLS.rglob("*.h")) + sorted(TOOLS.rglob("*.cpp"))
     all_violations = []
     for path in files:
         all_violations.extend(lint_file(path))
+    for path in tools:
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        all_violations.extend(lint_gate(path, lines))
 
     for path, lineno, rule, msg in all_violations:
         rel = path.relative_to(ROOT)
@@ -172,7 +203,7 @@ def main() -> int:
         print(f"lint_sbd.py: {len(all_violations)} violation(s).",
               file=sys.stderr)
         return 1
-    print(f"lint_sbd.py: clean ({len(files)} files checked).")
+    print(f"lint_sbd.py: clean ({len(files) + len(tools)} files checked).")
     return 0
 
 

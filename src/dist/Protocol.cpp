@@ -179,7 +179,7 @@ dist::decodeResponse(const std::vector<uint8_t> &Payload) {
   for (uint32_t I = 0; I != N; ++I)
     R.Result.Witness.push_back(C.u32());
   if (!C.done() || Status > static_cast<uint8_t>(SolveStatus::Unsupported) ||
-      Stop > static_cast<uint8_t>(StopReason::CacheRevalidationFailed) ||
+      Stop > static_cast<uint8_t>(StopReason::RevalidationFailed) ||
       Engine >= NumSolveEngines)
     return std::nullopt;
   R.Result.Status = static_cast<SolveStatus>(Status);

@@ -265,16 +265,25 @@ void DifferentialOracle::checkVerdictCache(std::vector<Discrepancy> &Out) {
 
   Solver.resetGraph();
   SolveResult Cold = P.checkSat(Cur, Bfs);
-  if (!Cold.isSat() && !Cold.isUnsat())
-    return; // indefinite verdicts are never cached
 
   auto disagree = [&](const char *Phase, const SolveResult &Got) {
     SBD_OBS_INC(FuzzDiscrepancies);
-    Out.push_back(makeDiscrepancy(
-        OracleLaw::CacheConsistency, Got.Witness, "verdict_cache",
-        std::string(Phase) + ": got " + statusName(Got.Status) +
-            ", cold was " + statusName(Cold.Status)));
+    std::string Detail = std::string(Phase) + ": got " +
+                         statusName(Got.Status) + ", cold was " +
+                         statusName(Cold.Status);
+    if (Got.Stop == StopReason::RevalidationFailed)
+      Detail += " (" + Got.Note + ")";
+    Out.push_back(makeDiscrepancy(OracleLaw::CacheConsistency, Got.Witness,
+                                  "verdict_cache", std::move(Detail)));
   };
+  // The portfolio's witness check rejecting an answer is a wrong witness
+  // or a wrong cache entry, never a budget: not a skip.
+  if (Cold.Stop == StopReason::RevalidationFailed) {
+    disagree("cold solve", Cold);
+    return;
+  }
+  if (!Cold.isSat() && !Cold.isUnsat())
+    return; // indefinite verdicts are never cached
 
   // Same query again: must be served from the cache (hit counter +1) with
   // the identical verdict and witness.

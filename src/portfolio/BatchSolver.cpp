@@ -36,28 +36,6 @@ BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
   }
   Out.ParseOk = true;
   Out.Result = W.P.checkSat(Parsed.Value, Q.Opts);
-  // Sat witnesses are re-validated by the classical derivative walk
-  // (matchesWord, §8.1). This is a pure guard: verdicts and witnesses are
-  // unchanged on the (only observed) passing path, and a divergence is
-  // downgraded to Unknown rather than shipping an invalid witness. The
-  // check stays here, not inside PortfolioSolver: sbdbench's traced pass
-  // mirrors this function step by step (DESIGN.md §15).
-  if (Out.Result.isSat()) {
-#if SBD_OBS
-    const obs::MetricShard ScanBefore = obs::tlsShard();
-#endif
-    bool Valid = W.S.matchesWord(Parsed.Value, Out.Result.Witness);
-#if SBD_OBS
-    // The check runs after checkSat returned, so attribute its scan time to
-    // the query here (same thread-local-shard diff the solver uses).
-    Out.Result.Stats.ScanUs += static_cast<int64_t>(
-        obs::tlsShard().since(ScanBefore).get(obs::Counter::ScanTimeUs));
-#endif
-    if (!Valid) {
-      Out.Result.Status = SolveStatus::Unknown;
-      Out.Result.Note = "witness failed the derivative membership check";
-    }
-  }
   Out.Result.Stats.ParseUs = ParseUs;
   Out.Result.Stats.TotalUs += ParseUs;
   Out.Result.TimeUs += ParseUs;

@@ -54,90 +54,86 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
   // analyzer: a hit skips analysis, routing, and solving entirely, except
   // the first hit of an Unsat entry read from disk. An empty key means the
   // canonical print exceeded the key cap — skip.
+  Stopwatch HitTimer;
   std::string CacheKey;
-  bool Reprove = false;
+  std::optional<cache::CachedVerdict> Hit;
   if (Cache) {
-    Stopwatch HitTimer;
     CacheKey = cache::canonicalVerdictKey(M, R, Opts);
-    std::optional<cache::CachedVerdict> Hit = Cache->lookup(CacheKey);
-    // An Unsat entry read from disk had no solve in this process: the solve
-    // below re-proves it, and its insert marks the entry proven.
-    Reprove = Hit && !Hit->Sat && !Hit->Proven;
-    if (Hit && !Reprove) {
-      SolveResult Out;
-      Out.Stats.Engine = SolveEngine::VerdictCache;
-      if (Hit->Sat) {
-        // The cache is untrusted: replay the witness through the classical
-        // derivative walk (matchesWord) before serving. A rejection is a
-        // hard error — the entry (or the check) is wrong, and re-solving
-        // would paper over it.
-        if (!S.matchesWord(R, Hit->Witness)) {
-          Cache->noteRevalidationFailure(CacheKey);
-          Out.Status = SolveStatus::Unknown;
-          Out.Stop = StopReason::CacheRevalidationFailed;
-          Out.Note = "cached witness failed derivative revalidation";
-          Out.TimeUs = HitTimer.elapsedUs();
-          Out.Stats.TotalUs = Out.TimeUs;
-          return Out;
-        }
-        Out.Status = SolveStatus::Sat;
-        Out.Witness = Hit->Witness;
-      } else {
-        Out.Status = SolveStatus::Unsat;
-      }
-      Out.TimeUs = HitTimer.elapsedUs();
-      Out.Stats.TotalUs = Out.TimeUs;
-      return Out;
-    }
+    Hit = Cache->lookup(CacheKey);
+  }
+  // An Unsat entry read from disk had no solve in this process: the solve
+  // below re-proves it, and its insert marks the entry proven.
+  const bool Reprove = Hit && !Hit->Sat && !Hit->Proven;
+  const bool Served = Hit && !Reprove;
+
+  SolveResult Out;
+  if (Served) {
+    Out.Stats.Engine = SolveEngine::VerdictCache;
+    Out.Status = Hit->Sat ? SolveStatus::Sat : SolveStatus::Unsat;
+    Out.Witness = std::move(Hit->Witness);
+  } else {
+    Out = solve(R, Opts);
   }
 
+  // The verdict gate: every Sat answer, fresh or cached, is replayed once
+  // through the classical derivative walk (matchesWord, §8.1), which shares
+  // no δ or δdnf memo with the engines. A rejection is a hard error — the
+  // engine, the entry or the check is wrong, and re-solving would paper
+  // over it.
+  const char *Rejected = nullptr;
+  if (Out.isSat()) {
+    Stopwatch ScanTimer;
+    const bool Valid = S.matchesWord(R, Out.Witness);
+    Out.Stats.ScanUs += ScanTimer.elapsedUs();
+    if (!Valid)
+      Rejected = Served ? "cached witness failed derivative revalidation"
+                        : "witness failed derivative revalidation";
+    else if (Reprove)
+      // The fresh solve contradicts the loaded Unsat entry. An Unknown is
+      // served as is and leaves the entry unproven.
+      Rejected = "cached unsat failed revalidation: a fresh solve found a "
+                 "witness";
+  }
+  if (Rejected) {
+    if (Hit)
+      Cache->noteRevalidationFailure(CacheKey);
+    Out.Status = SolveStatus::Unknown;
+    Out.Stop = StopReason::RevalidationFailed;
+    Out.Note = Rejected;
+    Out.Witness.clear();
+  } else if (!Served && !CacheKey.empty() && (Out.isSat() || Out.isUnsat())) {
+    // Memoize definite verdicts only: Unknown/Unsupported depend on budgets
+    // and fragment coverage, not on the language, so they must never be
+    // served cross-query.
+    cache::CachedVerdict V;
+    V.Sat = Out.isSat();
+    V.Witness = Out.Witness;
+    Cache->insert(CacheKey, std::move(V));
+  }
+  if (Served) {
+    Out.TimeUs = HitTimer.elapsedUs();
+    Out.Stats.TotalUs = Out.TimeUs;
+  }
+  return Out;
+}
+
+SolveResult PortfolioSolver::solve(Re R, const SolveOptions &Opts) {
   Stopwatch AnalysisTimer;
   // A reference is safe: records never move (RegexAnalyzer pages), and
   // Anti.solve below reads the same record from the same analyzer.
   const analysis::RegexFeatures &Feat = S.analyzer().analyze(R);
   const int64_t AnalysisUs = AnalysisTimer.elapsedUs();
-  RouteDecision D = planRoute(Feat, Opts);
-
-  SolveResult Out;
-  bool Solved = false;
-  if (D.Engine == SolveEngine::Antimirov) {
+  if (planRoute(Feat, Opts).Engine == SolveEngine::Antimirov) {
     SolveResult R1 = Anti.solve(R, Opts);
     if (R1.Status == SolveStatus::Sat || R1.Status == SolveStatus::Unsat) {
       R1.Stats.PredictedClass = analysis::reClassName(Feat.Class);
       R1.Stats.RiskScore = Feat.Risk;
       R1.Stats.PredictedStates = analysis::predictedStateBound(Feat);
       R1.Stats.AnalysisUs = AnalysisUs;
-      Out = std::move(R1);
-      Solved = true;
+      return R1;
     }
     // Non-answer (budget, timeout, fragment): the derivative engine is the
     // completeness backstop, so routing can never lose a verdict.
   }
-  if (!Solved)
-    Out = S.checkSat(R, Opts);
-
-  if (Reprove && Out.isSat()) {
-    // The fresh solve contradicts the loaded Unsat entry: the same hard
-    // error as a rejected cached witness. An Unknown is served as is and
-    // leaves the entry unproven.
-    Cache->noteRevalidationFailure(CacheKey);
-    Out.Status = SolveStatus::Unknown;
-    Out.Stop = StopReason::CacheRevalidationFailed;
-    Out.Note = "cached unsat failed revalidation: a fresh solve found a "
-               "witness";
-    Out.Witness.clear();
-    return Out;
-  }
-
-  // Memoize definite verdicts only: Unknown/Unsupported depend on budgets
-  // and fragment coverage, not on the language, so they must never be
-  // served cross-query.
-  if (Cache && !CacheKey.empty() &&
-      (Out.Status == SolveStatus::Sat || Out.Status == SolveStatus::Unsat)) {
-    cache::CachedVerdict V;
-    V.Sat = Out.isSat();
-    V.Witness = Out.Witness;
-    Cache->insert(CacheKey, std::move(V));
-  }
-  return Out;
+  return S.checkSat(R, Opts);
 }

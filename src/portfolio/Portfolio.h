@@ -50,36 +50,41 @@ RouteDecision planRoute(const analysis::RegexFeatures &F,
 /// Analyzer-routed front end over a RegexSolver plus lazily-used baseline
 /// engines sharing its arena and its analyzer, so a routed term is folded
 /// once (DESIGN.md §14). Drop-in for RegexSolver::checkSat; BatchSolver
-/// and SmtSolver route through this. Fresh Sat answers are not
-/// witness-checked here: callers run RegexSolver::matchesWord (the
-/// classical derivative walk) after checkSat, which sbdbench's traced pass
-/// mirrors (DESIGN.md §15).
+/// and SmtSolver route through this. Every answer leaves through one
+/// verdict gate: a Sat witness, fresh or cached, is replayed once through
+/// RegexSolver::matchesWord (the classical derivative walk, DESIGN.md §15)
+/// and a rejection is Unknown with StopReason::RevalidationFailed.
 class PortfolioSolver {
 public:
   explicit PortfolioSolver(RegexSolver &Sol)
       : S(Sol), M(Sol.regexManager()), Anti(M, Sol.analyzer()) {}
 
-  /// Routed satisfiability check. Verdicts (and witness lengths — every
-  /// engine used here searches breadth-first) are independent of routing.
+  /// Routed, witness-checked satisfiability check. Verdicts (and witness
+  /// lengths — every engine used here searches breadth-first) are
+  /// independent of routing.
   SolveResult checkSat(Re R, const SolveOptions &Opts = {});
 
-  /// The wrapped derivative solver (shared arena, witness check, analyzer).
+  /// The wrapped derivative solver (shared arena, analyzer).
   RegexSolver &solver() { return S; }
 
   /// Attaches (or detaches, with nullptr) a cross-query verdict cache.
   /// Not owned; the cache may outlive this solver and be shared across
   /// solver stacks — its keys are canonical prints, not arena pointers.
   /// When attached, checkSat probes it before routing and memoizes every
-  /// definite verdict. Sat hits are revalidated through the reference
-  /// matcher, and an Unsat entry read from disk is re-solved on its first
+  /// definite verdict. Sat hits pass the same witness check as fresh
+  /// answers, and an Unsat entry read from disk is re-solved on its first
   /// hit; a failed revalidation is a hard error
-  /// (StopReason::CacheRevalidationFailed), never a silent re-solve.
+  /// (StopReason::RevalidationFailed), never a silent re-solve.
   void setVerdictCache(cache::VerdictCache *C) { Cache = C; }
 
   /// The attached verdict cache, or nullptr.
   cache::VerdictCache *verdictCache() { return Cache; }
 
 private:
+  /// Analyze, route, and fall back to the derivative engine on a
+  /// non-answer.
+  SolveResult solve(Re R, const SolveOptions &Opts);
+
   RegexSolver &S;
   RegexManager &M;
   AntimirovSolver Anti;

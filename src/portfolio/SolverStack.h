@@ -10,9 +10,8 @@
 /// so arenas only ever grow; see DESIGN.md §7).
 ///
 /// `solveOnStack` is the one query execution path all of them share: parse
-/// on the stack's arena, route through the analyzer-driven portfolio, and
-/// revalidate Sat witnesses with the classical derivative walk (§8.1) on
-/// the stack's engine.
+/// on the stack's arena and solve through the analyzer-driven portfolio,
+/// whose exit checks every Sat witness.
 /// Keeping it single-sourced is what makes "1-process and N-process runs
 /// produce byte-identical verdict streams" (DESIGN.md §16) a structural
 /// property rather than a test-enforced accident.
@@ -53,10 +52,7 @@ struct SolverStack {
 
 /// Solves one query on the given stack. The third parameter is ignored:
 /// the query solves the same way on a fresh or a warm stack, and only
-/// bench/sbdbench still passes it. Sat witnesses are revalidated by
-/// RegexSolver::matchesWord, one classical derivative step per witness
-/// character (DESIGN.md §15); a failed revalidation is downgraded to
-/// Unknown rather than shipping an invalid witness.
+/// bench/sbdbench still passes it.
 BatchResult solveOnStack(SolverStack &W, const BatchQuery &Q,
                          bool /*ignored*/ = false);
 

@@ -160,17 +160,19 @@ public:
       Live.insert(Live.end(), F.begin(), F.end());
     Agenda.assign(1, conj(std::move(Live)));
     Cube.clear();
-    SawUnknown = false;
+    FirstUnknown.reset();
     bool Found = enumerate();
     CubesTriedTotal += Last.CubesTried;
     if (Found) {
       Last.Status = SolveStatus::Sat;
-    } else if (SawUnknown || Last.CubesTried >= MaxCubes) {
+    } else if (FirstUnknown) {
       Last.Status = SolveStatus::Unknown;
-      Last.Stop = SawUnknown ? StopReason::SubqueryUnknown
-                             : StopReason::CubeBudget;
-      Last.Note = SawUnknown ? "regex query budget exhausted"
-                             : "implicant budget exhausted";
+      Last.Stop = FirstUnknown->Stop;
+      Last.Note = std::move(FirstUnknown->Note);
+    } else if (Last.CubesTried >= MaxCubes) {
+      Last.Status = SolveStatus::Unknown;
+      Last.Stop = StopReason::CubeBudget;
+      Last.Note = "implicant budget exhausted";
     } else {
       Last.Status = SolveStatus::Unsat;
     }
@@ -276,8 +278,9 @@ private:
   /// enumerate's pending conjuncts (a stack) and the current cube's atoms.
   std::vector<BE> Agenda;
   std::vector<uint32_t> Cube;
-  /// A query of the current check answered unknown.
-  bool SawUnknown = false;
+  /// The current check's first query that answered unknown: its Stop and
+  /// Note become the check's.
+  std::optional<SolveResult> FirstUnknown;
   /// Cubes, partial ones included, one check may solve before answering
   /// unknown (CubeBudget).
   static constexpr size_t MaxCubes = 4096;
@@ -724,17 +727,18 @@ private:
                        [&](uint32_t A) { return Atoms[A].Var == Var; });
   }
 
-  /// Solves \p R, the intersection of the cube's atoms on \p Var.
-  SolveResult solveVar(const std::string &Var, Re &R) {
+  /// Solves the intersection of the cube's atoms on \p Var. A Sat answer
+  /// has passed the portfolio's witness check.
+  SolveResult solveVar(const std::string &Var) {
     std::vector<Re> Parts;
     for (uint32_t A : Cube)
       if (Atoms[A].Var == Var)
         Parts.push_back(Atoms[A].Regex);
-    R = M.interList(std::move(Parts));
-    SolveResult Res = Port.checkSat(R, Opts);
+    SolveResult Res = Port.checkSat(M.interList(std::move(Parts)), Opts);
     CumStats += Res.Stats;
     ++RegexQueries;
-    SawUnknown |= Res.Status == SolveStatus::Unknown;
+    if (Res.Status == SolveStatus::Unknown && !FirstUnknown)
+      FirstUnknown = Res;
     return Res;
   }
 
@@ -748,17 +752,9 @@ private:
         Model.emplace_back(Var, "");
         continue;
       }
-      Re R;
-      SolveResult Res = solveVar(Var, R);
+      SolveResult Res = solveVar(Var);
       if (!Res.isSat())
         return false;
-      // Check the witness against the variable's regex (a classical
-      // derivative walk, §8.1): an independent end-to-end membership check,
-      // sharing no δdnf memo with the search, before the model is emitted.
-      if (!Port.solver().matchesWord(R, Res.Witness)) {
-        SawUnknown = true; // soundness guard: never emit a bad model
-        return false;
-      }
       Model.emplace_back(Var, toUtf8(Res.Witness));
     }
     Last.Model = std::move(Model);
@@ -788,10 +784,9 @@ private:
       const std::string &Var = Atoms[N.Atom].Var;
       bool Check = cubeHas(Var);
       Cube.push_back(N.Atom);
-      Re R;
       if (Check)
         ++Last.CubesTried;
-      Found = (!Check || solveVar(Var, R).isSat()) && enumerate();
+      Found = (!Check || solveVar(Var).isSat()) && enumerate();
       if (!Found)
         Cube.pop_back();
     } else if (N.Kind == BoolExprKind::And) {

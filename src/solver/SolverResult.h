@@ -41,9 +41,9 @@ enum class StopReason : uint8_t {
   ParseError,          ///< the input pattern/script failed to parse
   UnsupportedFragment, ///< input outside the supported fragment
   CubeBudget,          ///< implicant enumeration budget exhausted (SMT)
-  SubqueryUnknown,     ///< a sub-query gave up, poisoning the verdict (SMT)
-  CacheRevalidationFailed, ///< a cached witness failed replay through the
-                           ///< reference matcher (hard error, never silent)
+  RevalidationFailed,  ///< a Sat witness failed replay through the
+                       ///< reference matcher, or a fresh solve contradicted
+                       ///< a loaded Unsat entry (hard error, never silent)
 };
 
 /// Human-readable stop-reason name (stable, snake_case).
@@ -63,10 +63,8 @@ inline const char *stopReasonName(StopReason R) {
     return "unsupported_fragment";
   case StopReason::CubeBudget:
     return "cube_budget";
-  case StopReason::SubqueryUnknown:
-    return "subquery_unknown";
-  case StopReason::CacheRevalidationFailed:
-    return "cache_revalidation_failed";
+  case StopReason::RevalidationFailed:
+    return "revalidation_failed";
   }
   return "?";
 }

@@ -12,6 +12,8 @@
 
 #include "gtest/gtest.h"
 
+#include <string>
+
 using namespace sbd;
 using namespace sbd::dist;
 
@@ -116,6 +118,33 @@ TEST(DistProtocolTest, ParseErrorResponseRoundTrip) {
   EXPECT_FALSE(Back->Result.ParseOk);
   EXPECT_EQ(Back->Result.ParseError, "unbalanced parenthesis");
   EXPECT_EQ(renderVerdictLine(3, Back->Result), "3 parse_error");
+}
+
+/// Every named StopReason survives the wire; the first value past the last
+/// enumerator (the first one stopReasonName does not know) is refused.
+TEST(DistProtocolTest, EveryStopReasonRoundTripsAndOnePastTheLastIsRefused) {
+  auto roundTrip = [](uint8_t Stop) {
+    WireResponse Resp = sampleResponse();
+    Resp.Result.Result.Status = SolveStatus::Unknown;
+    Resp.Result.Result.Stop = static_cast<StopReason>(Stop);
+    Resp.Result.Result.Witness.clear();
+    std::vector<uint8_t> Wire;
+    encodeResponse(Wire, Resp);
+    FrameReader Reader;
+    Reader.feed(Wire.data(), Wire.size());
+    Frame F;
+    EXPECT_TRUE(Reader.next(F));
+    return decodeResponse(F.Payload);
+  };
+  uint8_t Stop = 0;
+  for (; std::string(stopReasonName(static_cast<StopReason>(Stop))) != "?";
+       ++Stop) {
+    std::optional<WireResponse> Back = roundTrip(Stop);
+    ASSERT_TRUE(Back.has_value()) << stopReasonName(StopReason(Stop));
+    EXPECT_EQ(Back->Result.Result.Stop, static_cast<StopReason>(Stop));
+  }
+  EXPECT_GT(Stop, static_cast<uint8_t>(StopReason::RevalidationFailed));
+  EXPECT_FALSE(roundTrip(Stop).has_value());
 }
 
 TEST(DistProtocolTest, ControlFramesHaveNoPayload) {

@@ -13,7 +13,9 @@
 
 #include "cache/VerdictCache.h"
 #include "core/Derivatives.h"
+#include "re/RegexParser.h"
 #include "smt/SExpr.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -188,6 +190,52 @@ TEST_F(SmtSessionTest, RepeatedChecksHitTheVerdictCache) {
 
   SmtResult Last = Session.lastResult();
   EXPECT_EQ(Last.Status, SolveStatus::Sat);
+}
+
+#if SBD_OBS
+/// A Sat check answered from the verdict cache replays its witness through
+/// the classical derivative walk exactly once: one Brzozowski step per
+/// witness character, all of them memo hits after the cold check.
+TEST_F(SmtSessionTest, CachedSatWitnessIsReplayedOnce) {
+  cache::VerdictCache Cache;
+  Session.setVerdictCache(&Cache);
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (str.to_re "abcdef"))))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  const uint64_t HitsBefore = Cache.counters().Hits;
+  auto brzozowskiCalls = [] {
+    return obs::MetricsRegistry::global().snapshot().get(
+        obs::Counter::BrzozowskiCalls);
+  };
+  const uint64_t CallsBefore = brzozowskiCalls();
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  EXPECT_EQ(Cache.counters().Hits, HitsBefore + 1);
+  EXPECT_EQ(brzozowskiCalls() - CallsBefore, 6u);
+}
+#endif // SBD_OBS
+
+/// A cached witness damaged in place fails the portfolio's witness check:
+/// the SMT check answers unknown with the sub-query's typed stop reason,
+/// and the cache counts exactly one revalidation failure.
+TEST_F(SmtSessionTest, CorruptedCachedWitnessAnswersUnknown) {
+  cache::VerdictCache Cache;
+  Session.setVerdictCache(&Cache);
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (str.to_re "abc"))))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  RegexParseResult R = parseRegex(M, "abc");
+  ASSERT_TRUE(R.Ok);
+  ASSERT_TRUE(Cache.corruptWitnessForTest(
+      cache::canonicalVerdictKey(M, R.Value, SolveOptions{})));
+
+  const uint64_t FailuresBefore = Cache.counters().RevalidationFailures;
+  EXPECT_EQ(runOne("(check-sat)"), "unknown");
+  SmtResult Last = Session.lastResult();
+  EXPECT_EQ(Last.Status, SolveStatus::Unknown);
+  EXPECT_EQ(Last.Stop, StopReason::RevalidationFailed);
+  EXPECT_EQ(Cache.counters().RevalidationFailures, FailuresBefore + 1);
 }
 
 /// A term nested past MaxSExprNesting is one parse error, not a crash: the

@@ -151,11 +151,11 @@ TEST(Stopwatch, MeasuresForwardTime) {
   Stopwatch W;
   volatile uint64_t Sink = 0;
   for (int I = 0; I != 100000; ++I)
-    Sink += static_cast<uint64_t>(I);
+    Sink = Sink + static_cast<uint64_t>(I);
   EXPECT_GE(W.elapsedUs(), 0);
   int64_t First = W.elapsedUs();
   for (int I = 0; I != 100000; ++I)
-    Sink += static_cast<uint64_t>(I);
+    Sink = Sink + static_cast<uint64_t>(I);
   EXPECT_GE(W.elapsedUs(), First);
   W.reset();
   EXPECT_LE(W.elapsedUs(), First + 1000000);

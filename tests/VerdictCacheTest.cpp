@@ -269,7 +269,7 @@ TEST_F(VerdictCacheTest, UnsatVerdictsAreCachedToo) {
 
 /// The negative test of the trust model: hand-corrupt the cached witness
 /// and prove the revalidation layer catches it as a HARD error — verdict
-/// Unknown with CacheRevalidationFailed, audit counters bumped, poisoned
+/// Unknown with RevalidationFailed, audit counters bumped, poisoned
 /// entry dropped — and never silently re-solves.
 TEST_F(VerdictCacheTest, CorruptedWitnessIsAHardErrorNeverASilentResolve) {
   VerdictCache C;
@@ -285,7 +285,7 @@ TEST_F(VerdictCacheTest, CorruptedWitnessIsAHardErrorNeverASilentResolve) {
       obs::Counter::AuditViolations);
   SolveResult Hit = P.checkSat(R);
   EXPECT_EQ(Hit.Status, SolveStatus::Unknown);
-  EXPECT_EQ(Hit.Stop, StopReason::CacheRevalidationFailed);
+  EXPECT_EQ(Hit.Stop, StopReason::RevalidationFailed);
   EXPECT_NE(Hit.Note.find("revalidation"), std::string::npos);
   EXPECT_EQ(C.counters().RevalidationFailures, 1u);
   EXPECT_EQ(obs::MetricsRegistry::global().snapshot().get(
@@ -323,7 +323,7 @@ TEST_F(VerdictCacheTest, ForgedLoadedUnsatIsAHardErrorNeverAnUnsat) {
       obs::Counter::AuditViolations);
   SolveResult Hit = P.checkSat(R);
   EXPECT_EQ(Hit.Status, SolveStatus::Unknown);
-  EXPECT_EQ(Hit.Stop, StopReason::CacheRevalidationFailed);
+  EXPECT_EQ(Hit.Stop, StopReason::RevalidationFailed);
   EXPECT_NE(Hit.Note.find("revalidation"), std::string::npos);
   EXPECT_EQ(C.counters().RevalidationFailures, 1u);
   EXPECT_EQ(obs::MetricsRegistry::global().snapshot().get(

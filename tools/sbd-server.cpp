@@ -54,7 +54,7 @@ namespace {
 /// One rebuildable solver stack. Members are constructed in declaration
 /// order, so the references wired through the constructors are valid; the
 /// struct is non-movable and lives behind a unique_ptr (same shape as
-/// BatchSolver's WorkerStack).
+/// portfolio::SolverStack).
 struct ServerStack {
   RegexManager M;
   TrManager T{M};
