@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Resident-session verdict-cache gate (DESIGN.md §15): exports the SMT
 # corpus, concatenates it into one (reset)-separated replay stream, and
-# runs it through sbd-server twice —
+# runs it through sbd-server three times —
 #
 #   pass 1 (cold): empty cache, --cache-save snapshots the verdicts;
-#   pass 2 (warm): --cache-load restores them, every check should hit.
+#   pass 2 (warm): --cache-load restores them, every check should hit;
+#   pass 3 (evict): empty 16-entry cache (one entry per shard), so the
+#     replay evicts on almost every insert.
 #
 # Gates (all hard failures):
-#   - the two passes print identical sat/unsat/unknown sequences
-#     (zero verdict differences cached-vs-direct);
+#   - all three passes print byte-identical output
+#     (zero verdict differences cached-vs-direct, evicting or not);
+#   - pass 3 evicted at least once;
 #   - pass-2 hit rate >= 90% of its checks;
 #   - pass-2 wall-clock <= 0.5x pass-1 (the >= 2x warm speedup the cache
 #     exists for — measured end-to-end through the server, parse included);
@@ -68,23 +71,28 @@ echo "== pass 1: cold (cache empty, saving snapshot) =="
 run_pass cold --cache-save "$WORK/verdicts.jsonl"
 echo "== pass 2: warm (snapshot preloaded) =="
 run_pass warm --cache-load "$WORK/verdicts.jsonl"
+echo "== pass 3: evict (16-entry cache) =="
+run_pass evict --cache-capacity 16
 
-# Verdict equality: the protocol output of the two passes must be
-# byte-identical — same verdicts, same order.
-if ! cmp -s "$WORK/cold.out" "$WORK/warm.out"; then
-  echo "error: warm pass verdicts differ from cold pass" >&2
-  diff "$WORK/cold.out" "$WORK/warm.out" | head -20 >&2
-  exit 1
-fi
+# Verdict equality: the protocol output of every pass must be
+# byte-identical to the cold pass — same verdicts, same order.
+for label in warm evict; do
+  if ! cmp -s "$WORK/cold.out" "$WORK/$label.out"; then
+    echo "error: $label pass output differs from cold pass" >&2
+    diff "$WORK/cold.out" "$WORK/$label.out" | head -20 >&2
+    exit 1
+  fi
+done
 
-python3 - "$WORK/cold.json" "$WORK/warm.json" << 'EOF'
+python3 - "$WORK/cold.json" "$WORK/warm.json" "$WORK/evict.json" << 'EOF'
 import json
 import sys
 
-with open(sys.argv[1]) as f:
-    cold = json.load(f)
-with open(sys.argv[2]) as f:
-    warm = json.load(f)
+docs = []
+for path in sys.argv[1:4]:
+    with open(path) as f:
+        docs.append(json.load(f))
+cold, warm, evict = docs
 
 failures = []
 checks = warm.get("checks", 0)
@@ -96,10 +104,13 @@ if checks <= 0:
 if hit_rate < 0.90:
     failures.append(
         f"warm hit rate {hit_rate:.1%} < 90% ({hits}/{checks})")
-for doc, label in ((cold, "cold"), (warm, "warm")):
+for doc, label in ((cold, "cold"), (warm, "warm"), (evict, "evict")):
     rf = doc.get("cache", {}).get("revalidation_failures", 0)
     if rf:
         failures.append(f"{label} pass had {rf} revalidation failures")
+evictions = evict.get("cache", {}).get("evictions", 0)
+if evictions <= 0:
+    failures.append("evict pass evicted nothing")
 
 cold_us = cold.get("wall_us", 0)
 warm_us = warm.get("wall_us", 0)
@@ -117,5 +128,6 @@ if failures:
     sys.exit(1)
 print(f"session-cache: ok ({checks} checks, hit rate {hit_rate:.1%}, "
       f"warm {warm_us}us vs cold {cold_us}us = "
-      f"{cold_us / warm_us:.1f}x speedup)")
+      f"{cold_us / warm_us:.1f}x speedup, {evictions} evictions at 16 "
+      f"entries)")
 EOF

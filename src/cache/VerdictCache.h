@@ -13,8 +13,12 @@
 /// Storage is sharded open addressing in the style of
 /// `InternTable`/`FlatMap64`: each shard owns one dense entry vector plus a
 /// fixed linear-probe slot table, guarded by its own mutex so a resident
-/// server and batch workers can share one cache. Capacity is bounded;
-/// overflow evicts the least-recently-hit entry of the full shard.
+/// server and batch workers can share one cache. The entries of a shard are
+/// also threaded on a doubly linked recency list (least- to most-recently
+/// hit). Capacity is bounded; overflow evicts the list's least-recently-hit
+/// end in O(1): its slot goes by backward-shift deletion and its dense
+/// position by swap-and-pop, so `save()` writes the same order a scan for
+/// the oldest hit would leave.
 ///
 /// Trust model: the cache is *not* trusted. Every Sat hit must be
 /// revalidated by the caller — replay the cached witness through the
@@ -137,43 +141,55 @@ public:
   /// Returns false when the key is absent. Never call outside tests.
   bool corruptWitnessForTest(const std::string &Key);
 
-private:
+  /// The shard (in [0, NumShards)) that holds \p Key, so a test can model
+  /// per-shard capacity and eviction. Never call outside tests.
+  static size_t shardOfForTest(const std::string &Key);
+
+  /// Shard count; each shard holds ceil(Capacity / NumShards) entries.
   static constexpr size_t NumShards = 16; // power of two
+
+private:
   static constexpr uint32_t EmptyIdx = 0xFFFFFFFFu;
 
   struct Entry {
     uint64_t Hash = 0;
     std::string Key;
     CachedVerdict Verdict;
-    uint64_t LastHit = 0; ///< recency tick for least-recently-hit eviction
+    /// Recency-list neighbours (entry indices; EmptyIdx at the ends).
+    uint32_t Prev = EmptyIdx, Next = EmptyIdx;
   };
 
   struct Shard {
     mutable std::mutex Mu;
     std::vector<Entry> Entries;       ///< dense payload storage
     std::vector<uint32_t> Slots;      ///< linear-probe index into Entries
-    uint64_t Tick = 0;                ///< per-shard recency clock
+    /// Recency-list ends: the eviction victim and the latest hit/insert.
+    uint32_t Lru = EmptyIdx, Mru = EmptyIdx;
     uint64_t Hits = 0, Misses = 0, Inserts = 0, Evictions = 0,
              RevalFailures = 0;
   };
 
-  Shard &shardFor(uint64_t Hash) {
-    return Shards[(Hash >> 48) & (NumShards - 1)];
+  static size_t shardIndex(uint64_t Hash) {
+    return (Hash >> 48) & (NumShards - 1);
   }
+  Shard &shardFor(uint64_t Hash) { return Shards[shardIndex(Hash)]; }
   const Shard &shardFor(uint64_t Hash) const {
-    return Shards[(Hash >> 48) & (NumShards - 1)];
+    return Shards[shardIndex(Hash)];
   }
 
   /// Probe for Key in S; returns the entry index or EmptyIdx. Requires
   /// S.Mu held.
   uint32_t findLocked(const Shard &S, uint64_t Hash,
                       const std::string &Key) const;
-  /// Removes entry \p Idx and rebuilds the shard's slot table. Requires
-  /// S.Mu held.
+  /// The slot that holds entry \p Idx. Requires S.Mu held.
+  size_t slotOfLocked(const Shard &S, uint32_t Idx) const;
+  /// Unlinks entry \p Idx from the recency list. Requires S.Mu held.
+  static void unlinkLocked(Shard &S, uint32_t Idx);
+  /// Links entry \p Idx at the most-recently-hit end. Requires S.Mu held.
+  static void pushMruLocked(Shard &S, uint32_t Idx);
+  /// Removes entry \p Idx from the slot table, the recency list and the
+  /// dense vector (swap-and-pop). O(probe chain). Requires S.Mu held.
   void removeLocked(Shard &S, uint32_t Idx);
-  /// Re-indexes every entry of \p S into its slot table. Requires S.Mu
-  /// held.
-  void reindexLocked(Shard &S);
 
   size_t ShardCapacity;
   size_t SlotCount; ///< per-shard slot-table size (power of two)

@@ -21,7 +21,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 using namespace sbd;
 using namespace sbd::cache;
@@ -179,6 +183,199 @@ TEST_F(VerdictCacheTest, EvictionIsBoundedAndLeastRecentlyHit) {
   EXPECT_GT(Evicted, 0u);
 }
 
+namespace {
+
+/// The eviction law written the naive way: per shard a dense vector whose
+/// entries carry the tick of their last hit; a full shard evicts the least
+/// tick by a linear scan, and every removal is a swap-and-pop. The cache's
+/// recency list must pick the same victims and leave the same dense order.
+class RecencyModel {
+public:
+  explicit RecencyModel(size_t Capacity)
+      : ShardCap((Capacity + VerdictCache::NumShards - 1) /
+                 VerdictCache::NumShards) {}
+
+  std::optional<CachedVerdict> lookup(const std::string &Key) {
+    auto [Shard, Idx] = find(Key);
+    if (Idx == Missing) {
+      ++Counters.Misses;
+      return std::nullopt;
+    }
+    ++Counters.Hits;
+    Shard->at(Idx).LastHit = ++Tick;
+    return Shard->at(Idx).Verdict;
+  }
+
+  void insert(const std::string &Key, const CachedVerdict &V) {
+    auto [Shard, Idx] = find(Key);
+    if (Idx != Missing) {
+      Shard->at(Idx).Verdict = V;
+      Shard->at(Idx).LastHit = ++Tick;
+      return;
+    }
+    if (Shard->size() >= ShardCap) {
+      size_t Victim = 0;
+      for (size_t I = 1; I != Shard->size(); ++I)
+        if ((*Shard)[I].LastHit < (*Shard)[Victim].LastHit)
+          Victim = I;
+      remove(*Shard, Victim);
+      ++Counters.Evictions;
+    }
+    Shard->push_back({Key, V, ++Tick});
+    ++Counters.Inserts;
+  }
+
+  void noteRevalidationFailure(const std::string &Key) {
+    ++Counters.RevalidationFailures;
+    auto [Shard, Idx] = find(Key);
+    if (Idx != Missing)
+      remove(*Shard, Idx);
+  }
+
+  void clear() {
+    for (auto &Shard : Shards)
+      Shard.clear();
+  }
+
+  VerdictCacheCounters counters() const {
+    VerdictCacheCounters C = Counters;
+    C.Size = 0;
+    for (const auto &Shard : Shards)
+      C.Size += Shard.size();
+    return C;
+  }
+
+  /// The lines save() must write, in its order (shard by shard, dense).
+  std::vector<std::string> saveLines() const {
+    std::vector<std::string> Lines;
+    for (const auto &Shard : Shards)
+      for (const Item &It : Shard) {
+        std::string L = "{\"key\": \"" + It.Key + "\", \"status\": \"";
+        L += It.Verdict.Sat ? "sat\"" : "unsat\"";
+        if (It.Verdict.Sat) {
+          L += ", \"witness\": [";
+          for (size_t I = 0; I != It.Verdict.Witness.size(); ++I)
+            L += (I ? ", " : "") + std::to_string(It.Verdict.Witness[I]);
+          L += ']';
+        }
+        Lines.push_back(L + "}");
+      }
+    return Lines;
+  }
+
+private:
+  struct Item {
+    std::string Key;
+    CachedVerdict Verdict;
+    uint64_t LastHit;
+  };
+  static constexpr size_t Missing = ~size_t(0);
+
+  std::pair<std::vector<Item> *, size_t> find(const std::string &Key) {
+    auto &Shard = Shards[VerdictCache::shardOfForTest(Key)];
+    for (size_t I = 0; I != Shard.size(); ++I)
+      if (Shard[I].Key == Key)
+        return {&Shard, I};
+    return {&Shard, Missing};
+  }
+
+  static void remove(std::vector<Item> &Shard, size_t Idx) {
+    Shard[Idx] = std::move(Shard.back());
+    Shard.pop_back();
+  }
+
+  size_t ShardCap;
+  uint64_t Tick = 0;
+  VerdictCacheCounters Counters;
+  std::vector<std::vector<Item>> Shards{VerdictCache::NumShards};
+};
+
+std::vector<std::string> readLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string L; std::getline(In, L);)
+    Lines.push_back(L);
+  return Lines;
+}
+
+void expectSameCounters(const VerdictCacheCounters &Got,
+                        const VerdictCacheCounters &Want) {
+  EXPECT_EQ(Got.Hits, Want.Hits);
+  EXPECT_EQ(Got.Misses, Want.Misses);
+  EXPECT_EQ(Got.Inserts, Want.Inserts);
+  EXPECT_EQ(Got.Evictions, Want.Evictions);
+  EXPECT_EQ(Got.RevalidationFailures, Want.RevalidationFailures);
+  EXPECT_EQ(Got.Size, Want.Size);
+}
+
+} // namespace
+
+/// Seeded random sequences of insert, overwrite, lookup, revalidation
+/// failure and clear, at capacities from 1 to 200, against RecencyModel:
+/// every lookup outcome and the counters agree step by step, and save()
+/// writes the model's dense order. Small shards in 8+ slots make probe
+/// chains collide, so removals exercise backward-shift deletion.
+TEST_F(VerdictCacheTest, EvictionMatchesAReferenceRecencyModel) {
+  std::string Path = ::testing::TempDir() + "/verdict_cache_model.jsonl";
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    size_t Capacity = Seed == 1 ? 1 : Seed == 2 ? 200 : 1 + Rng() % 200;
+    SCOPED_TRACE("seed " + std::to_string(Seed) + ", capacity " +
+                 std::to_string(Capacity));
+    VerdictCache C(VerdictCache::Config{Capacity});
+    RecencyModel Model(Capacity);
+    // A key pool about twice the capacity keeps shards full while still
+    // revisiting keys, so hits, overwrites and evictions all happen.
+    size_t Pool = 2 * Capacity + 8;
+    auto checkSave = [&] {
+      ASSERT_TRUE(C.save(Path));
+      EXPECT_EQ(readLines(Path), Model.saveLines());
+      std::remove(Path.c_str());
+    };
+    for (int Step = 0; Step != 3000; ++Step) {
+      std::string Key = "k" + std::to_string(Rng() % Pool);
+      unsigned Op = Rng() % 100;
+      if (Op < 45) {
+        CachedVerdict V;
+        V.Sat = Rng() % 2;
+        if (V.Sat)
+          V.Witness = {static_cast<uint32_t>(Step),
+                       static_cast<uint32_t>(Rng() % 256)};
+        C.insert(Key, V);
+        Model.insert(Key, V);
+      } else if (Op < 90) {
+        auto Got = C.lookup(Key);
+        auto Want = Model.lookup(Key);
+        ASSERT_EQ(Got.has_value(), Want.has_value()) << "step " << Step;
+        if (Got) {
+          EXPECT_EQ(Got->Sat, Want->Sat);
+          EXPECT_EQ(Got->Witness, Want->Witness);
+        }
+      } else if (Op < 99) {
+        C.noteRevalidationFailure(Key);
+        Model.noteRevalidationFailure(Key);
+      } else {
+        checkSave();
+        C.clear();
+        Model.clear();
+      }
+      expectSameCounters(C.counters(), Model.counters());
+      if (::testing::Test::HasFailure())
+        FAIL() << "diverged at step " << Step;
+    }
+    checkSave();
+  }
+
+  // Full size: every shard of a 65,536-entry cache fills to 4,096 and then
+  // evicts once per further insert.
+  VerdictCache Big;
+  for (int I = 0; I != 200000; ++I)
+    Big.insert("key" + std::to_string(I), {false, {}});
+  EXPECT_EQ(Big.size(), 65536u);
+  EXPECT_EQ(Big.counters().Evictions, 134464u);
+  EXPECT_TRUE(Big.lookup("key199999").has_value());
+}
+
 TEST_F(VerdictCacheTest, ClearDropsEntriesButKeepsCounters) {
   VerdictCache C;
   C.insert(key("a"), {true, {'a'}});
@@ -224,10 +421,14 @@ TEST_F(VerdictCacheTest, LoadSkipsMalformedLinesAndMissingFileIsAnError) {
     Out << "{\"key\": \"good\", \"status\": \"unsat\"}\n"
         << "not json at all\n"
         << "{\"key\": \"half\n"
-        << "{\"key\": \"good2\", \"status\": \"sat\", \"witness\": [97, 98]}\n";
+        << "{\"key\": \"good2\", \"status\": \"sat\", \"witness\": [97, 98]}\n"
+        // save() escapes only control bytes; a wider code point must not
+        // be truncated into another key ("\u0161" would become "a").
+        << "{\"key\": \"\\u0161\", \"status\": \"unsat\"}\n";
   }
   VerdictCache C;
   EXPECT_EQ(C.load(Path), 2);
+  EXPECT_FALSE(C.lookup("a").has_value());
   EXPECT_TRUE(C.lookup("good").has_value());
   ASSERT_TRUE(C.lookup("good2").has_value());
   EXPECT_EQ(C.lookup("good2")->Witness, (std::vector<uint32_t>{97, 98}));
