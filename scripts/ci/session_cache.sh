@@ -1,16 +1,22 @@
 #!/usr/bin/env bash
 # Resident-session verdict-cache gate (DESIGN.md §15): exports the SMT
-# corpus, concatenates it into one (reset)-separated replay stream, and
-# runs it through sbd-server three times —
+# corpus, concatenates it into one (reset)-separated replay stream with a
+# (get-model) after every (check-sat), and runs it through sbd-server five
+# times —
 #
 #   pass 1 (cold): empty cache, --cache-save snapshots the verdicts;
 #   pass 2 (warm): --cache-load restores them, every check should hit;
 #   pass 3 (evict): empty 16-entry cache (one entry per shard), so the
-#     replay evicts on almost every insert.
+#     replay evicts on almost every insert;
+#   pass 4 (nocache): --cache-capacity 0, every check solved on the one
+#     warm arena that has solved every script before it;
+#   pass 5 (fresh): --cache-capacity 0 --arena-budget 1, every script
+#     solved on a freshly built stack.
 #
 # Gates (all hard failures):
-#   - all three passes print byte-identical output
-#     (zero verdict differences cached-vs-direct, evicting or not);
+#   - all five passes print byte-identical output: the same verdicts and
+#     the same models, cached or solved, evicting or not, on a warm arena
+#     or a fresh one (a model is the shortlex-least word, DESIGN.md §4);
 #   - pass 3 evicted at least once;
 #   - pass-2 hit rate >= 90% of its checks;
 #   - pass-2 wall-clock <= 0.5x pass-1 (the >= 2x warm speedup the cache
@@ -46,11 +52,12 @@ echo "== session-cache: exporting corpus (scale=$SCALE seed=$SEED) =="
 "$EXPORT" "$WORK/corpus" "$SCALE" "$SEED"
 
 # One replay stream: every instance script, separated by (reset) so the
-# session's declarations don't collide. sort keeps the order stable across
-# filesystems; the stream is identical for both passes.
+# session's declarations don't collide, with a (get-model) after each
+# check so the output carries every witness. sort keeps the order stable
+# across filesystems; the stream is identical for every pass.
 STREAM="$WORK/replay.smt2"
 find "$WORK/corpus" -name '*.smt2' | sort | while read -r f; do
-  cat "$f"
+  sed 's/^(check-sat)$/(check-sat)\n(get-model)/' "$f"
   echo "(reset)"
 done > "$STREAM"
 CHECKS=$(grep -c "^(check-sat)" "$STREAM")
@@ -73,10 +80,14 @@ echo "== pass 2: warm (snapshot preloaded) =="
 run_pass warm --cache-load "$WORK/verdicts.jsonl"
 echo "== pass 3: evict (16-entry cache) =="
 run_pass evict --cache-capacity 16
+echo "== pass 4: nocache (no cache, one warm arena) =="
+run_pass nocache --cache-capacity 0
+echo "== pass 5: fresh (no cache, fresh stack per script) =="
+run_pass fresh --cache-capacity 0 --arena-budget 1
 
-# Verdict equality: the protocol output of every pass must be
-# byte-identical to the cold pass — same verdicts, same order.
-for label in warm evict; do
+# Verdict and model equality: the protocol output of every pass must be
+# byte-identical to the cold pass — same verdicts, same models, same order.
+for label in warm evict nocache fresh; do
   if ! cmp -s "$WORK/cold.out" "$WORK/$label.out"; then
     echo "error: $label pass output differs from cold pass" >&2
     diff "$WORK/cold.out" "$WORK/$label.out" | head -20 >&2

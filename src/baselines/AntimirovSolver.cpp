@@ -3,9 +3,8 @@
 #include "baselines/AntimirovSolver.h"
 
 #include "support/Debug.h"
+#include "solver/WitnessSearch.h"
 #include "support/Stopwatch.h"
-
-#include <algorithm>
 
 #include <deque>
 #include <unordered_map>
@@ -135,117 +134,48 @@ std::optional<Snfa> sbd::buildPartialDerivativeNfa(RegexManager &M, Re R,
   return A;
 }
 
-bool AntimirovSolver::supports(const RegexManager &Mgr, Re R) {
-  // Fragment test = "does R mention `~` anywhere", answered from the
-  // analyzer's per-node constructor counts.
-  analysis::RegexAnalyzer A(Mgr);
-  return A.analyze(R).NumCompl == 0;
-}
-
 SolveResult AntimirovSolver::solve(Re R, const SolveOptions &Opts) {
   Stopwatch Timer;
   SolveResult Result;
   Result.Stats.Engine = SolveEngine::Antimirov;
 
-  if (!supports(R)) {
+  if (Analyzer.analyze(R).NumCompl != 0) {
     Result.Status = SolveStatus::Unsupported;
     Result.Stop = StopReason::UnsupportedFragment;
     Result.Note = "complement is outside the partial-derivative fragment";
     return Result;
   }
 
-  struct Reached {
-    Re Parent;
-    uint32_t Ch;
-    bool HasParent;
-  };
-  std::unordered_map<uint32_t, Reached> Visited;
-  std::deque<Re> Queue;
-
-  auto finishSat = [&](Re Final) {
-    std::vector<uint32_t> Word;
-    Re Cur = Final;
-    while (Visited.at(Cur.Id).HasParent) {
-      Word.push_back(Visited.at(Cur.Id).Ch);
-      Cur = Visited.at(Cur.Id).Parent;
-    }
-    std::reverse(Word.begin(), Word.end());
-    Result.Status = SolveStatus::Sat;
-    Result.Witness = std::move(Word);
-  };
-
-  Visited.emplace(R.Id, Reached{R, 0, false});
-  if (M.nullable(R)) {
-    finishSat(R);
-    Result.StatesExplored = 1;
-    Result.Stats.SolverSteps = 1;
-    Result.TimeUs = Timer.elapsedUs();
-    Result.Stats.TotalUs = Result.TimeUs;
-    Result.Stats.SearchUs = Result.TimeUs;
-    return Result;
-  }
-  Queue.push_back(R);
-
+  // Budgets as in the derivative solver, minus its adaptive clock: the
+  // deadline is read every 64 expansions.
   size_t Steps = 0;
-  while (!Queue.empty()) {
-    if (Opts.MaxStates && Visited.size() > Opts.MaxStates) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::StateBudget;
-      Result.Note = "state budget exhausted";
-      break;
-    }
+  auto kind = [&](Re Next) {
+    return M.nullable(Next) ? VertexKind::Final : VertexKind::Open;
+  };
+  auto proceed = [&](size_t Reached, size_t) {
+    if (Opts.MaxStates && Reached > Opts.MaxStates)
+      return WitnessSearch::stop(Result, StopReason::StateBudget,
+                                 "state budget exhausted");
     if (Opts.TimeoutMs > 0 && (++Steps & 0x3F) == 0 &&
-        Timer.elapsedMs() > Opts.TimeoutMs) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::Timeout;
-      Result.Note = "timeout";
-      break;
-    }
-    Re Cur = Queue.front();
-    Queue.pop_front();
-    std::vector<LinearArc> Arcs;
-    if (!linearForm(M, Cur, Arcs)) {
-      Result.Status = SolveStatus::Unsupported;
-      Result.Stop = StopReason::UnsupportedFragment;
-      Result.Note = "complement is outside the partial-derivative fragment";
-      Result.StatesExplored = Visited.size();
-      Result.Stats.SolverSteps = Visited.size();
-      Result.TimeUs = Timer.elapsedUs();
-      Result.Stats.TotalUs = Result.TimeUs;
-      Result.Stats.SearchUs = Result.TimeUs;
-      return Result;
-    }
-    for (const LinearArc &Arc : Arcs) {
-      Re Next = Arc.Target;
-      if (Next == M.empty() || Visited.count(Next.Id))
-        continue;
-      auto Ch = Arc.Guard.sample();
-      assert(Ch && "linear-form guards are satisfiable");
-      Visited.emplace(Next.Id, Reached{Cur, *Ch, true});
-      if (M.nullable(Next)) {
-        finishSat(Next);
-        Result.StatesExplored = Visited.size();
-        Result.Stats.SolverSteps = Visited.size();
-        Result.TimeUs = Timer.elapsedUs();
-        Result.Stats.TotalUs = Result.TimeUs;
-        Result.Stats.SearchUs = Result.TimeUs;
-        return Result;
-      }
-      Queue.push_back(Next);
-    }
-  }
+        Timer.elapsedMs() > Opts.TimeoutMs)
+      return WitnessSearch::stop(Result, StopReason::Timeout, "timeout");
+    return true;
+  };
+  std::vector<LinearArc> Lin;
+  auto expand = [&](Re Cur, std::vector<SearchArc> &Out) {
+    Lin.clear();
+    if (!linearForm(M, Cur, Lin))
+      return WitnessSearch::stop(
+          Result, StopReason::UnsupportedFragment,
+          "complement is outside the partial-derivative fragment");
+    for (const LinearArc &Arc : Lin)
+      if (Arc.Target != M.empty())
+        Out.push_back(SearchArc{*Arc.Guard.sample(), Arc.Target});
+    return true;
+  };
 
-  if (Result.Status == SolveStatus::Unknown && !Result.Note.empty()) {
-    Result.StatesExplored = Visited.size();
-    Result.Stats.SolverSteps = Visited.size();
-    Result.TimeUs = Timer.elapsedUs();
-    Result.Stats.TotalUs = Result.TimeUs;
-    Result.Stats.SearchUs = Result.TimeUs;
-    return Result;
-  }
-  Result.Status = SolveStatus::Unsat;
-  Result.StatesExplored = Visited.size();
-  Result.Stats.SolverSteps = Visited.size();
+  WitnessSearch().run(R, SearchStrategy::Bfs, Result, kind, proceed, expand);
+  Result.Stats.SolverSteps = Result.StatesExplored;
   Result.TimeUs = Timer.elapsedUs();
   Result.Stats.TotalUs = Result.TimeUs;
   Result.Stats.SearchUs = Result.TimeUs;

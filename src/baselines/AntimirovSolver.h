@@ -55,19 +55,10 @@ public:
   AntimirovSolver(RegexManager &Mgr, analysis::RegexAnalyzer &A)
       : M(Mgr), Analyzer(A) {}
 
-  /// Decides nonemptiness of L(R); Unsupported when R contains `~`.
+  /// Decides nonemptiness of L(R); Unsupported when R contains `~` (a
+  /// RegexFeatures lookup on the shared analyzer, O(1) once the router
+  /// has folded R).
   SolveResult solve(Re R, const SolveOptions &Opts = {});
-
-  /// True when R is inside the positive fragment this solver handles (no
-  /// `~` anywhere). O(1) once the shared analyzer has folded R (the router
-  /// already did, for routed queries) — the check is a RegexFeatures
-  /// lookup, so it cannot drift from the analyzer's view of the term.
-  bool supports(Re R) { return Analyzer.analyze(R).NumCompl == 0; }
-
-  /// Stateless variant for callers without a solver instance (tests). Runs
-  /// a throwaway analyzer: one memoized O(DAG) fold, unlike the old
-  /// recursive tree walk that was exponential on shared sub-DAGs.
-  static bool supports(const RegexManager &Mgr, Re R);
 
 private:
   RegexManager &M;

@@ -3,12 +3,8 @@
 #include "baselines/BrzozowskiMintermSolver.h"
 
 #include "charset/AlphabetCompressor.h"
+#include "solver/WitnessSearch.h"
 #include "support/Stopwatch.h"
-
-#include <algorithm>
-
-#include <deque>
-#include <unordered_map>
 
 using namespace sbd;
 
@@ -27,84 +23,30 @@ SolveResult BrzozowskiMintermSolver::solve(Re R, const SolveOptions &Opts) {
   for (uint32_t Cls = 0; Cls != Compressor.numClasses(); ++Cls)
     Letters.push_back(Compressor.representative(static_cast<uint16_t>(Cls)));
 
-  struct Reached {
-    Re Parent;
-    uint32_t Ch;
-    bool HasParent;
-  };
-  std::unordered_map<uint32_t, Reached> Visited;
-  std::deque<Re> Queue;
-
-  auto finishSat = [&](Re Final) {
-    std::vector<uint32_t> Word;
-    Re Cur = Final;
-    while (Visited.at(Cur.Id).HasParent) {
-      Word.push_back(Visited.at(Cur.Id).Ch);
-      Cur = Visited.at(Cur.Id).Parent;
-    }
-    std::reverse(Word.begin(), Word.end());
-    Result.Status = SolveStatus::Sat;
-    Result.Witness = std::move(Word);
-  };
-
-  Visited.emplace(R.Id, Reached{R, 0, false});
-  if (M.nullable(R)) {
-    finishSat(R);
-    Result.StatesExplored = 1;
-    Result.TimeUs = Timer.elapsedUs();
-    Result.Stats.TotalUs = Result.TimeUs;
-    Result.Stats.SearchUs = Result.TimeUs;
-    return Result;
-  }
-  Queue.push_back(R);
-
   size_t Steps = 0;
-  while (!Queue.empty()) {
-    if (Opts.MaxStates && Visited.size() > Opts.MaxStates) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::StateBudget;
-      Result.Note = "state budget exhausted";
-      Result.StatesExplored = Visited.size();
-      Result.TimeUs = Timer.elapsedUs();
-      Result.Stats.TotalUs = Result.TimeUs;
-      Result.Stats.SearchUs = Result.TimeUs;
-      return Result;
-    }
+  auto kind = [&](Re Next) {
+    return M.nullable(Next) ? VertexKind::Final : VertexKind::Open;
+  };
+  auto proceed = [&](size_t Reached, size_t) {
+    if (Opts.MaxStates && Reached > Opts.MaxStates)
+      return WitnessSearch::stop(Result, StopReason::StateBudget,
+                                 "state budget exhausted");
     if (Opts.TimeoutMs > 0 && (++Steps & 0x0F) == 0 &&
-        Timer.elapsedMs() > Opts.TimeoutMs) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::Timeout;
-      Result.Note = "timeout";
-      Result.StatesExplored = Visited.size();
-      Result.TimeUs = Timer.elapsedUs();
-      Result.Stats.TotalUs = Result.TimeUs;
-      Result.Stats.SearchUs = Result.TimeUs;
-      return Result;
-    }
-    Re Cur = Queue.front();
-    Queue.pop_front();
-    // Branch over every letter of the finitized alphabet.
+        Timer.elapsedMs() > Opts.TimeoutMs)
+      return WitnessSearch::stop(Result, StopReason::Timeout, "timeout");
+    return true;
+  };
+  // Branch over every letter of the finitized alphabet.
+  auto expand = [&](Re Cur, std::vector<SearchArc> &Out) {
     for (uint32_t Ch : Letters) {
       Re Next = Engine.brzozowski(Cur, Ch);
-      if (Next == M.empty() || Visited.count(Next.Id))
-        continue;
-      Visited.emplace(Next.Id, Reached{Cur, Ch, true});
-      if (M.nullable(Next)) {
-        finishSat(Next);
-        Result.StatesExplored = Visited.size();
-        Result.TimeUs = Timer.elapsedUs();
-        Result.Stats.TotalUs = Result.TimeUs;
-        Result.Stats.SearchUs = Result.TimeUs;
-        return Result;
-      }
-      Queue.push_back(Next);
+      if (Next != M.empty())
+        Out.push_back(SearchArc{Ch, Next});
     }
-  }
+    return true;
+  };
 
-  // Exhausted the (finite) derivative space without finding a nullable
-  // regex: the language is empty.
-  Result.Status = SolveStatus::Unsat;
-  Result.StatesExplored = Visited.size();
+  WitnessSearch().run(R, SearchStrategy::Bfs, Result, kind, proceed, expand);
   Result.TimeUs = Timer.elapsedUs();
   Result.Stats.TotalUs = Result.TimeUs;
   Result.Stats.SearchUs = Result.TimeUs;

@@ -3,8 +3,8 @@
 #include "cache/VerdictCache.h"
 
 #include "support/Metrics.h"
+#include "support/Unicode.h"
 
-#include <cstdio>
 #include <fstream>
 
 using namespace sbd;
@@ -32,40 +32,6 @@ size_t nextPow2(size_t N) {
   while (P < N)
     P <<= 1;
   return P;
-}
-
-/// JSON string escape for the canonical key (the print may contain quotes
-/// and backslashes from charset literals).
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  Out += '"';
 }
 
 /// Decodes the escapes appendJsonString produces. Returns false on a

@@ -102,8 +102,11 @@ public:
   uint64_t count() const;
   /// Smallest element; nullopt when empty.
   std::optional<uint32_t> minElement() const;
-  /// A representative element, preferring printable ASCII for readable
-  /// witness strings; nullopt when empty.
+  /// The least member in witness order (`witnessLess`): the least
+  /// printable ASCII member (0x21-0x7E) if there is one, else the least
+  /// code point; nullopt when empty. Every Sat witness the solvers return
+  /// under breadth-first search is the shortlex-least word of the language
+  /// in this character order, built from these representatives.
   std::optional<uint32_t> sample() const;
 
   /// Underlying canonical intervals (read-only).
@@ -130,6 +133,15 @@ private:
 
   std::vector<CharRange> Ranges;
 };
+
+/// The character order of witnesses: printable ASCII (0x21-0x7E) before
+/// every other code point, and by code point within each part. sample()
+/// picks the least member of a set in this order.
+inline bool witnessLess(uint32_t A, uint32_t B) {
+  const bool PrintA = A - 0x21u <= 0x7Eu - 0x21u;
+  const bool PrintB = B - 0x21u <= 0x7Eu - 0x21u;
+  return PrintA != PrintB ? PrintA : A < B;
+}
 
 /// Total order on sets (lexicographic on canonical intervals); declared at
 /// namespace scope so out-of-class definitions match a prior declaration.

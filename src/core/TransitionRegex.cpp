@@ -333,8 +333,8 @@ Tr TrManager::dnfUnderStep(Tr T, const CharSet &Path, uint32_t PathId) {
       return dnfUnder(Then, Path, PathId); // the else-branch is dead here
     }
     SBD_OBS_ADD(DnfBranchesExplored, 2);
-    // Else before then: node ids follow interning order, and arc order and
-    // witnesses follow node ids, so this order is part of the output. Every
+    // Else before then: node ids follow interning order, and arc order, DFS
+    // witnesses and state counts follow node ids, so this order matters. Every
     // recursive ite construction in this file uses it, so ids do not depend
     // on the compiler's argument evaluation order.
     Tr ElseD = dnfUnder(Else, PathF, MissingId);

@@ -36,7 +36,7 @@ bool writeAll(int Fd, const std::vector<uint8_t> &Buf) {
 int dist::runWorker(int InFd, int OutFd, const WorkerConfig &Config) {
   // The worker's solver stack plus its shard of the verdict cache. The
   // cache outlives every recycled stack: canonical-print keys are
-  // arena-portable, so warmth survives the fresh-arena-per-query rule.
+  // arena-portable, so warmth survives the stack rebuilt per query.
   std::unique_ptr<cache::VerdictCache> Cache;
   if (Config.VerdictCacheCapacity)
     Cache = std::make_unique<cache::VerdictCache>(
@@ -72,10 +72,7 @@ int dist::runWorker(int InFd, int OutFd, const WorkerConfig &Config) {
         ++Handled;
         if (Config.CrashAtRequest && Handled == Config.CrashAtRequest)
           _exit(137); // test hook: die as if SIGKILLed, mid-request
-        bool Recycle = Dirty && (!Config.ReuseArenas ||
-                                 (Config.ArenaNodeBudget &&
-                                  W->M.numNodes() > Config.ArenaNodeBudget));
-        if (Recycle)
+        if (Dirty)
           W = freshStack();
         BatchQuery Q;
         Q.Pattern = Req->Pattern;

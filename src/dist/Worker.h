@@ -8,13 +8,12 @@
 /// Shutdown frame or EOF arrives.
 ///
 /// Each worker owns a full `portfolio::SolverStack` plus its own
-/// `cache::VerdictCache`. The stack is recycled (rebuilt fresh) after every
-/// query by default, mirroring BatchSolver's fresh-arena-per-query rule —
-/// warm arenas change interning order and with it witness bytes, which
-/// would break the byte-identical verdict-stream guarantee. Warmth across
-/// queries is instead carried by the verdict cache, whose canonical-print
-/// keys are arena- and process-portable and whose hits replay cold
-/// verdicts bit-identically (the `cache_consistency` law).
+/// `cache::VerdictCache`. The stack is rebuilt after every query, as in
+/// BatchSolver, so a query's state budget counts only its own states and
+/// its answer is the same on every worker. Warmth across queries is carried
+/// by the verdict cache, whose canonical-print keys are arena- and
+/// process-portable and whose hits replay cold verdicts bit-identically
+/// (the `cache_consistency` law).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +27,6 @@ namespace dist {
 
 /// Worker-process knobs. Plumbed by the coordinator before fork.
 struct WorkerConfig {
-  /// Keep arenas across queries until they exceed ArenaNodeBudget nodes
-  /// (BatchOptions::ReuseArenas semantics). Off by default: determinism
-  /// over warmth.
-  bool ReuseArenas = false;
-  size_t ArenaNodeBudget = size_t{1} << 20;
-
   /// Per-worker verdict-cache capacity (entries). 0 disables the cache.
   size_t VerdictCacheCapacity = 4096;
 

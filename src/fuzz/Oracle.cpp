@@ -2,11 +2,13 @@
 
 #include "fuzz/Oracle.h"
 
-#include "portfolio/Portfolio.h"
+#include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
 #include "support/Metrics.h"
 #include "support/Stopwatch.h"
+#include "support/Unicode.h"
 
+#include <algorithm>
 #include <utility>
 
 using namespace sbd;
@@ -36,6 +38,8 @@ const char *sbd::fuzz::oracleLawName(OracleLaw L) {
     return "cache_consistency";
   case OracleLaw::DistConsistency:
     return "dist_consistency";
+  case OracleLaw::ShortlexWitness:
+    return "shortlex_witness";
   }
   return "?";
 }
@@ -249,7 +253,102 @@ void DifferentialOracle::checkSatVerdicts(std::vector<Discrepancy> &Out) {
   ConsensusUnsat = DefiniteCount != 0 && AllUnsat &&
                    FirstDefinite->Res.isUnsat();
 
+  checkShortlexWitness(All.front().Res, Out);
+
   checkVerdictCache(Out);
+}
+
+void DifferentialOracle::checkShortlexWitness(const SolveResult &Bfs,
+                                              std::vector<Discrepancy> &Out) {
+  if (!Bfs.isSat())
+    return;
+  const std::vector<uint32_t> &W = Bfs.Witness;
+  // Both engines (Antimirov only without `~`) must answer Q with Want.
+  auto expect = [&](RegexSolver &S, Re Q, const std::vector<uint32_t> &Want,
+                    const std::string &Stack) {
+    RegexManager &QM = S.regexManager();
+    SolveOptions BfsOpts, BOpts;
+    BfsOpts.MaxStates = Opts.SolverMaxStates;
+    BOpts.MaxStates = Opts.BaselineMaxStates;
+    S.resetGraph();
+    std::pair<const char *, SolveResult> Got[] = {
+        {engineName(EngSolverBfs), S.checkSat(Q, BfsOpts)},
+        {engineName(EngAntimirov), {}}};
+    if (CurFeat.NumCompl == 0)
+      Got[1].second = AntimirovSolver(QM, S.analyzer()).solve(Q, BOpts);
+    for (const auto &[Engine, Res] : Got) {
+      ++Checks;
+      SBD_OBS_INC(FuzzChecks);
+      if (!Res.isSat() || Res.Witness == Want)
+        continue;
+      SBD_OBS_INC(FuzzDiscrepancies);
+      Discrepancy D = makeDiscrepancy(
+          OracleLaw::ShortlexWitness, Res.Witness, Stack + Engine,
+          "witness is not the shortlex-least \"" + toUtf8(Want) + "\"");
+      D.Pattern = QM.toString(Q);
+      D.RegexNodes = QM.node(Q).Size;
+      Out.push_back(std::move(D));
+    }
+  };
+
+  // Byte identity across engines, on this arena (which solved the batch's
+  // earlier patterns) and on a fresh stack.
+  expect(Solver, Cur, W, "");
+  portfolio::SolverStack Fresh;
+  RegexParseResult Reparsed = parseRegex(Fresh.M, M.toString(Cur));
+  if (Reparsed.Ok) // a failed reparse is analyzer_stability's finding
+    expect(Fresh.S, Reparsed.Value, W, "fresh_");
+
+  // Tied least words: with P = W minus its last character, Cur | P·'!'
+  // reaches two vertices by P (one per branch) that share their least
+  // word, so only the tie rule finds the witness P·'!' ('!' is the least
+  // character). Generated patterns alone rarely tie.
+  if (W.size() >= 2 && W.back() != '!') {
+    std::vector<uint32_t> Want(W.begin(), W.end() - 1);
+    Want.push_back('!');
+    std::vector<Re> Chars;
+    for (uint32_t C : Want)
+      Chars.push_back(M.chr(C));
+    expect(Solver, M.union_(Cur, M.concatList(Chars)), Want, "");
+  }
+
+  // Minimality, for witnesses of at most 4 characters and at most 4096
+  // candidates: every word shorter than W, and every smaller word of W's
+  // length, is rejected. Characters of one minterm are interchangeable in
+  // every derivative, so words over the minterms' least members cover all.
+  if (W.size() > 4)
+    return;
+  std::vector<uint32_t> Reps;
+  for (const CharSet &Block : computeMinterms(M.collectPredicates(Cur)))
+    Reps.push_back(*Block.sample());
+  std::sort(Reps.begin(), Reps.end(), witnessLess);
+  const size_t K = Reps.size();
+  size_t Words = 0;
+  for (size_t Len = 0, Count = 1; Len <= W.size(); ++Len, Count *= K)
+    Words += Count;
+  if (Words > 4096)
+    return;
+  ++Checks;
+  SBD_OBS_INC(FuzzChecks);
+  // Word N of a length spells N in base K, so words come in lexicographic
+  // order.
+  for (size_t Len = 0, Count = 1; Len <= W.size(); ++Len, Count *= K)
+    for (size_t N = 0; N != Count; ++N) {
+      std::vector<uint32_t> Word(Len);
+      for (size_t I = Len, Rest = N; I != 0; --I, Rest /= K)
+        Word[I - 1] = Reps[Rest % K];
+      if (Len == W.size() &&
+          !std::lexicographical_compare(Word.begin(), Word.end(), W.begin(),
+                                        W.end(), witnessLess))
+        break;
+      if (Eng.matches(Cur, Word)) {
+        SBD_OBS_INC(FuzzDiscrepancies);
+        Out.push_back(makeDiscrepancy(
+            OracleLaw::ShortlexWitness, Word, engineName(EngSolverBfs),
+            "accepted word precedes the witness \"" + toUtf8(W) + "\""));
+        return;
+      }
+    }
 }
 
 void DifferentialOracle::checkVerdictCache(std::vector<Discrepancy> &Out) {

@@ -35,6 +35,15 @@
 ///   - De Morgan duals: ~(A&B) ≡ ~A|~B and ~(A|B) ≡ ~A&~B, checked by
 ///     membership sampling *and* by solver-based equivalence.
 ///
+///  **Witness identity**: a BFS Sat witness is the shortlex-least word of
+///  the language (DESIGN.md §4). The derivative solver's and the Antimirov
+///  solver's witnesses must be byte-identical, on the oracle's arena (which
+///  has solved the earlier patterns of the batch) and on a fresh stack
+///  after print → reparse; adding the word that ends the witness on '!'
+///  instead (a tie one character before the end) makes that word the
+///  witness; and for a witness of length ≤ 4 no shorter or equally long
+///  smaller word over the minterm representatives is accepted.
+///
 ///  **Analyzer soundness** (DESIGN.md §14): every word any engine accepts
 ///  must start with the pre-solve analysis' required literal prefix (and
 ///  equal it exactly when the analysis claims the language is a single
@@ -81,6 +90,8 @@ enum class OracleLaw : uint8_t {
                      ///< from the cold verdict (DESIGN.md §15)
   DistConsistency,   ///< 1-process and N-process verdict streams diverged
                      ///< for the same batch (DESIGN.md §16)
+  ShortlexWitness,   ///< a BFS witness was not the shortlex-least word, or
+                     ///< differed across engines or arena histories
 };
 
 /// Stable snake_case name for report output.
@@ -221,6 +232,9 @@ private:
                               const std::string &Engine,
                               std::string Detail) const;
   void checkSatVerdicts(std::vector<Discrepancy> &Out);
+  /// Witness identity law (shortlex_witness) for the BFS verdict \p Bfs.
+  void checkShortlexWitness(const SolveResult &Bfs,
+                            std::vector<Discrepancy> &Out);
   /// Verdict-cache consistency law (DESIGN.md §15): solving Cur twice
   /// through a cache-attached portfolio must hit the cache the second time
   /// with an identical verdict+witness, and clearing the cache must

@@ -59,11 +59,7 @@ BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
     for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
          I < Queries.size();
          I = Next.fetch_add(1, std::memory_order_relaxed)) {
-      bool Recycle =
-          Dirty &&
-          (!Opts.ReuseArenas ||
-           (Opts.ArenaNodeBudget && W->M.numNodes() > Opts.ArenaNodeBudget));
-      if (Recycle) {
+      if (Dirty) {
         Local += W->stats();
         W = std::make_unique<SolverStack>();
       }

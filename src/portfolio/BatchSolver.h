@@ -11,9 +11,10 @@
 ///
 /// Queries carry their own `SolveOptions` (deadline, state budget,
 /// strategy); results come back in input order regardless of scheduling.
-/// Verdicts and BFS witness lengths are deterministic across thread counts:
-/// by default every query solves on a freshly recycled arena, so no query
-/// can observe interning state left behind by another.
+/// Each worker recycles its stack after every query, so a query's budget
+/// counts only its own states, and verdicts and witnesses are the same for
+/// every thread count (a BFS witness is the shortlex-least word, whatever
+/// the arena solved before).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,17 +51,6 @@ struct BatchResult {
 struct BatchOptions {
   /// Worker threads; 0 or 1 solves inline on the calling thread.
   unsigned NumThreads = 1;
-  /// When true, workers keep their arenas (and the persistent derivative
-  /// graph) warm across the queries they happen to process; dead-state
-  /// facts are reused, but interned ids then depend on that worker's query
-  /// history, so DFS exploration order (not verdicts) may vary. When false
-  /// (default), the arena stack is recycled before every query —
-  /// bitwise-deterministic and memory-bounded.
-  bool ReuseArenas = false;
-  /// With ReuseArenas: recycle a worker's stack once its regex arena
-  /// exceeds this many interned nodes (0 = never). Bounds memory in
-  /// long-running processes, as clearCaches() does for a single engine.
-  size_t ArenaNodeBudget = 1 << 20;
 };
 
 /// Fans independent queries over thread-local solver stacks.

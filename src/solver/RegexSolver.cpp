@@ -6,6 +6,7 @@
 #include "analysis/AuditHooks.h"
 #include "re/SmtPrinter.h"
 #include "solver/SlowQueryLog.h"
+#include "solver/WitnessSearch.h"
 #include "support/Histogram.h"
 #include "support/Stopwatch.h"
 #include "support/Trace.h"
@@ -13,18 +14,6 @@
 #include <algorithm>
 
 using namespace sbd;
-
-namespace {
-
-/// Per-query BFS bookkeeping: how a regex vertex was first reached.
-struct Reached {
-  Re R;
-  uint32_t Parent; ///< index of the parent's entry
-  uint32_t Ch;
-  uint32_t Depth;
-};
-
-} // namespace
 
 SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   Stopwatch Timer;
@@ -163,50 +152,6 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
     SBD_AUDIT_CHECKSAT_EXIT(M, T);
   };
 
-  // Breadth-first unfolding of the der/ite/or/ere rules. Each queue entry is
-  // a regex goal for some suffix s_k.. of the string; depth = k. Queue
-  // entries index Reach; BFS pops at QueueHead, DFS at the back.
-  std::vector<Reached> Reach; // in first-reached order
-  FlatMap64 Visited;          // Re.Id -> index into Reach
-  std::vector<uint32_t> Queue;
-  size_t QueueHead = 0;
-
-  /// Records the first arrival at \p Next; returns its Reach index.
-  auto reach = [&](Re Next, uint32_t Parent, uint32_t Ch, uint32_t Depth) {
-    const uint32_t Idx = static_cast<uint32_t>(Reach.size());
-    Visited.insert(Next.Id, Idx);
-    Reach.push_back(Reached{Next, Parent, Ch, Depth});
-    return Idx;
-  };
-
-  auto finishSat = [&](uint32_t Final) {
-    // Reconstruct the witness by walking parents back to R.
-    std::vector<uint32_t> Word;
-    for (uint32_t Cur = Final; Reach[Cur].Depth != 0; Cur = Reach[Cur].Parent)
-      Word.push_back(Reach[Cur].Ch);
-    std::reverse(Word.begin(), Word.end());
-    Result.Status = SolveStatus::Sat;
-    Result.Witness = std::move(Word);
-    Result.StatesExplored = Reach.size();
-    finalize();
-    return Result;
-  };
-
-  Graph.addVertex(R);
-  reach(R, 0, 0, 0);
-
-  // der rule, ε case: |s| = 0 ∧ ν(r).
-  if (M.nullable(R))
-    return finishSat(0);
-  if (Graph.isDead(R)) {
-    // bot rule: r was already proven a dead end by an earlier query.
-    Result.Status = SolveStatus::Unsat;
-    Result.StatesExplored = Reach.size();
-    finalize();
-    return Result;
-  }
-  Queue.push_back(0);
-
   // Deadline discipline: the clock is read every (CheckMask+1) steps, and
   // the mask adapts — when the gap between two reads exceeds the target
   // slice (an eighth of the budget, capped at 10ms) the mask halves, so
@@ -236,84 +181,53 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   /// Arc-count threshold above which an expansion forces a clock check.
   constexpr size_t BigExpansion = 16;
 
-  const bool Dfs = Opts.Strategy == SearchStrategy::Dfs;
-  while (QueueHead != Queue.size()) {
-    const size_t Open = Queue.size() - QueueHead;
+  // The der/ite/or/ere rules over the graph G: a vertex is a regex goal for
+  // some suffix s_k.. of the string, ν(r) closes it (ere rule), a proven
+  // dead end is never expanded (bot rule), and an expansion unfolds
+  // δdnf(r), records it in G (upd rule) and takes one character per
+  // satisfiable branch guard (ite rule).
+  auto kind = [&](Re Next) {
+    if (M.nullable(Next))
+      return VertexKind::Final;
+    return Graph.isDead(Next) ? VertexKind::Dead : VertexKind::Open;
+  };
+  auto proceed = [&](size_t Reached, size_t Open) {
     if (Open > PeakFrontier)
       PeakFrontier = Open;
 #if SBD_OBS
     if (SlowArmed)
       Frontier.push(Open);
 #endif
-    // Budget checks (time checked adaptively to keep it off the hot path).
-    if (Opts.MaxStates && Reach.size() > Opts.MaxStates) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::StateBudget;
-      Result.Note = "state budget exhausted";
-      break;
-    }
-    if ((++Steps & CheckMask) == 0 && timeExpired()) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::Timeout;
-      Result.Note = "timeout";
-      break;
-    }
-
-    uint32_t CurIdx;
-    if (Dfs) {
-      CurIdx = Queue.back();
-      Queue.pop_back();
-    } else {
-      CurIdx = Queue[QueueHead++];
-    }
-    const Re Cur = Reach[CurIdx].R;
-    const uint32_t Depth = Reach[CurIdx].Depth;
-
-    // der rule, |s| > 0 case: unfold δdnf(Cur) and upd the graph.
-    Tr Dnf = Engine.derivativeDnf(Cur);
-    std::vector<TrArc> Arcs = T.arcs(Dnf);
+    if (Opts.MaxStates && Reached > Opts.MaxStates)
+      return WitnessSearch::stop(Result, StopReason::StateBudget,
+                                 "state budget exhausted");
+    if ((++Steps & CheckMask) == 0 && timeExpired())
+      return WitnessSearch::stop(Result, StopReason::Timeout, "timeout");
+    return true;
+  };
+  std::vector<Re> Targets;
+  auto expand = [&](Re Cur, std::vector<SearchArc> &Out) {
+    std::vector<TrArc> Arcs = T.arcs(Engine.derivativeDnf(Cur));
     SBD_OBS_HIST(DnfExpansionArcs, Arcs.size());
-    if (Arcs.size() >= BigExpansion && timeExpired()) {
-      Result.Status = SolveStatus::Unknown;
-      Result.Stop = StopReason::Timeout;
-      Result.Note = "timeout";
-      break;
-    }
-    std::vector<Re> Targets;
-    Targets.reserve(Arcs.size());
-    for (const TrArc &A : Arcs)
-      Targets.push_back(A.Target);
-    Graph.close(Cur, Targets);
-
+    if (Arcs.size() >= BigExpansion && timeExpired())
+      return WitnessSearch::stop(Result, StopReason::Timeout, "timeout");
+    Targets.clear();
     for (const TrArc &A : Arcs) {
-      if (Visited.find(A.Target.Id))
-        continue;
-      // ite rule: the branch guard must be satisfiable — arcs() guarantees
-      // it; pick a concrete representative for the witness.
-      auto Ch = A.Guard.sample();
-      assert(Ch && "arcs must carry satisfiable guards");
-      const uint32_t NextIdx = reach(A.Target, CurIdx, *Ch, Depth + 1);
-      // ere rule: in(s_{k+1}.., Next); ε sub-case checked on dequeue.
-      if (M.nullable(A.Target))
-        return finishSat(NextIdx);
-      if (Graph.isDead(A.Target))
-        continue; // bot rule
-      Queue.push_back(NextIdx);
+      Targets.push_back(A.Target);
+      // arcs() guarantees satisfiable guards.
+      Out.push_back(SearchArc{*A.Guard.sample(), A.Target});
     }
-  }
+    Graph.close(Cur, Targets);
+    return true;
+  };
 
-  if (Result.Status == SolveStatus::Unknown && !Result.Note.empty()) {
-    Result.StatesExplored = Reach.size();
-    finalize();
-    return Result;
-  }
-
-  // The whole reachable component is closed and contains no final vertex:
-  // R is a dead end, hence unsatisfiable (Theorem 5.2).
-  Result.Status = SolveStatus::Unsat;
-  Result.StatesExplored = Reach.size();
+  Graph.addVertex(R);
+  WitnessSearch().run(R, Opts.Strategy, Result, kind, proceed, expand);
+  // An exhausted search closed the whole reachable component without a
+  // final vertex: R is a dead end, hence unsatisfiable (Theorem 5.2).
   finalize();
-  assert(Graph.isDead(R) && "exhausted exploration must prove deadness");
+  assert((!Result.isUnsat() || Graph.isDead(R)) &&
+         "exhausted exploration must prove deadness");
   return Result;
 }
 

@@ -9,8 +9,8 @@
 /// which are alive.
 ///
 /// Exploration over the derivative graph plays the role of the SMT core's
-/// case splitting. Breadth-first order (the default) returns a *shortest*
-/// witness; depth-first order (SolveOptions::Strategy) mimics the
+/// case splitting. Breadth-first order (the default) returns the
+/// *shortlex-least* witness (solver/WitnessSearch.h); depth-first order (SolveOptions::Strategy) mimics the
 /// backtracking search of a real SMT core and reaches deep witnesses
 /// without materializing the whole frontier. Boolean combinations of membership constraints
 /// on one string compile into a single ERE (Section 2), and side constraints
@@ -43,7 +43,8 @@ public:
         Graph(Eng.regexManager()) {}
 
   /// Decides satisfiability of in(s, R) for an uninterpreted s: is L(R)
-  /// nonempty? Returns a shortest witness on Sat. Every return settles the
+  /// nonempty? On Sat under Bfs the witness is the shortlex-least word of
+  /// L(R), whatever this solver solved before. Every return settles the
   /// graph's Dead set (DerivativeGraph::settleDead), so a later query's bot
   /// rule starts from every dead end this one proved.
   SolveResult checkSat(Re R, const SolveOptions &Opts = {});
@@ -52,11 +53,6 @@ public:
   /// compiling it to a single ERE (conjunction → &, negation → ~).
   SolveResult checkMembership(const std::vector<MembershipLiteral> &Literals,
                               const SolveOptions &Opts = {});
-
-  /// L(R) = ∅?  (Unsat ⇔ empty.)
-  SolveResult checkEmpty(Re R, const SolveOptions &Opts = {}) {
-    return checkSat(R, Opts);
-  }
 
   /// L(A) ⊆ L(B)? Reduces to emptiness of A & ~B; on failure the result's
   /// witness is a word in A \ B.

@@ -71,7 +71,7 @@ inline const char *stopReasonName(StopReason R) {
 
 /// Exploration order for the derivative solver.
 enum class SearchStrategy : uint8_t {
-  Bfs, ///< breadth-first: shortest witness, larger frontier
+  Bfs, ///< breadth-first: the shortlex-least witness, larger frontier
   Dfs, ///< depth-first: mimics SMT backtracking search; finds *a* witness
        ///< fast on satisfiable instances with deep models
 };

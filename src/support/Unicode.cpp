@@ -67,3 +67,22 @@ std::string sbd::escapeWord(const std::vector<uint32_t> &Word) {
     Out += escapeCodePoint(Cp);
   return Out;
 }
+
+void sbd::appendJsonString(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (char C : S) {
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if (C == '\n' || C == '\t' || C == '\r') {
+      Out += C == '\n' ? "\\n" : C == '\t' ? "\\t" : "\\r";
+    } else if (static_cast<unsigned char>(C) < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", static_cast<unsigned>(C));
+      Out += Buf;
+    } else {
+      Out += C;
+    }
+  }
+  Out += '"';
+}

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sbd {
@@ -78,6 +79,12 @@ std::string escapeCodePoint(uint32_t Cp);
 
 /// Renders a code-point word for human consumption (each char escaped).
 std::string escapeWord(const std::vector<uint32_t> &Word);
+
+/// Appends \p S as a JSON string literal, quotes included: `"` and `\`
+/// get a backslash, newline, tab and carriage return their short escapes,
+/// other bytes below 0x20 become \u00XX, and every other byte (UTF-8
+/// included) passes through. The one JSON string writer of the project.
+void appendJsonString(std::string &Out, std::string_view S);
 
 } // namespace sbd
 

@@ -92,10 +92,7 @@ TEST(BatchSolverTest, MatchesSequentialReferenceSolver) {
     SolveResult Ref = S.checkSat(R);
     ASSERT_TRUE(Results[I].ParseOk) << Patterns[I];
     EXPECT_EQ(Results[I].Result.Status, Ref.Status) << Patterns[I];
-    if (Ref.isSat()) {
-      EXPECT_EQ(Results[I].Result.Witness.size(), Ref.Witness.size())
-          << Patterns[I];
-    }
+    EXPECT_EQ(Results[I].Result.Witness, Ref.Witness) << Patterns[I];
   }
 }
 
@@ -119,7 +116,7 @@ TEST(BatchSolverTest, DeterministicAcrossThreadCounts) {
     ASSERT_TRUE(R8[I].ParseOk);
     EXPECT_EQ(R1[I].Result.Status, R8[I].Result.Status)
         << Queries[I].Pattern;
-    EXPECT_EQ(R1[I].Result.Witness.size(), R8[I].Result.Witness.size())
+    EXPECT_EQ(R1[I].Result.Witness, R8[I].Result.Witness)
         << Queries[I].Pattern;
     if (R1[I].Result.isSat())
       ++Sat;
@@ -129,31 +126,6 @@ TEST(BatchSolverTest, DeterministicAcrossThreadCounts) {
   // The corpus must genuinely exercise both verdicts.
   EXPECT_GE(Sat, 10u);
   EXPECT_GE(Unsat, 10u);
-}
-
-TEST(BatchSolverTest, DeterministicWithArenaReuse) {
-  // Warm-arena mode keeps interned state across the queries of one worker;
-  // BFS verdicts and shortest-witness lengths must still be independent of
-  // thread count and of which worker processed which query.
-  std::vector<BatchQuery> Queries = toQueries(mixedCorpus());
-
-  BatchOptions Reuse1;
-  Reuse1.NumThreads = 1;
-  Reuse1.ReuseArenas = true;
-  BatchOptions Reuse8;
-  Reuse8.NumThreads = 8;
-  Reuse8.ReuseArenas = true;
-
-  BatchSolver S1(Reuse1), S8(Reuse8);
-  std::vector<BatchResult> R1 = S1.solveAll(Queries);
-  std::vector<BatchResult> R8 = S8.solveAll(Queries);
-  ASSERT_EQ(R1.size(), R8.size());
-  for (size_t I = 0; I != R1.size(); ++I) {
-    EXPECT_EQ(R1[I].Result.Status, R8[I].Result.Status)
-        << Queries[I].Pattern;
-    EXPECT_EQ(R1[I].Result.Witness.size(), R8[I].Result.Witness.size())
-        << Queries[I].Pattern;
-  }
 }
 
 TEST(BatchSolverTest, PerQueryBudgetsApplyIndividually) {

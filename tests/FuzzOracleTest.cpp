@@ -63,6 +63,9 @@ const CorpusEntry SeedCorpus[] = {
     {"~(.*ab.*)", {"", "ab", "ba", nullptr}},
     {"((a|b)*&~(.*aa.*))b", {"abb", "aab", "b", nullptr}},
     {"a{2,}", {"a", "aa", "aaaa", nullptr}},
+    // Tied least words: two vertices reached by "a" (shortlex_witness).
+    {"(az)|([a-b]y)", {"az", "ay", "by", nullptr}},
+    {"(ay)|(az)", {"az", "ay", "a", nullptr}},
 };
 
 TEST(FuzzOracle, SeedCorpusIsCleanAcrossAllEngines) {

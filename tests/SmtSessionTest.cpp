@@ -117,6 +117,32 @@ TEST_F(SmtSessionTest, GetModelRendersDefineFunsOnlyAfterSat) {
   EXPECT_NE(Model.find("\"ab\""), std::string::npos);
 }
 
+TEST_F(SmtSessionTest, ModelDoesNotDependOnEarlierChecks) {
+  // Two checks over the same letters warm the arena first; the model is
+  // still the shortlex-least word of the query's language, the one a fresh
+  // session gives.
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (re.inter
+      (re.* (re.union (str.to_re "ba") (str.to_re "ab")))
+      ((_ re.loop 6 6) re.allchar) (re.+ (str.to_re "ba"))))))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  run("(reset)");
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (re.inter (re.* (str.to_re "ba"))
+                                   ((_ re.loop 8 8) re.allchar)))))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  run("(reset)");
+  run(R"(
+    (declare-const s String)
+    (assert (str.in_re s (re.inter
+      (re.* (re.union (str.to_re "ab") (str.to_re "ba")))
+      ((_ re.loop 8 8) re.allchar)))))");
+  EXPECT_EQ(runOne("(check-sat)"), "sat");
+  EXPECT_EQ(runOne("(get-model)"), "((define-fun s () String \"abababab\"))");
+}
+
 TEST_F(SmtSessionTest, CheckSatAssumingScopesTheAssumptionToOneCheck) {
   run(R"(
     (declare-const s String)

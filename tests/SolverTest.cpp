@@ -2,6 +2,7 @@
 
 #include "solver/RegexSolver.h"
 
+#include "baselines/AntimirovSolver.h"
 #include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
 #include "support/Metrics.h"
@@ -200,6 +201,53 @@ TEST_F(SolverTest, LaterQueryPrunesWhatAnEarlierUnsatQueryProvedDead) {
   EXPECT_EQ(Warm.Status, Cold.Status);
   EXPECT_EQ(Warm.Witness, Cold.Witness);
   EXPECT_LT(Warm.StatesExplored, Cold.StatesExplored);
+}
+
+// A BFS witness is the shortlex-least word of the language (DESIGN.md §4),
+// whatever the union's operand order, the engine, or the arena's history.
+TEST(ShortlexWitnessTest, OverlappingGuardsTieOnTheFirstCharacter) {
+  for (const char *P : {"(az)|([a-b]y)", "([a-b]y)|(az)"}) {
+    portfolio::SolverStack W;
+    Re R = parseRegexOrDie(W.M, P);
+    EXPECT_EQ(toUtf8(W.S.checkSat(R).Witness), "ay") << P;
+    AntimirovSolver A(W.M, W.S.analyzer());
+    EXPECT_EQ(toUtf8(A.solve(R).Witness), "ay") << P;
+    // With a complement the portfolio keeps the derivative route.
+    Re NotQ = W.M.inter(R, W.M.complement(parseRegexOrDie(W.M, "q")));
+    SolveResult Res = W.P.checkSat(NotQ);
+    EXPECT_NE(Res.Stats.Engine, SolveEngine::Antimirov) << P;
+    EXPECT_EQ(toUtf8(Res.Witness), "ay") << P;
+  }
+}
+
+TEST(ShortlexWitnessTest, WarmArenaGivesTheFreshWitness) {
+  const char *Query = "(ab|ba)*&.{8}";
+  portfolio::SolverStack Fresh;
+  EXPECT_EQ(toUtf8(Fresh.P.checkSat(parseRegexOrDie(Fresh.M, Query)).Witness),
+            "abababab");
+  portfolio::SolverStack Warm;
+  for (const char *P : {"(ba|ab)*&.{6}&(ba)+", "(ba)*&.{8}"})
+    ASSERT_TRUE(Warm.P.checkSat(parseRegexOrDie(Warm.M, P)).isSat()) << P;
+  EXPECT_EQ(toUtf8(Warm.P.checkSat(parseRegexOrDie(Warm.M, Query)).Witness),
+            "abababab");
+}
+
+TEST(ShortlexWitnessTest, BooleanOfStarsGivesTheLeastLetters) {
+  portfolio::SolverStack W;
+  Re R = parseRegexOrDie(W.M, "a*b*&.{3}&\\w*");
+  EXPECT_EQ(toUtf8(W.S.checkSat(R).Witness), "aaa");
+  EXPECT_EQ(toUtf8(W.P.checkSat(R).Witness), "aaa");
+}
+
+TEST(ShortlexWitnessTest, PrintableCharactersComeFirst) {
+  // '!' (0x21) is the least character; a newline only when it must be.
+  portfolio::SolverStack W;
+  EXPECT_EQ(W.S.checkSat(parseRegexOrDie(W.M, "[\\n!]")).Witness,
+            std::vector<uint32_t>{'!'});
+  EXPECT_EQ(W.S.checkSat(parseRegexOrDie(W.M, "\\na|!b")).Witness,
+            (std::vector<uint32_t>{'!', 'b'}));
+  EXPECT_EQ(W.S.checkSat(parseRegexOrDie(W.M, "\\n")).Witness,
+            std::vector<uint32_t>{'\n'});
 }
 
 TEST_F(SolverTest, DfsStrategyAgreesWithBfs) {
