@@ -19,6 +19,11 @@
 #     --file, which must finish within UNION_BOUND_MS: the parser builds
 #     the union in one n-ary step (~150 ms under ASan), while interning
 #     every partial union is quadratic (~3 s in a default build);
+#   - a union of 20,000 separate characters (\u0100|\u0102|...), through
+#     sbd-analyze --file, which must finish within UNION_BOUND_MS and peak
+#     below PRED_UNION_RSS_MB: the character merge interns one 20,000-
+#     interval set, while interning every partial union keeps n²/2
+#     intervals (~1.6 GB);
 #   - through sbd-server, a script asserting 13 disjunctions
 #     (or (str.in_re s .*a.*) (str.in_re s .*b.*)), each on two fresh
 #     letters, under (<= (str.len s) 3): 2^13 implicants as cubes, one
@@ -42,6 +47,7 @@
 #
 # Usage: hostile_input.sh <build-dir>    (CI runs it on build-asan)
 UNION_BOUND_MS=2000
+PRED_UNION_RSS_MB=256
 ITE_BOUND_MS=2000
 . "$(dirname "$0")/common.sh"
 
@@ -91,6 +97,8 @@ with open(f"{work}/wide_loop.smt2", "w") as f:
             '(echo "alive")\n')
 with open(f"{work}/wide_union.txt", "w") as f:
     f.write("(" + "|".join(f"x{i}" for i in range(20000)) + ")\n")
+with open(f"{work}/pred_union.txt", "w") as f:
+    f.write("(" + "|".join(f"\\u{0x100 + 2 * i:04x}" for i in range(20000)) + ")\n")
 with open(f"{work}/disjunctions.smt2", "w") as f:
     f.write("(declare-const s String)\n(assert (<= (str.len s) 3))\n")
     for i in range(13):
@@ -173,6 +181,25 @@ RC=$?
 UNION_MS=$((($(date +%s%N) - START_NS) / 1000000))
 check "sbd-analyze --file <20,000-alternative union>" $RC "$WORK/out13"
 bounded "the 20,000-alternative union" "$UNION_MS" "$UNION_BOUND_MS"
+# Prints "<exit code> <elapsed ms> <peak RSS MiB>" of the child.
+python3 - "$ANALYZE" --file "$WORK/pred_union.txt" > "$WORK/out16" << 'PY'
+import resource, subprocess, sys, time
+start = time.monotonic()
+rc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL).returncode
+ms = int((time.monotonic() - start) * 1000)
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024
+print(rc if rc >= 0 else 128 - rc, ms, rss)
+PY
+read -r RC PRED_MS PRED_RSS < "$WORK/out16"
+check "sbd-analyze --file <20,000-character union>" "$RC" "$WORK/out16"
+bounded "the 20,000-character union" "$PRED_MS" "$UNION_BOUND_MS"
+if [ "$PRED_RSS" -gt "$PRED_UNION_RSS_MB" ]; then
+  echo "FAIL: the 20,000-character union peaked at $PRED_RSS MiB (bound $PRED_UNION_RSS_MB MiB)"
+  FAILED=1
+else
+  echo "ok: the 20,000-character union peaked at $PRED_RSS MiB (bound $PRED_UNION_RSS_MB MiB)"
+fi
 "$SERVER" < "$WORK/disjunctions.smt2" > "$WORK/out14" 2>&1
 check "sbd-server <13 disjunctions under a length bound>" $? "$WORK/out14" unsat
 START_NS=$(date +%s%N)

@@ -2,6 +2,7 @@
 
 #include "analysis/Audit.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -36,14 +37,23 @@ Report audit::checkRegexArena(const RegexManager &M) {
   const uint32_t NumNodes = static_cast<uint32_t>(M.numNodes());
   for (uint32_t Id = 0; Id != NumNodes; ++Id)
     checkReNode(M, Re{Id}, Out);
+  // A node whose kid span is out of the pool was reported above and joins
+  // no bucket: its children cannot be read.
   scanDuplicates(
       NumNodes, ViolationKind::ReDuplicateNode,
-      [&](uint32_t Id) { return detail::recomputeReHash(M.node(Re{Id})); },
+      [&](uint32_t Id) {
+        return detail::kidsInPool(M, Re{Id})
+                   ? detail::recomputeReHash(M, Re{Id})
+                   : 0;
+      },
       [&](uint32_t A, uint32_t B) {
         const RegexNode &NA = M.node(Re{A}), &NB = M.node(Re{B});
-        return NA.Kind == NB.Kind && NA.PredIdx == NB.PredIdx &&
+        if (!detail::kidsInPool(M, Re{A}) || !detail::kidsInPool(M, Re{B}))
+          return false;
+        std::span<const Re> KA = M.kids(Re{A}), KB = M.kids(Re{B});
+        return NA.Kind == NB.Kind && NA.Pred == NB.Pred &&
                NA.LoopMin == NB.LoopMin && NA.LoopMax == NB.LoopMax &&
-               NA.Kids == NB.Kids;
+               std::equal(KA.begin(), KA.end(), KB.begin(), KB.end());
       },
       Out);
   return Out;
@@ -56,11 +66,19 @@ Report audit::checkTrArena(const TrManager &T) {
     checkTrNode(T, Tr{Id}, Out);
   scanDuplicates(
       NumNodes, ViolationKind::TrDuplicateNode,
-      [&](uint32_t Id) { return detail::recomputeTrHash(T.node(Tr{Id})); },
+      [&](uint32_t Id) {
+        return detail::kidsInPool(T, Tr{Id})
+                   ? detail::recomputeTrHash(T, Tr{Id})
+                   : 0;
+      },
       [&](uint32_t A, uint32_t B) {
         const TrNode &NA = T.node(Tr{A}), &NB = T.node(Tr{B});
+        if (!detail::kidsInPool(T, Tr{A}) || !detail::kidsInPool(T, Tr{B}))
+          return false;
+        std::span<const Tr> KA = T.kids(Tr{A}), KB = T.kids(Tr{B});
         return NA.Kind == NB.Kind && NA.LeafRe == NB.LeafRe &&
-               NA.Cond == NB.Cond && NA.Kids == NB.Kids;
+               NA.Cond == NB.Cond &&
+               std::equal(KA.begin(), KA.end(), KB.begin(), KB.end());
       },
       Out);
   return Out;

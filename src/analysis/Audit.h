@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,8 @@ enum class ViolationKind : uint8_t {
   ReBadNullable,     ///< cached ν(R) != recomputed from children
   ReBadMetrics,      ///< cached Size/NumPreds/StarHeight != recomputed
   ReEmptyPred,       ///< predicate leaf with ⊥ charset (must collapse to ⊥)
+  ReKidsOutOfPool,   ///< kid span reaches past the end of the kid pool
+  RePredOutOfPool,   ///< predicate id outside the predicate pool
   // --- Character algebra (canonical interval form) -------------------------
   CsInvertedInterval,///< interval with Lo > Hi
   CsUnsortedIntervals,///< intervals not sorted by Lo
@@ -89,6 +92,8 @@ enum class ViolationKind : uint8_t {
   TrUnsatIteGuard,   ///< ite guard unsatisfiable (⊥) — breaks the ite rule
   TrNotDnf,          ///< Inter node inside a claimed-DNF transition regex
   TrUnsatBranch,     ///< DNF path condition unsatisfiable (branch not clean)
+  TrKidsOutOfPool,   ///< kid span reaches past the end of the kid pool
+  TrPredOutOfPool,   ///< ite guard id outside the predicate pool
   // --- Lazy DFA (CachedMatcher rows over minterm ids) ----------------------
   DfaRowMismatch,    ///< lazy-DFA row entry disagrees with uncompressed δdnf
 
@@ -115,6 +120,8 @@ inline const char *kindName(ViolationKind K) {
   case ViolationKind::ReBadNullable: return "re_bad_nullable";
   case ViolationKind::ReBadMetrics: return "re_bad_metrics";
   case ViolationKind::ReEmptyPred: return "re_empty_pred";
+  case ViolationKind::ReKidsOutOfPool: return "re_kids_out_of_pool";
+  case ViolationKind::RePredOutOfPool: return "re_pred_out_of_pool";
   case ViolationKind::CsInvertedInterval: return "cs_inverted_interval";
   case ViolationKind::CsUnsortedIntervals: return "cs_unsorted_intervals";
   case ViolationKind::CsOverlappingIntervals:
@@ -133,6 +140,8 @@ inline const char *kindName(ViolationKind K) {
   case ViolationKind::TrUnsatIteGuard: return "tr_unsat_ite_guard";
   case ViolationKind::TrNotDnf: return "tr_not_dnf";
   case ViolationKind::TrUnsatBranch: return "tr_unsat_branch";
+  case ViolationKind::TrKidsOutOfPool: return "tr_kids_out_of_pool";
+  case ViolationKind::TrPredOutOfPool: return "tr_pred_out_of_pool";
   case ViolationKind::DfaRowMismatch: return "dfa_row_mismatch";
   case ViolationKind::NumKinds: break;
   }
@@ -253,14 +262,23 @@ inline void checkIntervals(const std::vector<CharRange> &Rs, uint32_t NodeId,
 
 namespace detail {
 
+/// Does R's kid span lie inside the kid pool? Every read of R's children
+/// depends on it.
+inline bool kidsInPool(const RegexManager &M, Re R) {
+  const RegexNode &N = M.node(R);
+  return uint64_t(N.KidsBegin) + N.NumKids <= M.kidPoolSize();
+}
+
 /// Independent recomputation of RegexManager's structural node hash; must
-/// stay field-for-field in sync with RegexManager::hashNode.
-inline uint64_t recomputeReHash(const RegexNode &N) {
+/// stay field-for-field in sync with hashNode in Regex.cpp. Requires
+/// kidsInPool(M, R).
+inline uint64_t recomputeReHash(const RegexManager &M, Re R) {
+  const RegexNode &N = M.node(R);
   uint64_t H = hashMix(static_cast<uint64_t>(N.Kind));
-  H = hashCombine(H, N.PredIdx);
+  H = hashCombine(H, N.Pred.Id);
   H = hashCombine(H, N.LoopMin);
   H = hashCombine(H, N.LoopMax);
-  for (Re Kid : N.Kids)
+  for (Re Kid : M.kids(R))
     H = hashCombine(H, Kid.Id);
   return H;
 }
@@ -273,10 +291,12 @@ inline bool isEmptyNode(const RegexManager &M, Re R) {
 
 /// Structural .* test: Star over the full predicate.
 inline bool isTopNode(const RegexManager &M, Re R) {
-  if (M.kind(R) != RegexKind::Star)
+  if (M.kind(R) != RegexKind::Star || !kidsInPool(M, R) ||
+      M.node(R).NumKids != 1)
     return false;
-  Re Kid = M.node(R).Kids[0];
-  return M.kind(Kid) == RegexKind::Pred && M.predSet(Kid).isFull();
+  Re Kid = M.kid(R, 0);
+  return Kid.Id < M.numNodes() && M.kind(Kid) == RegexKind::Pred &&
+         M.preds().contains(M.node(Kid).Pred) && M.predSet(Kid).isFull();
 }
 
 } // namespace detail
@@ -294,15 +314,33 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     Out.add(K, R.Id, std::move(Detail));
   };
 
+  // The kid span and the predicate id index the arena's pools; every read
+  // below goes through them.
+  if (!detail::kidsInPool(M, R)) {
+    bad(ViolationKind::ReKidsOutOfPool,
+        "kid span [" + std::to_string(N.KidsBegin) + ", +" +
+            std::to_string(N.NumKids) + ") exceeds the kid pool (" +
+            std::to_string(M.kidPoolSize()) + " slots)");
+    return;
+  }
+  if (!M.preds().contains(N.Pred)) {
+    bad(ViolationKind::RePredOutOfPool,
+        "predicate id " + std::to_string(N.Pred.Id) +
+            " outside the predicate pool (" +
+            std::to_string(M.preds().size()) + " entries)");
+    return;
+  }
+  const std::span<const Re> Kids = M.kids(R);
+
   bool TopologyOk = true;
-  for (Re Kid : N.Kids)
+  for (Re Kid : Kids)
     if (Kid.Id >= R.Id) {
       bad(ViolationKind::ReBadTopology,
           "child " + std::to_string(Kid.Id) + " does not precede node");
       TopologyOk = false;
     }
 
-  if (N.Hash != detail::recomputeReHash(N))
+  if (N.Hash != detail::recomputeReHash(M, R))
     bad(ViolationKind::ReStaleHash, "stored hash != recomputed hash");
 
   // Every check below reads the children's stored attributes; with a
@@ -311,7 +349,7 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     return;
 
   // Arity by kind.
-  size_t Arity = N.Kids.size();
+  size_t Arity = Kids.size();
   bool ArityOk = true;
   switch (N.Kind) {
   case RegexKind::Empty:
@@ -341,7 +379,7 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
   // Cached-attribute recomputation (ν, Size, ♯, star height).
   bool Nullable = false;
   uint32_t Size = 1, NumPreds = 0, StarHeight = 0;
-  for (Re Kid : N.Kids) {
+  for (Re Kid : Kids) {
     const RegexNode &K = M.node(Kid);
     Size += K.Size;
     NumPreds += K.NumPreds;
@@ -357,23 +395,23 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     Nullable = true;
     break;
   case RegexKind::Concat:
-    Nullable = M.nullable(N.Kids[0]) && M.nullable(N.Kids[1]);
+    Nullable = M.nullable(Kids[0]) && M.nullable(Kids[1]);
     break;
   case RegexKind::Loop:
     Nullable = N.LoopMin == 0;
     break;
   case RegexKind::Union:
     Nullable = false;
-    for (Re Kid : N.Kids)
+    for (Re Kid : Kids)
       Nullable = Nullable || M.nullable(Kid);
     break;
   case RegexKind::Inter:
     Nullable = true;
-    for (Re Kid : N.Kids)
+    for (Re Kid : Kids)
       Nullable = Nullable && M.nullable(Kid);
     break;
   case RegexKind::Compl:
-    Nullable = !M.nullable(N.Kids[0]);
+    Nullable = !M.nullable(Kids[0]);
     break;
   }
   if (N.Kind == RegexKind::Pred)
@@ -401,10 +439,10 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     break;
   }
   case RegexKind::Concat: {
-    if (M.kind(N.Kids[0]) == RegexKind::Concat)
+    if (M.kind(Kids[0]) == RegexKind::Concat)
       bad(ViolationKind::ReLeftNestedConcat,
           "left child is a concat (not right-associated)");
-    for (Re Kid : N.Kids) {
+    for (Re Kid : Kids) {
       if (detail::isEmptyNode(M, Kid))
         bad(ViolationKind::ReAbsorbableChild, "⊥ absorbs a concatenation");
       else if (M.kind(Kid) == RegexKind::Epsilon)
@@ -413,18 +451,18 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     break;
   }
   case RegexKind::Star: {
-    RegexKind KK = M.kind(N.Kids[0]);
+    RegexKind KK = M.kind(Kids[0]);
     if (KK == RegexKind::Star)
       bad(ViolationKind::ReAbsorbableChild, "(R*)* must collapse to R*");
     if (KK == RegexKind::Epsilon || KK == RegexKind::Empty)
       bad(ViolationKind::ReAbsorbableChild, "ε*/⊥* must collapse to ε");
-    if (KK == RegexKind::Loop && M.node(N.Kids[0]).LoopMin <= 1)
+    if (KK == RegexKind::Loop && M.node(Kids[0]).LoopMin <= 1)
       bad(ViolationKind::ReAbsorbableChild,
           "(R{m,n})* with m <= 1 must collapse to R*");
     break;
   }
   case RegexKind::Loop: {
-    Re Kid = N.Kids[0];
+    Re Kid = Kids[0];
     if (N.LoopMin > N.LoopMax)
       bad(ViolationKind::ReBadLoopBounds, "LoopMin > LoopMax");
     if (N.LoopMax == 0)
@@ -447,9 +485,9 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
   case RegexKind::Inter: {
     size_t Preds = 0;
     bool HasEps = false, HasOtherNullable = false;
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
-      Re Kid = N.Kids[I];
-      if (I && !(N.Kids[I - 1] < Kid))
+    for (size_t I = 0; I != Kids.size(); ++I) {
+      Re Kid = Kids[I];
+      if (I && !(Kids[I - 1] < Kid))
         bad(ViolationKind::ReUnsortedOperands,
             "operand " + std::to_string(I) +
                 " not strictly greater than predecessor");
@@ -483,7 +521,7 @@ inline void checkReNode(const RegexManager &M, Re R, Report &Out) {
     break;
   }
   case RegexKind::Compl: {
-    Re Kid = N.Kids[0];
+    Re Kid = Kids[0];
     if (M.kind(Kid) == RegexKind::Compl)
       bad(ViolationKind::ReDoubleNegation, "~~R must collapse to R");
     if (detail::isEmptyNode(M, Kid))
@@ -501,11 +539,18 @@ namespace detail {
 
 /// Independent recomputation of TrManager's structural node hash; must stay
 /// field-for-field in sync with TrManager::intern.
-inline uint64_t recomputeTrHash(const TrNode &N) {
+inline bool kidsInPool(const TrManager &T, Tr X) {
+  const TrNode &N = T.node(X);
+  return uint64_t(N.KidsBegin) + N.NumKids <= T.kidPoolSize();
+}
+
+/// Requires kidsInPool(T, X).
+inline uint64_t recomputeTrHash(const TrManager &T, Tr X) {
+  const TrNode &N = T.node(X);
   uint64_t H = hashMix(static_cast<uint64_t>(N.Kind));
   H = hashCombine(H, N.LeafRe.Id);
-  H = hashCombine(H, N.Cond.hash());
-  for (Tr Kid : N.Kids)
+  H = hashCombine(H, N.Cond.Id);
+  for (Tr Kid : T.kids(X))
     H = hashCombine(H, Kid.Id);
   return H;
 }
@@ -533,15 +578,31 @@ inline void checkTrNode(const TrManager &T, Tr X, Report &Out) {
     Out.add(K, X.Id, std::move(Detail));
   };
 
+  if (!detail::kidsInPool(T, X)) {
+    bad(ViolationKind::TrKidsOutOfPool,
+        "kid span [" + std::to_string(N.KidsBegin) + ", +" +
+            std::to_string(N.NumKids) + ") exceeds the kid pool (" +
+            std::to_string(T.kidPoolSize()) + " slots)");
+    return;
+  }
+  if (!T.regexManager().preds().contains(N.Cond)) {
+    bad(ViolationKind::TrPredOutOfPool,
+        "guard id " + std::to_string(N.Cond.Id) +
+            " outside the predicate pool (" +
+            std::to_string(T.regexManager().preds().size()) + " entries)");
+    return;
+  }
+  const std::span<const Tr> Kids = T.kids(X);
+
   bool TopologyOk = true;
-  for (Tr Kid : N.Kids)
+  for (Tr Kid : Kids)
     if (Kid.Id >= X.Id) {
       bad(ViolationKind::TrBadTopology,
           "child " + std::to_string(Kid.Id) + " does not precede node");
       TopologyOk = false;
     }
 
-  if (N.Hash != detail::recomputeTrHash(N))
+  if (N.Hash != detail::recomputeTrHash(T, X))
     bad(ViolationKind::TrStaleHash, "stored hash != recomputed hash");
 
   // The kind-specific checks below read the children's stored state; with
@@ -551,43 +612,42 @@ inline void checkTrNode(const TrManager &T, Tr X, Report &Out) {
 
   switch (N.Kind) {
   case TrKind::Leaf:
-    if (!N.Kids.empty())
+    if (!Kids.empty())
       bad(ViolationKind::TrBadArity, "leaf must have no children");
     break;
   case TrKind::Ite: {
-    if (N.Kids.size() != 2) {
+    if (Kids.size() != 2) {
       bad(ViolationKind::TrBadArity, "ite must have exactly two children");
       break;
     }
-    checkIntervals(N.Cond.ranges(), X.Id, Out);
-    if (N.Cond.isEmpty())
+    const CharSet &Cond = T.condSet(X);
+    checkIntervals(Cond.ranges(), X.Id, Out);
+    if (Cond.isEmpty())
       bad(ViolationKind::TrUnsatIteGuard, "ite guard is ⊥ (dead branch)");
-    else if (N.Cond.isFull())
+    else if (Cond.isFull())
       bad(ViolationKind::TrTrivialIte,
           "ite guard is ⊤ (must collapse to the then-branch)");
-    if (N.Kids[0] == N.Kids[1])
+    if (Kids[0] == Kids[1])
       bad(ViolationKind::TrTrivialIte, "equal branches must collapse");
-    if (T.kind(N.Kids[0]) == TrKind::Ite &&
-        T.node(N.Kids[0]).Cond == N.Cond)
+    if (T.kind(Kids[0]) == TrKind::Ite && T.node(Kids[0]).Cond == N.Cond)
       bad(ViolationKind::TrTrivialIte,
           "then-branch repeats the guard (must collapse)");
-    if (T.kind(N.Kids[1]) == TrKind::Ite &&
-        T.node(N.Kids[1]).Cond == N.Cond)
+    if (T.kind(Kids[1]) == TrKind::Ite && T.node(Kids[1]).Cond == N.Cond)
       bad(ViolationKind::TrTrivialIte,
           "else-branch repeats the guard (must collapse)");
     break;
   }
   case TrKind::Union:
   case TrKind::Inter: {
-    if (N.Kids.size() < 2) {
+    if (Kids.size() < 2) {
       bad(ViolationKind::TrBadArity,
           "associative node needs at least two children");
       break;
     }
     size_t Leaves = 0;
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
-      Tr Kid = N.Kids[I];
-      if (I && !(N.Kids[I - 1] < Kid))
+    for (size_t I = 0; I != Kids.size(); ++I) {
+      Tr Kid = Kids[I];
+      if (I && !(Kids[I - 1] < Kid))
         bad(ViolationKind::TrUnsortedOperands,
             "operand " + std::to_string(I) +
                 " not strictly greater than predecessor");
@@ -621,28 +681,33 @@ inline void checkDnf(const TrManager &T, Tr X, Report &Out) {
     void walk(Tr Cur, const CharSet &Path) {
       Out.noteChecked();
       const TrNode &N = T.node(Cur);
+      // Pool damage is checkTrNode's finding.
+      if (!detail::kidsInPool(T, Cur) ||
+          !T.regexManager().preds().contains(N.Cond))
+        return;
       switch (N.Kind) {
       case TrKind::Leaf:
         return;
       case TrKind::Ite: {
-        if (N.Kids.size() != 2)
+        if (N.NumKids != 2)
           return; // arity damage is checkTrNode's finding
-        CharSet PathT = Path.intersectWith(N.Cond);
-        CharSet PathF = Path.minus(N.Cond);
+        // Recomputed from the CharSets, not the pool's ∧/− memos.
+        CharSet PathT = Path.intersectWith(T.condSet(Cur));
+        CharSet PathF = Path.minus(T.condSet(Cur));
         if (PathT.isEmpty())
           Out.add(ViolationKind::TrUnsatBranch, Cur.Id,
                   "then-branch path condition is ⊥ (not pruned)");
         else
-          walk(N.Kids[0], PathT);
+          walk(T.kid(Cur, 0), PathT);
         if (PathF.isEmpty())
           Out.add(ViolationKind::TrUnsatBranch, Cur.Id,
                   "else-branch path condition is ⊥ (not pruned)");
         else
-          walk(N.Kids[1], PathF);
+          walk(T.kid(Cur, 1), PathF);
         return;
       }
       case TrKind::Union:
-        for (Tr Kid : N.Kids)
+        for (Tr Kid : T.kids(Cur))
           walk(Kid, Path);
         return;
       case TrKind::Inter:

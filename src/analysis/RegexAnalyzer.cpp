@@ -128,8 +128,8 @@ void RegexAnalyzer::fold(Re Root) {
       continue;
     }
     const RegexNode &Node = M.node(F.Node);
-    if (F.NextKid < Node.Kids.size()) {
-      Re Kid = Node.Kids[F.NextKid++];
+    if (F.NextKid < Node.NumKids) {
+      Re Kid = M.kid(F.Node, F.NextKid++);
       if (!done(Kid.Id))
         Stack.push_back({Kid, 0});
       continue;
@@ -139,7 +139,7 @@ void RegexAnalyzer::fold(Re Root) {
     R.TreeSize = Node.Size;
     R.StarHeight = Node.StarHeight;
     R.Nullable = Node.Nullable;
-    for (Re Kid : Node.Kids) {
+    for (Re Kid : M.kids(F.Node)) {
       const RegexFeatures &K = record(Kid.Id);
       R.NumPred = satAdd32(R.NumPred, K.NumPred);
       R.NumConcat = satAdd32(R.NumConcat, K.NumConcat);
@@ -176,8 +176,8 @@ void RegexAnalyzer::fold(Re Root) {
     }
     case RegexKind::Concat: {
       R.NumConcat = satAdd32(R.NumConcat, 1);
-      const RegexFeatures &A = record(Node.Kids[0].Id);
-      const RegexFeatures &B = record(Node.Kids[1].Id);
+      const RegexFeatures &A = record(M.kid(F.Node, 0).Id);
+      const RegexFeatures &B = record(M.kid(F.Node, 1).Id);
       if (A.EmptyLang || B.EmptyLang) {
         R.EmptyLang = true;
         break;
@@ -201,7 +201,7 @@ void RegexAnalyzer::fold(Re Root) {
       break;
     case RegexKind::Loop: {
       R.NumLoop = satAdd32(R.NumLoop, 1);
-      const RegexFeatures &K = record(Node.Kids[0].Id);
+      const RegexFeatures &K = record(M.kid(F.Node, 0).Id);
       uint32_t Hi = Node.LoopMax == LoopInf ? Node.LoopMin : Node.LoopMax;
       R.MaxLoopBound = std::max(R.MaxLoopBound, std::max(Node.LoopMin, Hi));
       // Blow-up multiplier: the loop's upper repetition count (its min for
@@ -228,7 +228,7 @@ void RegexAnalyzer::fold(Re Root) {
       // Longest common prefix over the kids that can contribute words.
       bool First = true;
       bool AllComplete = true;
-      for (Re Kid : Node.Kids) {
+      for (Re Kid : M.kids(F.Node)) {
         const RegexFeatures &K = record(Kid.Id);
         if (K.EmptyLang)
           continue;
@@ -256,7 +256,7 @@ void RegexAnalyzer::fold(Re Root) {
       // longest. (If the kids conflict the language is empty and every
       // prefix claim holds vacuously.)
       const RegexFeatures *Best = nullptr;
-      for (Re Kid : Node.Kids) {
+      for (Re Kid : M.kids(F.Node)) {
         const RegexFeatures &K = record(Kid.Id);
         if (K.EmptyLang)
           R.EmptyLang = true;
@@ -318,8 +318,8 @@ void RegexAnalyzer::fold(Re Root) {
       ++Count;
       const RegexNode &Node = M.node(Cur);
       if (Node.Kind == RegexKind::Pred)
-        PredIdxs.push_back(Node.PredIdx);
-      for (Re Kid : Node.Kids)
+        PredIdxs.push_back(Node.Pred.Id);
+      for (Re Kid : M.kids(Cur))
         if (Mark[Kid.Id] != Epoch) {
           Mark[Kid.Id] = Epoch;
           Walk.push_back(Kid);

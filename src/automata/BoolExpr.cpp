@@ -199,8 +199,10 @@ std::string BoolExprManager::toString(
     }
     return Out + ")";
   }
-  case BoolExprKind::Not:
-    return "~" + toString(N.Kids[0], Name);
+  case BoolExprKind::Not: {
+    std::string Out = "~";
+    return Out.append(toString(N.Kids[0], Name));
+  }
   }
   sbd_unreachable("covered switch");
 }

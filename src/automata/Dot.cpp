@@ -62,9 +62,11 @@ std::string sbd::sbfaToDot(const Sbfa &A) {
         continue;
       }
       // Boolean combination: a small synthetic junction node.
-      std::string Junction = "b" + std::to_string(Synth++);
-      std::string Expr = B.toString(
-          Target, [&](uint32_t S) { return "q" + std::to_string(S); });
+      std::string Junction = "b";
+      Junction.append(std::to_string(Synth++));
+      std::string Expr = B.toString(Target, [&](uint32_t S) {
+        return std::string("q").append(std::to_string(S));
+      });
       Out += "  " + Junction + " [label=\"" + dotEscape(Expr) +
              "\", shape=box, style=dashed];\n";
       Out += "  q" + std::to_string(Q) + " -> " + Junction + " [label=\"" +

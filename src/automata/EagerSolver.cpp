@@ -34,7 +34,7 @@ std::optional<Snfa> EagerSolver::compileNfa(Re R, size_t MaxStates,
     if (Pol == Policy::NfaProduct && !IsUnion) {
       // Ablation policy: intersection as an NFA product.
       std::optional<Snfa> Acc;
-      for (Re Kid : N.Kids) {
+      for (Re Kid : M.kids(R)) {
         auto A = compileNfa(Kid, MaxStates, TimedOut);
         if (!A)
           return std::nullopt;
@@ -52,7 +52,7 @@ std::optional<Snfa> EagerSolver::compileNfa(Re R, size_t MaxStates,
     // Classic policy: DFA product at every Boolean node.
     bool Minimize = Pol == Policy::DeterminizeMinimize;
     std::optional<Sdfa> Acc;
-    for (Re Kid : N.Kids) {
+    for (Re Kid : M.kids(R)) {
       auto A = compileNfa(Kid, MaxStates, TimedOut);
       if (!A)
         return std::nullopt;
@@ -76,7 +76,7 @@ std::optional<Snfa> EagerSolver::compileNfa(Re R, size_t MaxStates,
     return Acc->toNfa();
   }
   case RegexKind::Compl: {
-    auto A = compileNfa(N.Kids[0], MaxStates, TimedOut);
+    auto A = compileNfa(M.kid(R, 0), MaxStates, TimedOut);
     if (!A)
       return std::nullopt;
     auto D = Sdfa::determinize(*A, MaxStates);
@@ -88,8 +88,8 @@ std::optional<Snfa> EagerSolver::compileNfa(Re R, size_t MaxStates,
     return D->complement().toNfa();
   }
   case RegexKind::Concat: {
-    auto A = compileNfa(N.Kids[0], MaxStates, TimedOut);
-    auto B = compileNfa(N.Kids[1], MaxStates, TimedOut);
+    auto A = compileNfa(M.kid(R, 0), MaxStates, TimedOut);
+    auto B = compileNfa(M.kid(R, 1), MaxStates, TimedOut);
     if (!A || !B)
       return std::nullopt;
     Snfa C = Snfa::concat(*A, *B);
@@ -99,7 +99,7 @@ std::optional<Snfa> EagerSolver::compileNfa(Re R, size_t MaxStates,
     return C;
   }
   case RegexKind::Star: {
-    auto A = compileNfa(N.Kids[0], MaxStates, TimedOut);
+    auto A = compileNfa(M.kid(R, 0), MaxStates, TimedOut);
     if (!A)
       return std::nullopt;
     Snfa S = Snfa::star(*A);
@@ -110,7 +110,7 @@ std::optional<Snfa> EagerSolver::compileNfa(Re R, size_t MaxStates,
   }
   case RegexKind::Loop: {
     // Unroll the loop over the compiled body.
-    auto Body = compileNfa(N.Kids[0], MaxStates, TimedOut);
+    auto Body = compileNfa(M.kid(R, 0), MaxStates, TimedOut);
     if (!Body)
       return std::nullopt;
     Snfa Acc = Snfa::epsilon();

@@ -23,20 +23,20 @@ public:
     case RegexKind::Pred:
       return checked(Snfa::pred(M.predSet(R)));
     case RegexKind::Concat: {
-      auto A = compile(N.Kids[0]);
-      auto B = compile(N.Kids[1]);
+      auto A = compile(M.kid(R, 0));
+      auto B = compile(M.kid(R, 1));
       if (!A || !B)
         return std::nullopt;
       return checked(Snfa::concat(*A, *B));
     }
     case RegexKind::Star: {
-      auto A = compile(N.Kids[0]);
+      auto A = compile(M.kid(R, 0));
       if (!A)
         return std::nullopt;
       return checked(Snfa::star(*A));
     }
     case RegexKind::Loop: {
-      auto Body = compile(N.Kids[0]);
+      auto Body = compile(M.kid(R, 0));
       if (!Body)
         return std::nullopt;
       // r{m,n} = r^m · (ε|r)^(n-m); r{m,∞} = r^m · r*.
@@ -60,7 +60,7 @@ public:
     }
     case RegexKind::Union: {
       Snfa Acc = Snfa::empty();
-      for (Re Kid : N.Kids) {
+      for (Re Kid : M.kids(R)) {
         auto A = compile(Kid);
         if (!A)
           return std::nullopt;

@@ -14,7 +14,7 @@ void Sbfa::collectAtomics(Re R, std::vector<Re> &Out) const {
   case RegexKind::Union:
   case RegexKind::Inter:
   case RegexKind::Compl:
-    for (Re Kid : M.node(R).Kids)
+    for (Re Kid : M.kids(R))
       collectAtomics(Kid, Out);
     return;
   default:
@@ -97,13 +97,13 @@ BE Sbfa::leafToExpr(BoolExprManager &B, Re R) const {
   case RegexKind::Union:
   case RegexKind::Inter: {
     std::vector<BE> Kids;
-    for (Re Kid : M.node(R).Kids)
+    for (Re Kid : M.kids(R))
       Kids.push_back(leafToExpr(B, Kid));
     return M.kind(R) == RegexKind::Union ? B.or_(std::move(Kids))
                                          : B.and_(std::move(Kids));
   }
   case RegexKind::Compl:
-    return B.not_(leafToExpr(B, M.node(R).Kids[0]));
+    return B.not_(leafToExpr(B, M.kid(R, 0)));
   default: {
     auto It = StateIndex.find(R.Id);
     assert(It != StateIndex.end() && "atomic leaf is not a state");
@@ -119,12 +119,13 @@ BE Sbfa::trToExpr(BoolExprManager &B, Tr Node, uint32_t Ch) const {
   case TrKind::Leaf:
     return leafToExpr(B, N.LeafRe);
   case TrKind::Ite:
-    return trToExpr(B, N.Cond.contains(Ch) ? N.Kids[0] : N.Kids[1], Ch);
+    return trToExpr(B, T.kid(Node, T.condSet(Node).contains(Ch) ? 0 : 1),
+                    Ch);
   case TrKind::Union:
   case TrKind::Inter: {
     std::vector<BE> Kids;
-    Kids.reserve(N.Kids.size());
-    for (Tr Kid : N.Kids)
+    Kids.reserve(N.NumKids);
+    for (Tr Kid : T.kids(Node))
       Kids.push_back(trToExpr(B, Kid, Ch));
     return N.Kind == TrKind::Union ? B.or_(std::move(Kids))
                                    : B.and_(std::move(Kids));

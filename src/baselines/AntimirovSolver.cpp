@@ -12,8 +12,9 @@
 using namespace sbd;
 
 bool sbd::linearForm(RegexManager &M, Re R, std::vector<LinearArc> &Out) {
-  // Copy the node: recursive calls below may grow the arena.
-  RegexNode N = M.node(R);
+  // Copy the node record: recursive calls below may grow the arena. Children
+  // are read with kid() for the same reason.
+  const RegexNode N = M.node(R);
   switch (N.Kind) {
   case RegexKind::Empty:
   case RegexKind::Epsilon:
@@ -22,7 +23,7 @@ bool sbd::linearForm(RegexManager &M, Re R, std::vector<LinearArc> &Out) {
     Out.push_back({M.predSet(R), M.epsilon()});
     return true;
   case RegexKind::Concat: {
-    Re A = N.Kids[0], B = N.Kids[1];
+    Re A = M.kid(R, 0), B = M.kid(R, 1);
     std::vector<LinearArc> Left;
     if (!linearForm(M, A, Left))
       return false;
@@ -34,14 +35,14 @@ bool sbd::linearForm(RegexManager &M, Re R, std::vector<LinearArc> &Out) {
   }
   case RegexKind::Star: {
     std::vector<LinearArc> Body;
-    if (!linearForm(M, N.Kids[0], Body))
+    if (!linearForm(M, M.kid(R, 0), Body))
       return false;
     for (LinearArc &Arc : Body)
       Out.push_back({std::move(Arc.Guard), M.concat(Arc.Target, R)});
     return true;
   }
   case RegexKind::Loop: {
-    Re BodyRe = N.Kids[0];
+    Re BodyRe = M.kid(R, 0);
     uint32_t Min = N.LoopMin == 0 ? 0 : N.LoopMin - 1;
     uint32_t Max = N.LoopMax == LoopInf ? LoopInf : N.LoopMax - 1;
     Re Rest = M.loop(BodyRe, Min, Max);
@@ -53,8 +54,8 @@ bool sbd::linearForm(RegexManager &M, Re R, std::vector<LinearArc> &Out) {
     return true;
   }
   case RegexKind::Union: {
-    for (Re Kid : N.Kids)
-      if (!linearForm(M, Kid, Out))
+    for (size_t I = 0; I != N.NumKids; ++I)
+      if (!linearForm(M, M.kid(R, I), Out))
         return false;
     return true;
   }
@@ -62,9 +63,9 @@ bool sbd::linearForm(RegexManager &M, Re R, std::vector<LinearArc> &Out) {
     // Pairwise product of the children's linear forms ([17]).
     std::vector<LinearArc> Acc;
     bool First = true;
-    for (Re Kid : N.Kids) {
+    for (size_t I = 0; I != N.NumKids; ++I) {
       std::vector<LinearArc> KidArcs;
-      if (!linearForm(M, Kid, KidArcs))
+      if (!linearForm(M, M.kid(R, I), KidArcs))
         return false;
       if (First) {
         Acc = std::move(KidArcs);

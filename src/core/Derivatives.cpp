@@ -17,8 +17,10 @@ Tr DerivativeEngine::derivative(Re R) {
   }
   SBD_OBS_STAT_INC(Stats, MemoMisses);
 
-  // Copy the node: recursive calls may grow the regex arena.
-  RegexNode N = M.node(R);
+  // Copy the node record (it holds no heap member): recursive calls may
+  // grow the regex arena and invalidate references into it. Children are
+  // read with kid() for the same reason.
+  const RegexNode N = M.node(R);
   Tr Result;
   switch (N.Kind) {
   case RegexKind::Empty:
@@ -27,10 +29,10 @@ Tr DerivativeEngine::derivative(Re R) {
     break;
   case RegexKind::Pred:
     // δ(φ) = if(φ, ε, ⊥)
-    Result = T.ite(M.predSet(R), T.leaf(M.epsilon()), T.bot());
+    Result = T.ite(N.Pred, T.leaf(M.epsilon()), T.bot());
     break;
   case RegexKind::Concat: {
-    Re A = N.Kids[0], B = N.Kids[1];
+    Re A = M.kid(R, 0), B = M.kid(R, 1);
     Tr DA = T.concatRe(derivative(A), B);
     if (M.nullable(A))
       Result = T.union2(DA, derivative(B));
@@ -40,12 +42,12 @@ Tr DerivativeEngine::derivative(Re R) {
   }
   case RegexKind::Star:
     // δ(R*) = δ(R) · R*
-    Result = T.concatRe(derivative(N.Kids[0]), R);
+    Result = T.concatRe(derivative(M.kid(R, 0)), R);
     break;
   case RegexKind::Loop: {
     // δ(R{m,n}) = δ(R) · R{max(m,1)-1, n-1}; the loop constructor has
     // normalized m to 0 when R is nullable, making this rule exact.
-    Re Body = N.Kids[0];
+    Re Body = M.kid(R, 0);
     uint32_t Min = N.LoopMin == 0 ? 0 : N.LoopMin - 1;
     uint32_t Max = N.LoopMax == LoopInf ? LoopInf : N.LoopMax - 1;
     // Two statements, the loop first: interning order decides node ids.
@@ -53,25 +55,17 @@ Tr DerivativeEngine::derivative(Re R) {
     Result = T.concatRe(derivative(Body), Rest);
     break;
   }
-  case RegexKind::Union: {
-    std::vector<Tr> Kids;
-    Kids.reserve(N.Kids.size());
-    for (Re Kid : N.Kids)
-      Kids.push_back(derivative(Kid));
-    Result = T.union_(std::move(Kids));
-    break;
-  }
+  case RegexKind::Union:
   case RegexKind::Inter: {
-    std::vector<Tr> Kids;
-    Kids.reserve(N.Kids.size());
-    for (Re Kid : N.Kids)
-      Kids.push_back(derivative(Kid));
-    Result = T.inter(std::move(Kids));
+    std::vector<Tr> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = derivative(M.kid(R, I));
+    Result = N.Kind == RegexKind::Union ? T.union_(Kids) : T.inter(Kids);
     break;
   }
   case RegexKind::Compl:
     // δ(~R) = ~δ(R), realized through the negation dual (Lemma 4.2).
-    Result = T.negate(derivative(N.Kids[0]));
+    Result = T.negate(derivative(M.kid(R, 0)));
     break;
   }
   if (DerivMemo.size() <= R.Id)
@@ -130,7 +124,8 @@ Re DerivativeEngine::brzozowski(Re R, uint32_t Ch) {
 }
 
 Re DerivativeEngine::brzozowskiUncached(Re R, uint32_t Ch) {
-  RegexNode N = M.node(R);
+  const RegexNode N = M.node(R); // a copy: recursion may grow the arena
+
   switch (N.Kind) {
   case RegexKind::Empty:
   case RegexKind::Epsilon:
@@ -138,35 +133,30 @@ Re DerivativeEngine::brzozowskiUncached(Re R, uint32_t Ch) {
   case RegexKind::Pred:
     return M.predSet(R).contains(Ch) ? M.epsilon() : M.empty();
   case RegexKind::Concat: {
-    Re A = N.Kids[0], B = N.Kids[1];
+    Re A = M.kid(R, 0), B = M.kid(R, 1);
     Re DA = M.concat(brzozowski(A, Ch), B);
     if (M.nullable(A))
       return M.union_(DA, brzozowski(B, Ch));
     return DA;
   }
   case RegexKind::Star:
-    return M.concat(brzozowski(N.Kids[0], Ch), R);
+    return M.concat(brzozowski(M.kid(R, 0), Ch), R);
   case RegexKind::Loop: {
-    Re Body = N.Kids[0];
+    Re Body = M.kid(R, 0);
     uint32_t Min = N.LoopMin == 0 ? 0 : N.LoopMin - 1;
     uint32_t Max = N.LoopMax == LoopInf ? LoopInf : N.LoopMax - 1;
     Re Rest = M.loop(Body, Min, Max); // first, as in derivative()
     return M.concat(brzozowski(Body, Ch), Rest);
   }
-  case RegexKind::Union: {
-    std::vector<Re> Kids = N.Kids;
-    for (Re &Kid : Kids)
-      Kid = brzozowski(Kid, Ch);
-    return M.unionList(std::move(Kids));
-  }
+  case RegexKind::Union:
   case RegexKind::Inter: {
-    std::vector<Re> Kids = N.Kids;
-    for (Re &Kid : Kids)
-      Kid = brzozowski(Kid, Ch);
-    return M.interList(std::move(Kids));
+    std::vector<Re> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = brzozowski(M.kid(R, I), Ch);
+    return N.Kind == RegexKind::Union ? M.unionList(Kids) : M.interList(Kids);
   }
   case RegexKind::Compl:
-    return M.complement(brzozowski(N.Kids[0], Ch));
+    return M.complement(brzozowski(M.kid(R, 0), Ch));
   }
   sbd_unreachable("covered switch");
 }

@@ -13,33 +13,33 @@
 using namespace sbd;
 
 Re sbd::reverseRegex(RegexManager &M, Re R) {
-  // Copy: recursive calls may grow the arena.
-  RegexNode N = M.node(R);
+  // Copy the node record: recursive calls may grow the arena. Children are
+  // read with kid() for the same reason.
+  const RegexNode N = M.node(R);
   switch (N.Kind) {
   case RegexKind::Empty:
   case RegexKind::Epsilon:
   case RegexKind::Pred:
     return R;
   case RegexKind::Concat: {
-    Re A = reverseRegex(M, N.Kids[0]);
-    Re B = reverseRegex(M, N.Kids[1]);
+    Re A = reverseRegex(M, M.kid(R, 0));
+    Re B = reverseRegex(M, M.kid(R, 1));
     return M.concat(B, A);
   }
   case RegexKind::Star:
-    return M.star(reverseRegex(M, N.Kids[0]));
+    return M.star(reverseRegex(M, M.kid(R, 0)));
   case RegexKind::Loop:
-    return M.loop(reverseRegex(M, N.Kids[0]), N.LoopMin, N.LoopMax);
+    return M.loop(reverseRegex(M, M.kid(R, 0)), N.LoopMin, N.LoopMax);
   case RegexKind::Union:
   case RegexKind::Inter: {
-    std::vector<Re> Kids = N.Kids;
-    for (Re &Kid : Kids)
-      Kid = reverseRegex(M, Kid);
-    return N.Kind == RegexKind::Union ? M.unionList(std::move(Kids))
-                                      : M.interList(std::move(Kids));
+    std::vector<Re> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = reverseRegex(M, M.kid(R, I));
+    return N.Kind == RegexKind::Union ? M.unionList(Kids) : M.interList(Kids);
   }
   case RegexKind::Compl:
     // Reversal is a bijection on Σ*, so it commutes with complement.
-    return M.complement(reverseRegex(M, N.Kids[0]));
+    return M.complement(reverseRegex(M, M.kid(R, 0)));
   }
   sbd_unreachable("covered switch");
 }

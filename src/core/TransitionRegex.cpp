@@ -17,11 +17,15 @@ TrManager::TrManager(RegexManager &Mgr) : M(Mgr) {
   TopTr = leaf(M.top());
 }
 
-Tr TrManager::intern(TrNode Node) {
+Tr TrManager::intern(TrNode Node, std::span<const Tr> Kids) {
+  assert((Kids.empty() || Kids.data() < KidPool.data() ||
+          Kids.data() >= KidPool.data() + KidPool.size()) &&
+         "intern's kid span must not alias the kid pool");
+  // Kept in sync with audit::detail::recomputeTrHash.
   uint64_t H = hashMix(static_cast<uint64_t>(Node.Kind));
   H = hashCombine(H, Node.LeafRe.Id);
-  H = hashCombine(H, Node.Cond.hash());
-  for (Tr Kid : Node.Kids)
+  H = hashCombine(H, Node.Cond.Id);
+  for (Tr Kid : Kids)
     H = hashCombine(H, Kid.Id);
   Node.Hash = H;
 #if SBD_AUDIT
@@ -32,11 +36,16 @@ Tr TrManager::intern(TrNode Node) {
       [&](uint32_t Cand) {
         const TrNode &Other = Nodes[Cand];
         return Other.Kind == Node.Kind && Other.LeafRe == Node.LeafRe &&
-               Other.Cond == Node.Cond && Other.Kids == Node.Kids;
+               Other.Cond == Node.Cond && Other.NumKids == Kids.size() &&
+               std::equal(Kids.begin(), Kids.end(),
+                          KidPool.begin() + Other.KidsBegin);
       },
       [&] {
         uint32_t NewId = static_cast<uint32_t>(Nodes.size());
-        Nodes.push_back(std::move(Node));
+        Node.KidsBegin = static_cast<uint32_t>(KidPool.size());
+        Node.NumKids = static_cast<uint32_t>(Kids.size());
+        KidPool.insert(KidPool.end(), Kids.begin(), Kids.end());
+        Nodes.push_back(Node);
         return NewId;
       },
       Stats);
@@ -49,6 +58,7 @@ Tr TrManager::intern(TrNode Node) {
 
 void TrManager::reserve(size_t NumNodes) {
   Nodes.reserve(NumNodes);
+  KidPool.reserve(NumNodes * 2);
   ConsTable.reserve(NumNodes);
 }
 
@@ -64,69 +74,61 @@ void TrManager::dropProductMemos() {
   UnderMemo = FlatMap64();
   PairIds = FlatMap64();
   InterMemo = FlatMap64();
-  Paths.clear();
-  PathTable = InternTable();
-}
-
-uint32_t TrManager::internPath(const CharSet &Path, uint32_t &PathId) {
-  if (PathId != MissingId)
-    return PathId;
-  // dnf() hands out FullPathId before the pool holds anything, so the
-  // pool's first entry must be the full path.
-  if (Paths.empty() && !Path.isFull()) {
-    uint32_t Full = MissingId;
-    internPath(CharSet::full(), Full);
-  }
-  PathId = PathTable.findOrInsert(
-      Path.hash(), [&](uint32_t Id) { return Paths[Id] == Path; },
-      [&] {
-        uint32_t Id = static_cast<uint32_t>(Paths.size());
-        Paths.push_back(Path);
-        return Id;
-      },
-      PathStats);
-  return PathId;
 }
 
 Tr TrManager::leaf(Re R) {
   TrNode N;
   N.Kind = TrKind::Leaf;
   N.LeafRe = R;
-  return intern(std::move(N));
+  return intern(N);
 }
 
-Tr TrManager::ite(const CharSet &Cond, Tr T, Tr F) {
-  if (Cond.isFull())
+Tr TrManager::ite(PredId Cond, Tr T, Tr F) {
+  if (Cond == PredPool::Top)
     return T;
-  if (Cond.isEmpty())
+  if (Cond == PredPool::Bot)
     return F;
   // Collapse directly nested conditionals on the same predicate:
   // if(φ, if(φ,a,b), f) = if(φ, a, f) and dually for the false branch.
   if (kind(T) == TrKind::Ite && node(T).Cond == Cond)
-    T = node(T).Kids[0];
+    T = kid(T, 0);
   if (kind(F) == TrKind::Ite && node(F).Cond == Cond)
-    F = node(F).Kids[1];
+    F = kid(F, 1);
   if (T == F)
     return T;
   TrNode N;
   N.Kind = TrKind::Ite;
   N.Cond = Cond;
-  N.Kids = {T, F};
-  return intern(std::move(N));
+  const Tr Kids[2] = {T, F};
+  return intern(N, Kids);
 }
 
-Tr TrManager::union_(std::vector<Tr> Ts) {
-  std::vector<Tr> Flat;
+Tr TrManager::union_(std::span<const Tr> Ts) {
+  return makeBoolean(TrKind::Union, Ts);
+}
+
+Tr TrManager::inter(std::span<const Tr> Ts) {
+  return makeBoolean(TrKind::Inter, Ts);
+}
+
+Tr TrManager::makeBoolean(TrKind K, std::span<const Tr> Ts) {
+  const bool IsUnion = K == TrKind::Union;
+  std::vector<Tr> &Flat = FlatScratch;
+  Flat.clear();
   for (Tr T : Ts) {
-    if (kind(T) == TrKind::Union)
-      Flat.insert(Flat.end(), node(T).Kids.begin(), node(T).Kids.end());
-    else
+    if (kind(T) == K) {
+      std::span<const Tr> Inner = kids(T);
+      Flat.insert(Flat.end(), Inner.begin(), Inner.end());
+    } else {
       Flat.push_back(T);
+    }
   }
   // Merge all ERE leaves through the regex algebra; this also handles the
-  // unit (⊥) and absorbing (.*) elements.
-  std::vector<Re> LeafRes;
-  std::vector<Tr> Kids;
+  // unit (⊥ for |, .* for &) and the absorbing element (.* for |, ⊥ for &).
+  std::vector<Re> &LeafRes = LeafScratch;
+  std::vector<Tr> &Kids = KidScratch;
+  LeafRes.clear();
+  Kids.clear();
   for (Tr T : Flat) {
     if (kind(T) == TrKind::Leaf)
       LeafRes.push_back(node(T).LeafRe);
@@ -134,57 +136,21 @@ Tr TrManager::union_(std::vector<Tr> Ts) {
       Kids.push_back(T);
   }
   if (!LeafRes.empty()) {
-    Re Merged = M.unionList(std::move(LeafRes));
-    if (Merged == M.top())
-      return TopTr;
-    if (Merged != M.empty())
+    Re Merged = IsUnion ? M.unionList(LeafRes) : M.interList(LeafRes);
+    if (Merged == (IsUnion ? M.top() : M.empty()))
+      return IsUnion ? TopTr : BotTr;
+    if (Merged != (IsUnion ? M.empty() : M.top()))
       Kids.push_back(leaf(Merged));
   }
   std::sort(Kids.begin(), Kids.end());
   Kids.erase(std::unique(Kids.begin(), Kids.end()), Kids.end());
   if (Kids.empty())
-    return BotTr;
+    return IsUnion ? BotTr : TopTr;
   if (Kids.size() == 1)
     return Kids[0];
   TrNode N;
-  N.Kind = TrKind::Union;
-  N.Kids = std::move(Kids);
-  return intern(std::move(N));
-}
-
-Tr TrManager::inter(std::vector<Tr> Ts) {
-  std::vector<Tr> Flat;
-  for (Tr T : Ts) {
-    if (kind(T) == TrKind::Inter)
-      Flat.insert(Flat.end(), node(T).Kids.begin(), node(T).Kids.end());
-    else
-      Flat.push_back(T);
-  }
-  std::vector<Re> LeafRes;
-  std::vector<Tr> Kids;
-  for (Tr T : Flat) {
-    if (kind(T) == TrKind::Leaf)
-      LeafRes.push_back(node(T).LeafRe);
-    else
-      Kids.push_back(T);
-  }
-  if (!LeafRes.empty()) {
-    Re Merged = M.interList(std::move(LeafRes));
-    if (Merged == M.empty())
-      return BotTr;
-    if (Merged != M.top())
-      Kids.push_back(leaf(Merged));
-  }
-  std::sort(Kids.begin(), Kids.end());
-  Kids.erase(std::unique(Kids.begin(), Kids.end()), Kids.end());
-  if (Kids.empty())
-    return TopTr;
-  if (Kids.size() == 1)
-    return Kids[0];
-  TrNode N;
-  N.Kind = TrKind::Inter;
-  N.Kids = std::move(Kids);
-  return intern(std::move(N));
+  N.Kind = K;
+  return intern(N, Kids);
 }
 
 Tr TrManager::negate(Tr T) {
@@ -193,32 +159,27 @@ Tr TrManager::negate(Tr T) {
     return Tr{NegateMemo[T.Id]};
   }
   SBD_OBS_STAT_INC(Stats, MemoMisses);
-  // Copy the node: recursive calls below may grow the arena and invalidate
-  // references into it.
-  TrNode N = node(T);
+  // Copy the node record (it holds no heap member): recursive calls below
+  // may grow the arena and invalidate references into it. Children are
+  // read with kid() for the same reason.
+  const TrNode N = node(T);
   Tr Result;
   switch (N.Kind) {
   case TrKind::Leaf:
     Result = leaf(M.complement(N.LeafRe));
     break;
   case TrKind::Ite: {
-    Tr Then = negate(N.Kids[0]);
-    Tr Else = negate(N.Kids[1]);
+    Tr Then = negate(kid(T, 0));
+    Tr Else = negate(kid(T, 1));
     Result = ite(N.Cond, Then, Else);
     break;
   }
-  case TrKind::Union: {
-    std::vector<Tr> Kids = N.Kids;
-    for (Tr &Kid : Kids)
-      Kid = negate(Kid);
-    Result = inter(std::move(Kids));
-    break;
-  }
+  case TrKind::Union:
   case TrKind::Inter: {
-    std::vector<Tr> Kids = N.Kids;
-    for (Tr &Kid : Kids)
-      Kid = negate(Kid);
-    Result = union_(std::move(Kids));
+    std::vector<Tr> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = negate(kid(T, I));
+    Result = N.Kind == TrKind::Union ? inter(Kids) : union_(Kids);
     break;
   }
   }
@@ -233,22 +194,20 @@ Tr TrManager::concatRe(Tr T, Re R) {
     return BotTr; // every leaf becomes L·∅ = ∅
   if (R == M.epsilon())
     return T;
-  const TrNode &N = node(T);
+  const TrNode N = node(T);
   switch (N.Kind) {
   case TrKind::Leaf:
     return leaf(M.concat(N.LeafRe, R));
   case TrKind::Ite: {
-    Tr Then = node(T).Kids[0], Else = node(T).Kids[1];
-    CharSet Cond = node(T).Cond;
-    Tr ElseC = concatRe(Else, R); // else first, as in dnfUnderStep
-    Tr ThenC = concatRe(Then, R);
-    return ite(Cond, ThenC, ElseC);
+    Tr ElseC = concatRe(kid(T, 1), R); // else first, as in dnfUnderStep
+    Tr ThenC = concatRe(kid(T, 0), R);
+    return ite(N.Cond, ThenC, ElseC);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids = N.Kids;
-    for (Tr &Kid : Kids)
-      Kid = concatRe(Kid, R);
-    return union_(std::move(Kids));
+    std::vector<Tr> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = concatRe(kid(T, I), R);
+    return union_(Kids);
   }
   case TrKind::Inter:
     // (τ & ρ) · R = lift(τ & ρ) · R — the one place lifting is required.
@@ -263,20 +222,16 @@ Re TrManager::apply(Tr T, uint32_t Ch) const {
   case TrKind::Leaf:
     return N.LeafRe;
   case TrKind::Ite:
-    return N.Cond.contains(Ch) ? apply(N.Kids[0], Ch) : apply(N.Kids[1], Ch);
-  case TrKind::Union: {
-    std::vector<Re> Rs;
-    Rs.reserve(N.Kids.size());
-    for (Tr Kid : N.Kids)
-      Rs.push_back(apply(Kid, Ch));
-    return M.unionList(std::move(Rs));
-  }
+    return condSet(T).contains(Ch) ? apply(kid(T, 0), Ch)
+                                   : apply(kid(T, 1), Ch);
+  case TrKind::Union:
   case TrKind::Inter: {
+    // Only the regex arena grows below, so the TR kid span stays valid.
     std::vector<Re> Rs;
-    Rs.reserve(N.Kids.size());
-    for (Tr Kid : N.Kids)
+    Rs.reserve(N.NumKids);
+    for (Tr Kid : kids(T))
       Rs.push_back(apply(Kid, Ch));
-    return M.interList(std::move(Rs));
+    return N.Kind == TrKind::Union ? M.unionList(Rs) : M.interList(Rs);
   }
   }
   sbd_unreachable("covered switch");
@@ -288,7 +243,7 @@ Tr TrManager::dnf(Tr T) {
     return Tr{DnfMemo[T.Id]};
   }
   SBD_OBS_STAT_INC(Stats, MemoMisses);
-  Tr Result = dnfUnder(T, CharSet::full(), FullPathId);
+  Tr Result = dnfUnder(T, PredPool::Top);
   if (DnfMemo.size() <= T.Id)
     DnfMemo.resize(Nodes.size(), MissingId);
   DnfMemo[T.Id] = Result.Id;
@@ -296,62 +251,59 @@ Tr TrManager::dnf(Tr T) {
   return Result;
 }
 
-Tr TrManager::dnfUnder(Tr T, const CharSet &Path, uint32_t PathId) {
-  assert(!Path.isEmpty() && "dnfUnder requires a satisfiable path");
+Tr TrManager::dnfUnder(Tr T, PredId Path) {
+  assert(Path != PredPool::Bot && "dnfUnder requires a satisfiable path");
   if (kind(T) == TrKind::Leaf)
     return T;
-  const uint64_t Key =
-      static_cast<uint64_t>(T.Id) << 32 | internPath(Path, PathId);
+  const uint64_t Key = static_cast<uint64_t>(T.Id) << 32 | Path.Id;
   if (const uint32_t *Hit = UnderMemo.find(Key)) {
     SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{*Hit};
   }
   SBD_OBS_STAT_INC(Stats, MemoMisses);
-  Tr Result = dnfUnderStep(T, Path, PathId);
+  Tr Result = dnfUnderStep(T, Path);
   UnderMemo.insert(Key, Result.Id);
   return Result;
 }
 
-Tr TrManager::dnfUnderStep(Tr T, const CharSet &Path, uint32_t PathId) {
-  const TrNode &N = node(T);
+Tr TrManager::dnfUnderStep(Tr T, PredId Path) {
+  const TrNode N = node(T);
   switch (N.Kind) {
   case TrKind::Leaf:
     sbd_unreachable("dnfUnder returns leaves itself");
   case TrKind::Ite: {
-    CharSet Cond = N.Cond;
-    Tr Then = N.Kids[0], Else = N.Kids[1];
-    CharSet PathT = Path.intersectWith(Cond);
-    CharSet PathF = Path.minus(Cond);
-    if (PathT.isEmpty()) {
+    Tr Then = kid(T, 0), Else = kid(T, 1);
+    PredId PathT = M.preds().conj(Path, N.Cond);
+    PredId PathF = M.preds().minus(Path, N.Cond);
+    if (PathT == PredPool::Bot) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return dnfUnder(Else, Path, PathId); // the then-branch is dead here
+      return dnfUnder(Else, Path); // the then-branch is dead here
     }
-    if (PathF.isEmpty()) {
+    if (PathF == PredPool::Bot) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return dnfUnder(Then, Path, PathId); // the else-branch is dead here
+      return dnfUnder(Then, Path); // the else-branch is dead here
     }
     SBD_OBS_ADD(DnfBranchesExplored, 2);
     // Else before then: node ids follow interning order, and arc order, DFS
     // witnesses and state counts follow node ids, so this order matters. Every
     // recursive ite construction in this file uses it, so ids do not depend
     // on the compiler's argument evaluation order.
-    Tr ElseD = dnfUnder(Else, PathF, MissingId);
-    Tr ThenD = dnfUnder(Then, PathT, MissingId);
-    return ite(Cond, ThenD, ElseD);
+    Tr ElseD = dnfUnder(Else, PathF);
+    Tr ThenD = dnfUnder(Then, PathT);
+    return ite(N.Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids = N.Kids;
-    for (Tr &Kid : Kids)
-      Kid = dnfUnder(Kid, Path, PathId);
-    return union_(std::move(Kids));
+    std::vector<Tr> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = dnfUnder(kid(T, I), Path);
+    return union_(Kids);
   }
   case TrKind::Inter: {
-    std::vector<Tr> Kids = N.Kids;
-    Tr Acc = dnfUnder(Kids[0], Path, PathId);
-    for (size_t I = 1; I != Kids.size(); ++I)
-      Acc = interDnf(Acc, Kids[I], Path, PathId);
+    Tr Acc = dnfUnder(kid(T, 0), Path);
+    for (size_t I = 1; I != N.NumKids; ++I)
+      Acc = interDnf(Acc, kid(T, I), Path);
     return Acc;
   }
   }
@@ -359,22 +311,20 @@ Tr TrManager::dnfUnderStep(Tr T, const CharSet &Path, uint32_t PathId) {
 }
 
 Tr TrManager::leafInterDnf(Re A, Tr B) {
-  const TrNode &N = node(B);
+  const TrNode N = node(B);
   switch (N.Kind) {
   case TrKind::Leaf:
     return leaf(M.inter(A, N.LeafRe));
   case TrKind::Ite: {
-    CharSet Cond = N.Cond;
-    Tr Then = N.Kids[0], Else = N.Kids[1];
-    Tr ElseD = leafInterDnf(A, Else); // else first, as in dnfUnderStep
-    Tr ThenD = leafInterDnf(A, Then);
-    return ite(Cond, ThenD, ElseD);
+    Tr ElseD = leafInterDnf(A, kid(B, 1)); // else first, as in dnfUnderStep
+    Tr ThenD = leafInterDnf(A, kid(B, 0));
+    return ite(N.Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids = N.Kids;
-    for (Tr &Kid : Kids)
-      Kid = leafInterDnf(A, Kid);
-    return union_(std::move(Kids));
+    std::vector<Tr> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = leafInterDnf(A, kid(B, I));
+    return union_(Kids);
   }
   case TrKind::Inter:
     sbd_unreachable("leafInterDnf requires a DNF operand");
@@ -382,11 +332,11 @@ Tr TrManager::leafInterDnf(Re A, Tr B) {
   sbd_unreachable("covered switch");
 }
 
-Tr TrManager::interDnf(Tr A, Tr B, const CharSet &Path, uint32_t PathId) {
+Tr TrManager::interDnf(Tr A, Tr B, PredId Path) {
   if (A == BotTr)
     return BotTr;
   if (A == TopTr)
-    return dnfUnder(B, Path, PathId);
+    return dnfUnder(B, Path);
   const uint64_t Pair = static_cast<uint64_t>(A.Id) << 32 | B.Id;
   uint32_t PairId;
   if (const uint32_t *Known = PairIds.find(Pair)) {
@@ -395,52 +345,49 @@ Tr TrManager::interDnf(Tr A, Tr B, const CharSet &Path, uint32_t PathId) {
     PairId = static_cast<uint32_t>(PairIds.size());
     PairIds.insert(Pair, PairId);
   }
-  const uint64_t Key =
-      static_cast<uint64_t>(PairId) << 32 | internPath(Path, PathId);
+  const uint64_t Key = static_cast<uint64_t>(PairId) << 32 | Path.Id;
   if (const uint32_t *Hit = InterMemo.find(Key)) {
     SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{*Hit};
   }
   SBD_OBS_STAT_INC(Stats, MemoMisses);
-  Tr Result = interDnfStep(A, B, Path, PathId);
+  Tr Result = interDnfStep(A, B, Path);
   InterMemo.insert(Key, Result.Id);
   return Result;
 }
 
-Tr TrManager::interDnfStep(Tr A, Tr B, const CharSet &Path, uint32_t PathId) {
-  const TrNode &N = node(A);
+Tr TrManager::interDnfStep(Tr A, Tr B, PredId Path) {
+  const TrNode N = node(A);
   switch (N.Kind) {
   case TrKind::Leaf: {
-    Re LeafRe = N.LeafRe; // copy before dnfUnder can grow the arena
-    Tr Bd = dnfUnder(B, Path, PathId);
-    return leafInterDnf(LeafRe, Bd);
+    Tr Bd = dnfUnder(B, Path);
+    return leafInterDnf(N.LeafRe, Bd);
   }
   case TrKind::Ite: {
-    CharSet Cond = N.Cond;
-    Tr Then = N.Kids[0], Else = N.Kids[1];
-    CharSet PathT = Path.intersectWith(Cond);
-    CharSet PathF = Path.minus(Cond);
-    if (PathT.isEmpty()) {
+    Tr Then = kid(A, 0), Else = kid(A, 1);
+    PredId PathT = M.preds().conj(Path, N.Cond);
+    PredId PathF = M.preds().minus(Path, N.Cond);
+    if (PathT == PredPool::Bot) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return interDnf(Else, B, Path, PathId);
+      return interDnf(Else, B, Path);
     }
-    if (PathF.isEmpty()) {
+    if (PathF == PredPool::Bot) {
       SBD_OBS_INC(DnfBranchesPruned);
       SBD_OBS_INC(DnfBranchesExplored);
-      return interDnf(Then, B, Path, PathId);
+      return interDnf(Then, B, Path);
     }
     SBD_OBS_ADD(DnfBranchesExplored, 2);
     // Else before then, as in dnfUnderStep.
-    Tr ElseD = interDnf(Else, B, PathF, MissingId);
-    Tr ThenD = interDnf(Then, B, PathT, MissingId);
-    return ite(Cond, ThenD, ElseD);
+    Tr ElseD = interDnf(Else, B, PathF);
+    Tr ThenD = interDnf(Then, B, PathT);
+    return ite(N.Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids = N.Kids;
-    for (Tr &Kid : Kids)
-      Kid = interDnf(Kid, B, Path, PathId);
-    return union_(std::move(Kids));
+    std::vector<Tr> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = interDnf(kid(A, I), B, Path);
+    return union_(Kids);
   }
   case TrKind::Inter:
     sbd_unreachable("interDnf's first operand must be in DNF");
@@ -449,10 +396,9 @@ Tr TrManager::interDnfStep(Tr A, Tr B, const CharSet &Path, uint32_t PathId) {
 }
 
 bool TrManager::isDnf(Tr T) const {
-  const TrNode &N = node(T);
-  if (N.Kind == TrKind::Inter)
+  if (kind(T) == TrKind::Inter)
     return false;
-  for (Tr Kid : N.Kids)
+  for (Tr Kid : kids(T))
     if (!isDnf(Kid))
       return false;
   return true;
@@ -479,13 +425,14 @@ void TrManager::collectLeaves(Tr T, std::vector<Re> &Out,
         Out.push_back(R);
       continue;
     }
-    for (Tr Kid : N.Kids)
+    for (Tr Kid : kids(Cur))
       Stack.push_back(Kid);
   }
 }
 
-void TrManager::collectArcs(Tr T, const CharSet &Guard,
-                            std::vector<TrArc> &Out) const {
+void TrManager::collectArcs(Tr T, PredId Guard,
+                            std::vector<std::pair<PredId, Re>> &Out) const {
+  // Only the predicate pool grows below, so the kid spans stay valid.
   const TrNode &N = node(T);
   switch (N.Kind) {
   case TrKind::Leaf:
@@ -493,16 +440,16 @@ void TrManager::collectArcs(Tr T, const CharSet &Guard,
       Out.push_back({Guard, N.LeafRe});
     return;
   case TrKind::Ite: {
-    CharSet GuardT = Guard.intersectWith(N.Cond);
-    CharSet GuardF = Guard.minus(N.Cond);
-    if (!GuardT.isEmpty())
-      collectArcs(N.Kids[0], GuardT, Out);
-    if (!GuardF.isEmpty())
-      collectArcs(N.Kids[1], GuardF, Out);
+    PredId GuardT = M.preds().conj(Guard, N.Cond);
+    PredId GuardF = M.preds().minus(Guard, N.Cond);
+    if (GuardT != PredPool::Bot)
+      collectArcs(kid(T, 0), GuardT, Out);
+    if (GuardF != PredPool::Bot)
+      collectArcs(kid(T, 1), GuardF, Out);
     return;
   }
   case TrKind::Union:
-    for (Tr Kid : N.Kids)
+    for (Tr Kid : kids(T))
       collectArcs(Kid, Guard, Out);
     return;
   case TrKind::Inter:
@@ -512,17 +459,20 @@ void TrManager::collectArcs(Tr T, const CharSet &Guard,
 }
 
 std::vector<TrArc> TrManager::arcs(Tr T) const {
-  std::vector<TrArc> Raw;
-  collectArcs(T, CharSet::full(), Raw);
-  // Merge arcs by target, preserving first-appearance order.
+  std::vector<std::pair<PredId, Re>> Raw;
+  collectArcs(T, PredPool::Top, Raw);
+  // Merge arcs by target, preserving first-appearance order. A merged
+  // guard is a temporary set, not interned: interning every partial union
+  // would keep n²/2 intervals for n arcs into one target.
   std::vector<TrArc> Out;
   FlatMap64 Index; // Target.Id -> index in Out
-  for (TrArc &A : Raw) {
-    if (const uint32_t *At = Index.find(A.Target.Id)) {
-      Out[*At].Guard = Out[*At].Guard.unionWith(A.Guard);
+  for (const auto &[Guard, Target] : Raw) {
+    const CharSet &G = M.preds().set(Guard);
+    if (const uint32_t *At = Index.find(Target.Id)) {
+      Out[*At].Guard = Out[*At].Guard.unionWith(G);
     } else {
-      Index.insert(A.Target.Id, static_cast<uint32_t>(Out.size()));
-      Out.push_back(std::move(A));
+      Index.insert(Target.Id, static_cast<uint32_t>(Out.size()));
+      Out.push_back({G, Target});
     }
   }
   SBD_OBS_ADD(ArcsEnumerated, Out.size());
@@ -538,10 +488,9 @@ void TrManager::collectGuards(Tr T, std::vector<CharSet> &Out) const {
     Stack.pop_back();
     if (!Visited.insert(Cur.Id).second)
       continue;
-    const TrNode &N = node(Cur);
-    if (N.Kind == TrKind::Ite && Seen.insert(N.Cond).second)
-      Out.push_back(N.Cond);
-    for (Tr Kid : N.Kids)
+    if (kind(Cur) == TrKind::Ite && Seen.insert(condSet(Cur)).second)
+      Out.push_back(condSet(Cur));
+    for (Tr Kid : kids(Cur))
       Stack.push_back(Kid);
   }
 }
@@ -552,16 +501,16 @@ std::string TrManager::toString(Tr T) const {
   case TrKind::Leaf:
     return M.toString(N.LeafRe);
   case TrKind::Ite:
-    return "if(" + N.Cond.str() + ", " + toString(N.Kids[0]) + ", " +
-           toString(N.Kids[1]) + ")";
+    return "if(" + condSet(T).str() + ", " + toString(kid(T, 0)) + ", " +
+           toString(kid(T, 1)) + ")";
   case TrKind::Union:
   case TrKind::Inter: {
     std::string Sep = N.Kind == TrKind::Union ? " | " : " & ";
     std::string Out = "(";
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
+    for (size_t I = 0; I != N.NumKids; ++I) {
       if (I)
         Out += Sep;
-      Out += toString(N.Kids[I]);
+      Out += toString(kid(T, I));
     }
     Out += ')';
     return Out;

@@ -19,6 +19,13 @@
 /// Section 4.1, pruning branches whose accumulated path condition is
 /// unsatisfiable ("clean" transition regexes).
 ///
+/// Storage (DESIGN.md §7): a node is a fixed-size, trivially copyable
+/// record. An ite guard is a `PredId` in the regex manager's predicate pool,
+/// which the TR layer shares, and the children live in one kid pool
+/// addressed by offset and count. δdnf's path conditions are predicate ids
+/// too, so a branch costs one memoized ∧ and one − on id pairs and a memo
+/// key is a pair of integers.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SBD_CORE_TRANSITIONREGEX_H
@@ -26,7 +33,9 @@
 
 #include "re/Regex.h"
 
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sbd {
@@ -48,14 +57,19 @@ struct Tr {
   friend bool operator<(Tr A, Tr B) { return A.Id < B.Id; }
 };
 
-/// Interned storage for one transition-regex node.
+/// Interned storage for one transition-regex node: a fixed-size record.
+/// The children are the KidsBegin..KidsBegin+NumKids slice of the manager's
+/// kid pool; read them through TrManager::kids() / kid().
 struct TrNode {
   TrKind Kind;
-  Re LeafRe{};          ///< Leaf only
-  CharSet Cond;         ///< Ite only
-  std::vector<Tr> Kids; ///< Ite: {then, else}; Union/Inter: n-ary
-  uint64_t Hash = 0;    ///< precomputed structural hash (interning key)
+  PredId Cond{};          ///< Ite only: the guard, in the predicate pool
+  Re LeafRe{};            ///< Leaf only
+  uint32_t KidsBegin = 0; ///< offset of the first child in the kid pool
+  uint32_t NumKids = 0;   ///< Ite: 2 (then, else); Union/Inter: n-ary
+  uint64_t Hash = 0;      ///< precomputed structural hash (interning key)
 };
+static_assert(std::is_trivially_copyable_v<TrNode>,
+              "TR nodes are plain records; children live in the kid pool");
 
 /// One edge of a DNF transition regex: reading a character in [[Guard]] can
 /// move to Target. Guards of arcs from different union branches may overlap
@@ -75,17 +89,30 @@ public:
   const RegexManager &regexManager() const { return M; }
   const TrNode &node(Tr T) const { return Nodes[T.Id]; }
   TrKind kind(Tr T) const { return Nodes[T.Id].Kind; }
+  /// T's children. The span points into the kid pool, so it is valid only
+  /// until the next node is interned; a loop that builds terms while it
+  /// walks the children reads them with kid() instead.
+  std::span<const Tr> kids(Tr T) const {
+    const TrNode &N = Nodes[T.Id];
+    return {KidPool.data() + N.KidsBegin, N.NumKids};
+  }
+  /// T's \p I-th child.
+  Tr kid(Tr T, size_t I) const { return KidPool[Nodes[T.Id].KidsBegin + I]; }
+  /// The guard of an Ite node, as a CharSet.
+  const CharSet &condSet(Tr T) const { return M.preds().set(Nodes[T.Id].Cond); }
   size_t numNodes() const { return Nodes.size(); }
+  /// Number of slots in the kid pool (diagnostics, audit bounds).
+  size_t kidPoolSize() const { return KidPool.size(); }
 
   /// Pre-sizes the node arena and interning table.
   void reserve(size_t NumNodes);
-  /// Drops the negate/DNF memo slots, the δdnf product memos and their path
-  /// pool (the interned nodes stay — handles remain valid). Lets
-  /// long-running processes bound memo growth.
+  /// Drops the negate/DNF memo slots and the δdnf product memos (the
+  /// interned nodes stay — handles remain valid). Lets long-running
+  /// processes bound memo growth.
   void clearCaches();
-  /// Drops only the δdnf product memos and their path pool, freeing their
-  /// storage. RegexSolver::checkSat calls it per query, so a warm arena
-  /// keeps them no larger than one query's δdnf work.
+  /// Drops only the δdnf product memos, freeing their storage.
+  /// RegexSolver::checkSat calls it per query, so a warm arena keeps them
+  /// no larger than one query's δdnf work.
   void dropProductMemos();
   /// Interning/memo counters.
   const CacheStats &stats() const { return Stats; }
@@ -95,6 +122,11 @@ public:
   /// mutable access to interned storage so a test can corrupt an invariant
   /// and prove sbd::audit detects it. Never call outside audit tests.
   TrNode &mutableNodeForAudit(Tr T) { return Nodes[T.Id]; }
+  /// Same, for T's slice of the kid pool.
+  std::span<Tr> mutableKidsForAudit(Tr T) {
+    const TrNode &N = Nodes[T.Id];
+    return {KidPool.data() + N.KidsBegin, N.NumKids};
+  }
 
   /// --- Constructors (normalizing) ------------------------------------------
 
@@ -107,16 +139,25 @@ public:
 
   /// if(Cond, T, F); simplifies trivial/equal branches and collapses
   /// directly nested conditionals on the same predicate.
-  Tr ite(const CharSet &Cond, Tr T, Tr F);
+  Tr ite(PredId Cond, Tr T, Tr F);
+  Tr ite(const CharSet &Cond, Tr T, Tr F) {
+    return ite(M.preds().intern(Cond), T, F);
+  }
 
   /// τ1 | ... | τk. Flattens, drops ⊥, absorbs .*, merges all ERE leaves
   /// into a single leaf through the regex algebra.
-  Tr union_(std::vector<Tr> Ts);
-  Tr union2(Tr A, Tr B) { return union_({A, B}); }
+  Tr union_(std::span<const Tr> Ts);
+  Tr union2(Tr A, Tr B) {
+    const Tr Ts[2] = {A, B};
+    return union_(Ts);
+  }
 
   /// τ1 & ... & τk (dual of union_).
-  Tr inter(std::vector<Tr> Ts);
-  Tr inter2(Tr A, Tr B) { return inter({A, B}); }
+  Tr inter(std::span<const Tr> Ts);
+  Tr inter2(Tr A, Tr B) {
+    const Tr Ts[2] = {A, B};
+    return inter(Ts);
+  }
 
   /// ~τ via the negation dual τ̄ (Lemma 4.2); the result is again in NNF.
   Tr negate(Tr T);
@@ -149,7 +190,8 @@ public:
 
   /// Enumerates the arcs of a DNF transition regex: all (guard, target)
   /// pairs with satisfiable guards and non-⊥ targets. Arcs with the same
-  /// target are merged by guard union.
+  /// target are merged by guard union. The guards are computed in the
+  /// shared predicate pool, which this call may grow.
   std::vector<TrArc> arcs(Tr T) const;
 
   /// Appends the distinct conditional guards occurring in T (the set
@@ -160,53 +202,50 @@ public:
   std::string toString(Tr T) const;
 
 private:
-  Tr intern(TrNode Node);
+  /// Interns \p Node with children \p Kids (which must not point into the
+  /// kid pool): hashes and compares the span, and copies it into the pool
+  /// only when the node is new.
+  Tr intern(TrNode Node, std::span<const Tr> Kids = {});
+  /// Shared body of union_ and inter: \p K is Union or Inter.
+  Tr makeBoolean(TrKind K, std::span<const Tr> Ts);
 
   /// DNF worker: rewrites T under the (satisfiable) path condition \p Path.
-  /// \p PathId is Path's id in the path pool, or MissingId until a memo
-  /// first needs it. Memoized for non-leaf T.
-  Tr dnfUnder(Tr T, const CharSet &Path, uint32_t PathId);
+  /// Memoized for non-leaf T.
+  Tr dnfUnder(Tr T, PredId Path);
   /// One rewrite step of dnfUnder for a non-leaf T, without the memo.
-  Tr dnfUnderStep(Tr T, const CharSet &Path, uint32_t PathId);
+  Tr dnfUnderStep(Tr T, PredId Path);
   /// Distributes an ERE leaf conjunct over a DNF transition regex.
   Tr leafInterDnf(Re A, Tr B);
   /// Computes DNF(A & B) where A is already DNF, under \p Path (memoized).
-  Tr interDnf(Tr A, Tr B, const CharSet &Path, uint32_t PathId);
+  Tr interDnf(Tr A, Tr B, PredId Path);
   /// One distribution step of interDnf, without the memo.
-  Tr interDnfStep(Tr A, Tr B, const CharSet &Path, uint32_t PathId);
-  /// Returns \p PathId, first interning \p Path into the path pool when
-  /// the id is still MissingId.
-  uint32_t internPath(const CharSet &Path, uint32_t &PathId);
+  Tr interDnfStep(Tr A, Tr B, PredId Path);
 
-  void collectArcs(Tr T, const CharSet &Guard,
-                   std::vector<TrArc> &Out) const;
+  void collectArcs(Tr T, PredId Guard,
+                   std::vector<std::pair<PredId, Re>> &Out) const;
 
   /// Tombstone for the dense id-indexed memo slots.
   static constexpr uint32_t MissingId = 0xFFFFFFFFu;
 
   RegexManager &M;
   std::vector<TrNode> Nodes;
+  std::vector<Tr> KidPool;
   InternTable ConsTable;
   /// Inline memo slots indexed by Tr id; ids are dense, so a flat vector
   /// with a tombstone beats a hash map on every lookup.
   std::vector<uint32_t> NegateMemo;
   std::vector<uint32_t> DnfMemo;
   /// δdnf product memos (DESIGN.md §7), dropped per query by
-  /// dropProductMemos():
-  ///   UnderMemo: (T << 32 | path id) -> dnfUnder(T, path);
+  /// dropProductMemos(); a path is a PredId in M.preds():
+  ///   UnderMemo: (T << 32 | path) -> dnfUnder(T, path);
   ///   PairIds:   (A << 32 | B) -> dense pair id;
-  ///   InterMemo: (pair id << 32 | path id) -> interDnf(A, B, path).
+  ///   InterMemo: (pair id << 32 | path) -> interDnf(A, B, path).
   FlatMap64 UnderMemo;
   FlatMap64 PairIds;
   FlatMap64 InterMemo;
-  /// Path pool: id -> path condition, filled on a memo's first use;
-  /// CharSet::full() has id FullPathId. Its interning counts go to
-  /// PathStats, not Stats: paths are not arena nodes, and core.arena_nodes
-  /// counts Stats' intern misses.
-  std::vector<CharSet> Paths;
-  InternTable PathTable;
-  CacheStats PathStats;
-  static constexpr uint32_t FullPathId = 0;
+  /// makeBoolean's scratch (it never re-enters itself).
+  std::vector<Tr> FlatScratch, KidScratch;
+  std::vector<Re> LeafScratch;
   CacheStats Stats;
   Tr BotTr, TopTr;
 };

@@ -23,8 +23,8 @@ using namespace sbd::fuzz;
 /// semantic bug. Generated terms are small (MaxNodes-bounded), so plain
 /// recursion without memoization is fine.
 static Re rewriteInterAsUnion(RegexManager &M, Re R) {
-  // Copy: interning rewritten children grows the arena, so a reference
-  // into it would dangle.
+  // Copy the node record: interning rewritten children grows the arena, so
+  // a reference into it would dangle. Children are read with kid().
   const RegexNode N = M.node(R);
   switch (N.Kind) {
   case RegexKind::Empty:
@@ -32,22 +32,21 @@ static Re rewriteInterAsUnion(RegexManager &M, Re R) {
   case RegexKind::Pred:
     return R;
   case RegexKind::Concat:
-    return M.concat(rewriteInterAsUnion(M, N.Kids[0]),
-                    rewriteInterAsUnion(M, N.Kids[1]));
+    return M.concat(rewriteInterAsUnion(M, M.kid(R, 0)),
+                    rewriteInterAsUnion(M, M.kid(R, 1)));
   case RegexKind::Star:
-    return M.star(rewriteInterAsUnion(M, N.Kids[0]));
+    return M.star(rewriteInterAsUnion(M, M.kid(R, 0)));
   case RegexKind::Loop:
-    return M.loop(rewriteInterAsUnion(M, N.Kids[0]), N.LoopMin, N.LoopMax);
+    return M.loop(rewriteInterAsUnion(M, M.kid(R, 0)), N.LoopMin, N.LoopMax);
   case RegexKind::Compl:
-    return M.complement(rewriteInterAsUnion(M, N.Kids[0]));
+    return M.complement(rewriteInterAsUnion(M, M.kid(R, 0)));
   case RegexKind::Union:
   case RegexKind::Inter: {
-    std::vector<Re> Kids;
-    Kids.reserve(N.Kids.size());
-    for (Re K : N.Kids)
-      Kids.push_back(rewriteInterAsUnion(M, K));
+    std::vector<Re> Kids(N.NumKids);
+    for (size_t I = 0; I != Kids.size(); ++I)
+      Kids[I] = rewriteInterAsUnion(M, M.kid(R, I));
     // Both cases rebuild as a union: for Inter that is the bug.
-    return M.unionList(std::move(Kids));
+    return M.unionList(Kids);
   }
   }
   return R;

@@ -7,6 +7,10 @@
 using namespace sbd;
 using namespace sbd::fuzz;
 
+/// Draw weight of the overlapping-guards family (φ·X)|(ψ·Y) with φ∧ψ ≠ ⊥,
+/// sometimes behind a prefix shared by both branches (see genOverlap).
+static constexpr uint32_t OverlapWeight = 1;
+
 CharSet RegexGenerator::generateCharSet() {
   // A small overlapping alphabet: most predicates draw from 'a'..'h' and
   // '0'..'9' so that distinct predicates frequently intersect, which is
@@ -76,6 +80,7 @@ Re RegexGenerator::gen(uint32_t Budget) {
   struct Ticket {
     RegexKind Kind;
     uint32_t Weight;
+    bool Overlap = false; ///< the genOverlap family, not Kind itself
   };
   const Ticket Tickets[] = {
       {RegexKind::Pred, Opts.WeightPred},
@@ -87,19 +92,24 @@ Re RegexGenerator::gen(uint32_t Budget) {
       {RegexKind::Compl, Opts.WeightCompl},
       {RegexKind::Epsilon, Opts.WeightEpsilon},
       {RegexKind::Empty, Opts.WeightEmpty},
+      {RegexKind::Union, OverlapWeight, /*Overlap=*/true},
   };
   uint64_t Total = 0;
   for (const Ticket &T : Tickets)
     Total += T.Weight;
   uint64_t Pick = R.below(Total ? Total : 1);
   RegexKind Kind = RegexKind::Pred;
+  bool Overlap = false;
   for (const Ticket &T : Tickets) {
     if (Pick < T.Weight) {
       Kind = T.Kind;
+      Overlap = T.Overlap;
       break;
     }
     Pick -= T.Weight;
   }
+  if (Overlap)
+    return genOverlap(Budget);
 
   switch (Kind) {
   case RegexKind::Concat: {
@@ -138,6 +148,28 @@ Re RegexGenerator::gen(uint32_t Budget) {
   default:
     return genLeaf();
   }
+}
+
+Re RegexGenerator::genOverlap(uint32_t Budget) {
+  CharSet Phi = generateCharSet();
+  if (Phi.isEmpty())
+    Phi = CharSet::singleton('a');
+  // ψ repeats φ or joins φ's least member to a fresh draw: either way
+  // φ∧ψ ≠ ⊥, and often both guards sample the same character.
+  CharSet Psi = Phi;
+  if (R.chance(1, 2))
+    Psi = generateCharSet().unionWith(CharSet::singleton(*Phi.sample()));
+  const uint32_t Rest = Budget > 3 ? Budget - 3 : 1;
+  const uint32_t PrefixBudget = Rest >= 4 && R.chance(1, 2) ? Rest / 3 : 0;
+  // One statement per draw: the draw order must not depend on the
+  // compiler's argument evaluation order.
+  Re Prefix = PrefixBudget ? gen(PrefixBudget) : M.epsilon();
+  const uint32_t Share = std::max<uint32_t>(1, (Rest - PrefixBudget) / 2);
+  Re X = gen(Share);
+  Re Y = gen(Share);
+  Re A = M.concat(Prefix, M.concat(M.pred(Phi), X));
+  Re B = M.concat(Prefix, M.concat(M.pred(Psi), Y));
+  return M.union_(A, B);
 }
 
 void WordGenerator::prime(Re Rx) {

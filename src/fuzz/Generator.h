@@ -78,6 +78,11 @@ public:
 private:
   Re gen(uint32_t Budget);
   Re genLeaf();
+  /// (P·φ·X)|(P·ψ·Y) with φ∧ψ ≠ ⊥ and P often ε. The δdnf of such a union
+  /// keeps one arc per branch, and their guards overlap, so BFS can reach
+  /// two vertices by the same least word: the witness then depends on the
+  /// search's tie rule, which other shapes almost never exercise.
+  Re genOverlap(uint32_t Budget);
 
   RegexManager &M;
   Rng R;

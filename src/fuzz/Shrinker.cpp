@@ -12,8 +12,9 @@ using namespace sbd::fuzz;
 /// Smart constructors may collapse a rebuilt candidate below the one-step
 /// estimate — that is fine, the caller filters on strict size decrease.
 void Shrinker::reduceInto(Re R, std::vector<Re> &Out) {
-  // Copy: interning candidates below may grow the node arena and would
-  // invalidate a reference into it.
+  // Copy the node record: interning candidates below may grow the node
+  // arena and would invalidate a reference into it. Children are read with
+  // kid(), or copied out of the kid pool for the n-ary case.
   const RegexNode N = M.node(R);
   switch (N.Kind) {
   case RegexKind::Empty:
@@ -21,7 +22,7 @@ void Shrinker::reduceInto(Re R, std::vector<Re> &Out) {
   case RegexKind::Pred:
     return; // leaves are already minimal
   case RegexKind::Concat: {
-    Re A = N.Kids[0], B = N.Kids[1];
+    Re A = M.kid(R, 0), B = M.kid(R, 1);
     Out.push_back(A);
     Out.push_back(B);
     for (Re Av : reductions(A))
@@ -30,42 +31,47 @@ void Shrinker::reduceInto(Re R, std::vector<Re> &Out) {
       Out.push_back(M.concat(A, Bv));
     break;
   }
-  case RegexKind::Star:
-    Out.push_back(N.Kids[0]);
-    for (Re Kv : reductions(N.Kids[0]))
+  case RegexKind::Star: {
+    Re Kid = M.kid(R, 0);
+    Out.push_back(Kid);
+    for (Re Kv : reductions(Kid))
       Out.push_back(M.star(Kv));
     break;
-  case RegexKind::Loop:
-    Out.push_back(N.Kids[0]);
-    for (Re Kv : reductions(N.Kids[0]))
+  }
+  case RegexKind::Loop: {
+    Re Kid = M.kid(R, 0);
+    Out.push_back(Kid);
+    for (Re Kv : reductions(Kid))
       Out.push_back(M.loop(Kv, N.LoopMin, N.LoopMax));
     break;
-  case RegexKind::Compl:
-    Out.push_back(N.Kids[0]);
-    for (Re Kv : reductions(N.Kids[0]))
+  }
+  case RegexKind::Compl: {
+    Re Kid = M.kid(R, 0);
+    Out.push_back(Kid);
+    for (Re Kv : reductions(Kid))
       Out.push_back(M.complement(Kv));
     break;
+  }
   case RegexKind::Union:
   case RegexKind::Inter: {
     bool IsUnion = N.Kind == RegexKind::Union;
-    for (Re K : N.Kids)
+    const std::vector<Re> Ops(M.kids(R).begin(), M.kids(R).end());
+    for (Re K : Ops)
       Out.push_back(K);
     // Drop one operand.
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
+    for (size_t I = 0; I != Ops.size(); ++I) {
       std::vector<Re> Rest;
-      for (size_t J = 0; J != N.Kids.size(); ++J)
+      for (size_t J = 0; J != Ops.size(); ++J)
         if (J != I)
-          Rest.push_back(N.Kids[J]);
-      Out.push_back(IsUnion ? M.unionList(std::move(Rest))
-                            : M.interList(std::move(Rest)));
+          Rest.push_back(Ops[J]);
+      Out.push_back(IsUnion ? M.unionList(Rest) : M.interList(Rest));
     }
     // Reduce one operand in place.
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
-      for (Re Kv : reductions(N.Kids[I])) {
-        std::vector<Re> Kids(N.Kids.begin(), N.Kids.end());
+    for (size_t I = 0; I != Ops.size(); ++I) {
+      for (Re Kv : reductions(Ops[I])) {
+        std::vector<Re> Kids = Ops;
         Kids[I] = Kv;
-        Out.push_back(IsUnion ? M.unionList(std::move(Kids))
-                              : M.interList(std::move(Kids)));
+        Out.push_back(IsUnion ? M.unionList(Kids) : M.interList(Kids));
       }
     }
     break;

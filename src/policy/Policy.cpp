@@ -118,7 +118,8 @@ private:
     }
     if (List.asArray().empty())
       return std::string(Op) == "and" ? "true" : "false";
-    std::string Out = "(" + std::string(Op);
+    std::string Out = "(";
+    Out.append(Op);
     for (const JsonValue &Item : List.asArray()) {
       auto Inner = compile(Item);
       if (!Inner)

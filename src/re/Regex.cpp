@@ -12,6 +12,76 @@
 
 using namespace sbd;
 
+PredPool::PredPool() {
+  // ⊥ and ⊤ first, so their ids are the constants Bot and Top.
+  intern(CharSet());
+  intern(CharSet::full());
+}
+
+PredId PredPool::intern(const CharSet &Set) {
+  return PredId{Table.findOrInsert(
+      Set.hash(), [&](uint32_t Id) { return Sets[Id] == Set; },
+      [&] {
+        uint32_t Id = static_cast<uint32_t>(Sets.size());
+        Sets.push_back(Set);
+        return Id;
+      },
+      Stats)};
+}
+
+bool PredPool::hullsDisjoint(PredId A, PredId B) const {
+  const std::vector<CharRange> &RA = Sets[A.Id].ranges();
+  const std::vector<CharRange> &RB = Sets[B.Id].ranges();
+  return RA.back().Hi < RB.front().Lo || RB.back().Hi < RA.front().Lo;
+}
+
+PredId PredPool::conj(PredId A, PredId B) {
+  if (A == B || B == Top || A == Bot)
+    return A;
+  if (A == Top || B == Bot)
+    return B;
+  if (hullsDisjoint(A, B))
+    return Bot;
+  return apply(Op::And, A, B);
+}
+
+PredId PredPool::disj(PredId A, PredId B) {
+  if (A == B || B == Bot || A == Top)
+    return A;
+  if (A == Bot || B == Top)
+    return B;
+  return apply(Op::Or, A, B);
+}
+
+PredId PredPool::minus(PredId A, PredId B) {
+  if (A == B || A == Bot || B == Top)
+    return Bot;
+  if (B == Bot || hullsDisjoint(A, B))
+    return A;
+  return apply(Op::Minus, A, B);
+}
+
+PredId PredPool::apply(Op O, PredId A, PredId B) {
+  // ∧ and ∨ commute: one memo entry serves both operand orders.
+  if (O != Op::Minus && B < A)
+    std::swap(A, B);
+  FlatMap64 &Memo =
+      O == Op::And ? AndMemo : (O == Op::Or ? OrMemo : MinusMemo);
+  const uint64_t Key = static_cast<uint64_t>(A.Id) << 32 | B.Id;
+  if (const uint32_t *Hit = Memo.find(Key))
+    return PredId{*Hit};
+  // Compute before interning: intern() may move the sets A and B name.
+  const CharSet &SA = Sets[A.Id], &SB = Sets[B.Id];
+  CharSet Result = O == Op::And  ? SA.intersectWith(SB)
+                   : O == Op::Or ? SA.unionWith(SB)
+                                 : SA.minus(SB);
+  PredId Out = intern(Result);
+  if (Memo.size() >= MaxMemoEntries)
+    Memo = FlatMap64(); // frees the slots, as dropProductMemos does
+  Memo.insert(Key, Out.Id);
+  return Out;
+}
+
 RegexManager::RegexManager() {
   // Intern the distinguished terms once, in a fixed order, so their ids are
   // stable across runs.
@@ -21,7 +91,7 @@ RegexManager::RegexManager() {
   EmptyNode.Size = 1;
   EmptyNode.NumPreds = 0;
   EmptyNode.StarHeight = 0;
-  EmptyRe = intern(std::move(EmptyNode));
+  EmptyRe = intern(EmptyNode);
 
   RegexNode EpsNode;
   EpsNode.Kind = RegexKind::Epsilon;
@@ -29,50 +99,61 @@ RegexManager::RegexManager() {
   EpsNode.Size = 1;
   EpsNode.NumPreds = 0;
   EpsNode.StarHeight = 0;
-  EpsilonRe = intern(std::move(EpsNode));
+  EpsilonRe = intern(EpsNode);
 
   AnyCharRe = pred(CharSet::full());
   TopRe = star(AnyCharRe);
 }
 
-uint32_t RegexManager::internSet(const CharSet &Set) {
-  uint64_t H = Set.hash();
-  return SetTable.findOrInsert(
-      H, [&](uint32_t Idx) { return Sets[Idx] == Set; },
-      [&] {
-        uint32_t Idx = static_cast<uint32_t>(Sets.size());
-        Sets.push_back(Set);
-        return Idx;
-      },
-      Stats);
+void RegexManager::countPredLookup(PredId P) {
+  SBD_OBS_STAT_INC(Stats, Lookups);
+  if (PredLeafSeen.size() <= P.Id)
+    PredLeafSeen.resize(Preds.size(), false);
+  if (PredLeafSeen[P.Id]) {
+    SBD_OBS_STAT_INC(Stats, InternHits);
+    return;
+  }
+  PredLeafSeen[P.Id] = true;
+  SBD_OBS_STAT_INC(Stats, InternMisses);
 }
 
-uint64_t RegexManager::hashNode(const RegexNode &Node) const {
+/// The structural hash: kind, predicate, loop bounds and kid ids. Kept in
+/// sync with audit::detail::recomputeReHash.
+static uint64_t hashNode(const RegexNode &Node, std::span<const Re> Kids) {
   uint64_t H = hashMix(static_cast<uint64_t>(Node.Kind));
-  H = hashCombine(H, Node.PredIdx);
+  H = hashCombine(H, Node.Pred.Id);
   H = hashCombine(H, Node.LoopMin);
   H = hashCombine(H, Node.LoopMax);
-  for (Re Kid : Node.Kids)
+  for (Re Kid : Kids)
     H = hashCombine(H, Kid.Id);
   return H;
 }
 
-bool RegexManager::nodeEquals(const RegexNode &A, const RegexNode &B) const {
-  return A.Kind == B.Kind && A.PredIdx == B.PredIdx &&
-         A.LoopMin == B.LoopMin && A.LoopMax == B.LoopMax && A.Kids == B.Kids;
-}
-
-Re RegexManager::intern(RegexNode Node) {
-  uint64_t H = hashNode(Node);
+Re RegexManager::intern(RegexNode Node, std::span<const Re> Kids) {
+  assert((Kids.empty() || Kids.data() < KidPool.data() ||
+          Kids.data() >= KidPool.data() + KidPool.size()) &&
+         "intern's kid span must not alias the kid pool");
+  uint64_t H = hashNode(Node, Kids);
   Node.Hash = H;
 #if SBD_AUDIT
   const size_t SizeBefore = Nodes.size();
 #endif
   uint32_t Id = ConsTable.findOrInsert(
-      H, [&](uint32_t Cand) { return nodeEquals(Nodes[Cand], Node); },
+      H,
+      [&](uint32_t Cand) {
+        const RegexNode &O = Nodes[Cand];
+        return O.Kind == Node.Kind && O.Pred == Node.Pred &&
+               O.LoopMin == Node.LoopMin && O.LoopMax == Node.LoopMax &&
+               O.NumKids == Kids.size() &&
+               std::equal(Kids.begin(), Kids.end(),
+                          KidPool.begin() + O.KidsBegin);
+      },
       [&] {
         uint32_t NewId = static_cast<uint32_t>(Nodes.size());
-        Nodes.push_back(std::move(Node));
+        Node.KidsBegin = static_cast<uint32_t>(KidPool.size());
+        Node.NumKids = static_cast<uint32_t>(Kids.size());
+        KidPool.insert(KidPool.end(), Kids.begin(), Kids.end());
+        Nodes.push_back(Node);
         return NewId;
       },
       Stats);
@@ -85,26 +166,34 @@ Re RegexManager::intern(RegexNode Node) {
 
 void RegexManager::reserve(size_t NumNodes) {
   Nodes.reserve(NumNodes);
+  KidPool.reserve(NumNodes * 2);
   ConsTable.reserve(NumNodes);
 }
 
 const CharSet &RegexManager::predSet(Re R) const {
   const RegexNode &N = node(R);
   assert(N.Kind == RegexKind::Pred && "predSet on non-predicate node");
-  return Sets[N.PredIdx];
+  return Preds.set(N.Pred);
 }
 
 Re RegexManager::pred(const CharSet &Set) {
   if (Set.isEmpty())
     return EmptyRe;
+  return pred(Preds.intern(Set));
+}
+
+Re RegexManager::pred(PredId P) {
+  if (P == PredPool::Bot)
+    return EmptyRe;
+  countPredLookup(P);
   RegexNode N;
   N.Kind = RegexKind::Pred;
   N.Nullable = false;
-  N.PredIdx = internSet(Set);
+  N.Pred = P;
   N.Size = 1;
   N.NumPreds = 1;
   N.StarHeight = 0;
-  return intern(std::move(N));
+  return intern(N);
 }
 
 Re RegexManager::word(const std::vector<uint32_t> &Cps) {
@@ -131,8 +220,8 @@ Re RegexManager::concat(Re A, Re B) {
   std::vector<Re> Spine;
   Re Cursor = A;
   while (kind(Cursor) == RegexKind::Concat) {
-    Spine.push_back(node(Cursor).Kids[0]);
-    Cursor = node(Cursor).Kids[1];
+    Spine.push_back(kid(Cursor, 0));
+    Cursor = kid(Cursor, 1);
   }
   Spine.push_back(Cursor);
   Re Result = B;
@@ -141,12 +230,12 @@ Re RegexManager::concat(Re A, Re B) {
     assert(kind(Left) != RegexKind::Concat && "left spine not flat");
     RegexNode N;
     N.Kind = RegexKind::Concat;
-    N.Kids = {Left, Result};
     N.Nullable = nullable(Left) && nullable(Result);
     N.Size = 1 + node(Left).Size + node(Result).Size;
     N.NumPreds = node(Left).NumPreds + node(Result).NumPreds;
     N.StarHeight = std::max(node(Left).StarHeight, node(Result).StarHeight);
-    Result = intern(std::move(N));
+    const Re Kids[2] = {Left, Result};
+    Result = intern(N, Kids);
   }
   return Result;
 }
@@ -165,15 +254,14 @@ Re RegexManager::star(Re R) {
     return R; // (R*)* = R*
   // (R{m,n})* = R* when m <= 1: the generators include R itself.
   if (kind(R) == RegexKind::Loop && node(R).LoopMin <= 1)
-    return star(node(R).Kids[0]);
+    return star(kid(R, 0));
   RegexNode N;
   N.Kind = RegexKind::Star;
-  N.Kids = {R};
   N.Nullable = true;
   N.Size = 1 + node(R).Size;
   N.NumPreds = node(R).NumPreds;
   N.StarHeight = 1 + node(R).StarHeight;
-  return intern(std::move(N));
+  return intern(N, {&R, 1});
 }
 
 Re RegexManager::loop(Re R, uint32_t Min, uint32_t Max) {
@@ -197,14 +285,13 @@ Re RegexManager::loop(Re R, uint32_t Min, uint32_t Max) {
     return R;
   RegexNode N;
   N.Kind = RegexKind::Loop;
-  N.Kids = {R};
   N.LoopMin = Min;
   N.LoopMax = Max;
   N.Nullable = Min == 0;
   N.Size = 1 + node(R).Size;
   N.NumPreds = node(R).NumPreds;
   N.StarHeight = node(R).StarHeight + (Max == LoopInf ? 1 : 0);
-  return intern(std::move(N));
+  return intern(N, {&R, 1});
 }
 
 void RegexManager::flattenInto(RegexKind K, Re R, std::vector<Re> &Out) const {
@@ -212,45 +299,61 @@ void RegexManager::flattenInto(RegexKind K, Re R, std::vector<Re> &Out) const {
     Out.push_back(R);
     return;
   }
-  for (Re Kid : node(R).Kids)
+  for (Re Kid : kids(R))
     Out.push_back(Kid); // children of an interned |/& node are already flat
 }
 
-Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
+PredId RegexManager::mergePreds(bool IsUnion, std::span<const PredId> Ps) {
+  if (Ps.size() == 1)
+    return Ps[0];
+  if (Ps.size() == 2)
+    return IsUnion ? Preds.disj(Ps[0], Ps[1]) : Preds.conj(Ps[0], Ps[1]);
+  // More than two merge in one temporary set and only the result is
+  // interned: folding through the memo would intern every partial result,
+  // n²/2 intervals for a union of n separate characters.
+  if (IsUnion) {
+    std::vector<CharRange> All;
+    for (PredId P : Ps) {
+      const std::vector<CharRange> &Rs = Preds.set(P).ranges();
+      All.insert(All.end(), Rs.begin(), Rs.end());
+    }
+    return Preds.intern(CharSet::fromRanges(std::move(All)));
+  }
+  CharSet Acc = Preds.set(Ps[0]);
+  for (size_t I = 1; I != Ps.size() && !Acc.isEmpty(); ++I)
+    Acc = Acc.intersectWith(Preds.set(Ps[I]));
+  return Preds.intern(Acc);
+}
+
+Re RegexManager::makeBoolean(RegexKind K, std::span<const Re> Rs) {
   assert((K == RegexKind::Union || K == RegexKind::Inter) &&
          "makeBoolean is only for | and &");
   bool IsUnion = K == RegexKind::Union;
   Re Unit = IsUnion ? EmptyRe : TopRe;      // dropped
   Re Absorber = IsUnion ? TopRe : EmptyRe;  // dominates
 
-  std::vector<Re> Flat;
+  std::vector<Re> &Flat = FlatScratch;
+  Flat.clear();
   for (Re R : Rs)
     flattenInto(K, R, Flat);
 
   // Merge predicate leaves into the character algebra and filter units.
-  CharSet MergedPred; // starts ⊥; for & we start ⊤ once we see a pred
-  bool SawPred = false;
-  std::vector<Re> Kids;
+  std::vector<PredId> &PredKids = PredScratch;
+  PredKids.clear();
+  std::vector<Re> &Kids = KidScratch;
+  Kids.clear();
   for (Re R : Flat) {
     if (R == Absorber)
       return Absorber;
     if (R == Unit)
       continue;
-    if (kind(R) == RegexKind::Pred) {
-      const CharSet &S = predSet(R);
-      if (!SawPred) {
-        MergedPred = S;
-        SawPred = true;
-      } else {
-        MergedPred =
-            IsUnion ? MergedPred.unionWith(S) : MergedPred.intersectWith(S);
-      }
-      continue;
-    }
-    Kids.push_back(R);
+    if (kind(R) == RegexKind::Pred)
+      PredKids.push_back(node(R).Pred);
+    else
+      Kids.push_back(R);
   }
-  if (SawPred) {
-    Re Merged = pred(MergedPred); // ⊥ when the intersection is empty
+  if (!PredKids.empty()) {
+    Re Merged = pred(mergePreds(IsUnion, PredKids)); // ⊥ on an empty ∧
     if (Merged == Absorber)
       return Absorber;
     if (Merged != Unit)
@@ -289,12 +392,12 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
   for (Re R : Kids) {
     if (kind(R) != RegexKind::Compl)
       continue;
-    Re Op = node(R).Kids[0];
+    Re Op = kid(R, 0);
     if (std::binary_search(Kids.begin(), Kids.end(), Op))
       return Absorber;
     if (kind(Op) == K) {
       bool AllPresent = true;
-      for (Re OpKid : node(Op).Kids)
+      for (Re OpKid : kids(Op))
         if (!std::binary_search(Kids.begin(), Kids.end(), OpKid)) {
           AllPresent = false;
           break;
@@ -308,22 +411,24 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
   // the plain kid X); dually in an intersection, X|Y|Z is subsumed by X|Y.
   // A dual-kind kid A is dropped when the member set of some other kid B is
   // a subset of A's member set (members of a non-dual kid are just {kid}).
+  // Nothing is interned during the scan, so the kid-pool spans stay valid.
   RegexKind Dual = IsUnion ? RegexKind::Inter : RegexKind::Union;
-  auto members = [&](Re R) -> std::vector<Re> {
-    if (kind(R) == Dual)
-      return node(R).Kids; // sorted by construction
-    return {R};
+  auto members = [&](size_t I) -> std::span<const Re> {
+    if (kind(Kids[I]) == Dual)
+      return kids(Kids[I]); // sorted by construction
+    return {&Kids[I], 1};
   };
-  std::vector<bool> Drop(Kids.size(), false);
+  std::vector<uint8_t> &Drop = DropScratch;
+  Drop.assign(Kids.size(), 0);
   bool AnyDropped = false;
   for (size_t I = 0; I != Kids.size(); ++I) {
     if (kind(Kids[I]) != Dual)
       continue;
-    std::vector<Re> Mine = members(Kids[I]);
+    std::span<const Re> Mine = members(I);
     for (size_t J = 0; J != Kids.size() && !Drop[I]; ++J) {
       if (I == J || Drop[J])
         continue;
-      std::vector<Re> Other = members(Kids[J]);
+      std::span<const Re> Other = members(J);
       if (Other.size() < Mine.size() &&
           std::includes(Mine.begin(), Mine.end(), Other.begin(),
                         Other.end())) {
@@ -333,12 +438,11 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
     }
   }
   if (AnyDropped) {
-    std::vector<Re> Kept;
-    Kept.reserve(Kids.size());
+    size_t Kept = 0;
     for (size_t I = 0; I != Kids.size(); ++I)
       if (!Drop[I])
-        Kept.push_back(Kids[I]);
-    Kids = std::move(Kept);
+        Kids[Kept++] = Kids[I];
+    Kids.resize(Kept);
   }
 
   if (Kids.empty())
@@ -348,12 +452,11 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
 
   RegexNode N;
   N.Kind = K;
-  N.Kids = std::move(Kids);
   N.Size = 1;
   N.NumPreds = 0;
   N.StarHeight = 0;
   N.Nullable = !IsUnion;
-  for (Re R : N.Kids) {
+  for (Re R : Kids) {
     N.Size += node(R).Size;
     N.NumPreds += node(R).NumPreds;
     N.StarHeight = std::max(N.StarHeight, node(R).StarHeight);
@@ -362,46 +465,47 @@ Re RegexManager::makeBoolean(RegexKind K, std::vector<Re> Rs) {
     else
       N.Nullable = N.Nullable && nullable(R);
   }
-  return intern(std::move(N));
+  return intern(N, Kids);
 }
 
 Re RegexManager::union_(Re A, Re B) {
-  return makeBoolean(RegexKind::Union, {A, B});
+  const Re Rs[2] = {A, B};
+  return makeBoolean(RegexKind::Union, Rs);
 }
 
-Re RegexManager::unionList(std::vector<Re> Rs) {
-  return makeBoolean(RegexKind::Union, std::move(Rs));
+Re RegexManager::unionList(std::span<const Re> Rs) {
+  return makeBoolean(RegexKind::Union, Rs);
 }
 
 Re RegexManager::inter(Re A, Re B) {
-  return makeBoolean(RegexKind::Inter, {A, B});
+  const Re Rs[2] = {A, B};
+  return makeBoolean(RegexKind::Inter, Rs);
 }
 
-Re RegexManager::interList(std::vector<Re> Rs) {
-  return makeBoolean(RegexKind::Inter, std::move(Rs));
+Re RegexManager::interList(std::span<const Re> Rs) {
+  return makeBoolean(RegexKind::Inter, Rs);
 }
 
 Re RegexManager::complement(Re R) {
   if (kind(R) == RegexKind::Compl)
-    return node(R).Kids[0]; // ~~R = R
+    return kid(R, 0); // ~~R = R
   if (R == EmptyRe)
     return TopRe; // ~⊥ = .*
   if (R == TopRe)
     return EmptyRe; // ~.* = ⊥
   RegexNode N;
   N.Kind = RegexKind::Compl;
-  N.Kids = {R};
   N.Nullable = !nullable(R);
   N.Size = 1 + node(R).Size;
   N.NumPreds = node(R).NumPreds;
   N.StarHeight = node(R).StarHeight;
-  return intern(std::move(N));
+  return intern(N, {&R, 1});
 }
 
 bool RegexManager::isClean(Re R) const {
   if (R == EmptyRe)
     return false;
-  for (Re Kid : node(R).Kids)
+  for (Re Kid : kids(R))
     if (!isClean(Kid))
       return false;
   return true;
@@ -409,10 +513,9 @@ bool RegexManager::isClean(Re R) const {
 
 bool RegexManager::isNormalized(Re R) const {
   const RegexNode &N = node(R);
-  if (N.Kind == RegexKind::Concat &&
-      kind(N.Kids[0]) == RegexKind::Concat)
+  if (N.Kind == RegexKind::Concat && kind(kid(R, 0)) == RegexKind::Concat)
     return false;
-  for (Re Kid : N.Kids)
+  for (Re Kid : kids(R))
     if (!isNormalized(Kid))
       return false;
   return true;
@@ -422,7 +525,7 @@ bool RegexManager::isPlainRe(Re R) const {
   const RegexNode &N = node(R);
   if (N.Kind == RegexKind::Compl || N.Kind == RegexKind::Inter)
     return false;
-  for (Re Kid : N.Kids)
+  for (Re Kid : kids(R))
     if (!isPlainRe(Kid))
       return false;
   return true;
@@ -434,7 +537,7 @@ bool RegexManager::isBooleanOverRe(Re R) const {
   case RegexKind::Compl:
   case RegexKind::Union:
   case RegexKind::Inter: {
-    for (Re Kid : N.Kids)
+    for (Re Kid : kids(R))
       if (!isBooleanOverRe(Kid))
         return false;
     return true;
@@ -448,14 +551,14 @@ bool RegexManager::isLoopFree(Re R) const {
   const RegexNode &N = node(R);
   if (N.Kind == RegexKind::Loop)
     return false;
-  for (Re Kid : N.Kids)
+  for (Re Kid : kids(R))
     if (!isLoopFree(Kid))
       return false;
   return true;
 }
 
 std::vector<CharSet> RegexManager::collectPredicates(Re R) const {
-  std::set<CharSet> Seen;
+  std::set<uint32_t> Seen;
   std::vector<CharSet> Out;
   std::vector<Re> Stack = {R};
   std::set<uint32_t> Visited;
@@ -465,9 +568,9 @@ std::vector<CharSet> RegexManager::collectPredicates(Re R) const {
     if (!Visited.insert(Cur.Id).second)
       continue;
     const RegexNode &N = node(Cur);
-    if (N.Kind == RegexKind::Pred && Seen.insert(Sets[N.PredIdx]).second)
-      Out.push_back(Sets[N.PredIdx]);
-    for (Re Kid : N.Kids)
+    if (N.Kind == RegexKind::Pred && Seen.insert(N.Pred.Id).second)
+      Out.push_back(Preds.set(N.Pred));
+    for (Re Kid : kids(Cur))
       Stack.push_back(Kid);
   }
   return Out;
@@ -513,25 +616,25 @@ void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out,
     Out += "()";
     break;
   case RegexKind::Pred:
-    Out += Sets[N.PredIdx].str();
+    Out += Preds.set(N.Pred).str();
     break;
   case RegexKind::Concat: {
     // Loop along the right spine (one link per literal character): a
     // Concat tail at precedence 2 prints bare, so no frame per link.
     Re Cur = R;
     while (kind(Cur) == RegexKind::Concat) {
-      printPrec(node(Cur).Kids[0], 3, Out, Limit);
-      Cur = node(Cur).Kids[1];
+      printPrec(kid(Cur, 0), 3, Out, Limit);
+      Cur = kid(Cur, 1);
     }
     printPrec(Cur, 2, Out, Limit);
     break;
   }
   case RegexKind::Star:
-    printPrec(N.Kids[0], 5, Out, Limit);
+    printPrec(kid(R, 0), 5, Out, Limit);
     Out += '*';
     break;
   case RegexKind::Loop: {
-    printPrec(N.Kids[0], 5, Out, Limit);
+    printPrec(kid(R, 0), 5, Out, Limit);
     Out += '{';
     Out += std::to_string(N.LoopMin);
     if (N.LoopMax == LoopInf) {
@@ -546,22 +649,22 @@ void RegexManager::printPrec(Re R, int ParentPrec, std::string &Out,
     break;
   }
   case RegexKind::Union:
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
+    for (size_t I = 0; I != N.NumKids; ++I) {
       if (I)
         Out += '|';
-      printPrec(N.Kids[I], 1, Out, Limit);
+      printPrec(kid(R, I), 1, Out, Limit);
     }
     break;
   case RegexKind::Inter:
-    for (size_t I = 0; I != N.Kids.size(); ++I) {
+    for (size_t I = 0; I != N.NumKids; ++I) {
       if (I)
         Out += '&';
-      printPrec(N.Kids[I], 2, Out, Limit);
+      printPrec(kid(R, I), 2, Out, Limit);
     }
     break;
   case RegexKind::Compl:
     Out += '~';
-    printPrec(N.Kids[0], 4, Out, Limit);
+    printPrec(kid(R, 0), 4, Out, Limit);
     break;
   }
   if (Paren)

@@ -21,6 +21,15 @@
 /// Working modulo these laws is what makes the set of derivatives finite
 /// (Theorem 7.1) and keeps the solver's graph small.
 ///
+/// Storage (DESIGN.md §7): a node is a fixed-size, trivially copyable
+/// record. Its children live in one kid pool per arena, addressed by offset
+/// and count, and a predicate leaf holds a `PredId` into the arena's
+/// predicate pool, which interns every CharSet once. CharSets are canonical
+/// (charset/CharSet.h), so equal predicates get equal ids, and interning
+/// compares ids and kid spans only: a hit allocates nothing and hashes no
+/// heap member. The transition-regex layer (core/TransitionRegex.h) shares
+/// the same predicate pool for its guards and path conditions.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SBD_RE_REGEX_H
@@ -32,7 +41,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sbd {
@@ -64,20 +75,86 @@ struct Re {
   friend bool operator<(Re A, Re B) { return A.Id < B.Id; }
 };
 
-/// Interned storage for one regex node. Exposed read-only via
+/// An interned predicate: an id in a PredPool. Equal CharSets get equal
+/// ids, so id equality is predicate equivalence (same pool).
+struct PredId {
+  uint32_t Id = 0;
+
+  friend bool operator==(PredId A, PredId B) { return A.Id == B.Id; }
+  friend bool operator!=(PredId A, PredId B) { return A.Id != B.Id; }
+  friend bool operator<(PredId A, PredId B) { return A.Id < B.Id; }
+};
+
+/// The predicate pool of one arena: each CharSet interned once, plus ∧, ∨
+/// and − memoized on id pairs. Ids are never reused; ⊥ and ⊤ are interned
+/// first, as `Bot` and `Top`. Its interning counts go to its own stats(),
+/// not to an arena's: predicates are not arena nodes.
+class PredPool {
+public:
+  static constexpr PredId Bot{0};
+  static constexpr PredId Top{1};
+  /// Entries one memo may hold before it is emptied. A memo is only a
+  /// cache, and the δdnf product of n paths with n guards would otherwise
+  /// keep n² entries for as long as the arena lives.
+  static constexpr size_t MaxMemoEntries = size_t{1} << 16;
+
+  PredPool();
+
+  /// The id of \p Set, interning it on first sight.
+  PredId intern(const CharSet &Set);
+  /// The CharSet of \p P. The reference is valid until the next intern.
+  const CharSet &set(PredId P) const { return Sets[P.Id]; }
+  /// Does \p P name an entry of this pool?
+  bool contains(PredId P) const { return P.Id < Sets.size(); }
+  size_t size() const { return Sets.size(); }
+
+  /// φ ∧ ψ.
+  PredId conj(PredId A, PredId B);
+  /// φ ∨ ψ.
+  PredId disj(PredId A, PredId B);
+  /// φ ∧ ¬ψ.
+  PredId minus(PredId A, PredId B);
+
+  /// Entries in the ∧/∨/− memos together (diagnostics).
+  size_t memoEntries() const {
+    return AndMemo.size() + OrMemo.size() + MinusMemo.size();
+  }
+  /// Interning counters of the pool itself.
+  const CacheStats &stats() const { return Stats; }
+
+private:
+  enum class Op : uint8_t { And, Or, Minus };
+  PredId apply(Op O, PredId A, PredId B);
+  /// Do the spans [min, max] of two non-empty sets not meet? Then ∧ is ⊥
+  /// and − is the first operand, with no memo entry (δdnf meets this for
+  /// most path/guard pairs of a union of separate characters).
+  bool hullsDisjoint(PredId A, PredId B) const;
+
+  std::vector<CharSet> Sets;
+  InternTable Table;
+  FlatMap64 AndMemo, OrMemo, MinusMemo;
+  CacheStats Stats;
+};
+
+/// Interned storage for one regex node: a fixed-size record. The children
+/// are the KidsBegin..KidsBegin+NumKids slice of the manager's kid pool;
+/// read them through RegexManager::kids() / kid(). Exposed read-only via
 /// RegexManager::node().
 struct RegexNode {
   RegexKind Kind;
   bool Nullable;         ///< ν(R): ϵ ∈ L(R)
-  uint32_t PredIdx = 0;  ///< Pred only: index into the manager's CharSet table
+  PredId Pred{};         ///< Pred only: the predicate, in preds()
   uint32_t LoopMin = 0;  ///< Loop only
   uint32_t LoopMax = 0;  ///< Loop only (LoopInf = unbounded)
-  std::vector<Re> Kids;  ///< children (binary for Concat, n-ary for |, &)
+  uint32_t KidsBegin = 0; ///< offset of the first child in the kid pool
+  uint32_t NumKids = 0;  ///< children (2 for Concat, n-ary for |, &)
   uint32_t Size;         ///< syntax-tree node count (shared nodes recounted)
   uint32_t NumPreds;     ///< ♯(R): predicate leaves in the syntax tree
   uint32_t StarHeight;   ///< nesting depth of * / unbounded loops
   uint64_t Hash = 0;     ///< precomputed structural hash (interning key)
 };
+static_assert(std::is_trivially_copyable_v<RegexNode>,
+              "regex nodes are plain records; children live in the kid pool");
 
 /// Arena + hash-consing table for regexes, and the home of the smart
 /// constructors. All `Re` handles flowing through the library belong to one
@@ -123,11 +200,11 @@ public:
   /// R1 | R2 (ACI-normalized).
   Re union_(Re A, Re B);
   /// OR(S) over a list (⊥ when empty).
-  Re unionList(std::vector<Re> Rs);
+  Re unionList(std::span<const Re> Rs);
   /// R1 & R2 (ACI-normalized).
   Re inter(Re A, Re B);
   /// AND(S) over a list (.* when empty).
-  Re interList(std::vector<Re> Rs);
+  Re interList(std::span<const Re> Rs);
   /// ~R.
   Re complement(Re R);
   /// R1 & ~R2 — difference convenience.
@@ -139,16 +216,36 @@ public:
   RegexKind kind(Re R) const { return Nodes[R.Id].Kind; }
   /// ν(R): does R accept the empty string?
   bool nullable(Re R) const { return Nodes[R.Id].Nullable; }
+  /// R's children. The span points into the kid pool, so it is valid only
+  /// until the next node is interned; a loop that builds terms while it
+  /// walks the children reads them with kid() instead.
+  std::span<const Re> kids(Re R) const {
+    const RegexNode &N = Nodes[R.Id];
+    return {KidPool.data() + N.KidsBegin, N.NumKids};
+  }
+  /// R's \p I-th child.
+  Re kid(Re R, size_t I) const { return KidPool[Nodes[R.Id].KidsBegin + I]; }
   /// The CharSet of a Pred node.
   const CharSet &predSet(Re R) const;
   /// Number of interned nodes (diagnostics).
   size_t numNodes() const { return Nodes.size(); }
+  /// Number of slots in the kid pool (diagnostics, audit bounds).
+  size_t kidPoolSize() const { return KidPool.size(); }
+
+  /// The arena's predicate pool, shared with the TrManager over it.
+  PredPool &preds() { return Preds; }
+  const PredPool &preds() const { return Preds; }
 
   /// Test-only backdoor for the audit negative tests (tests/AuditTest.cpp):
   /// mutable access to interned storage so a test can corrupt an invariant
   /// and prove sbd::audit detects it. Breaks the hash-consing contract —
   /// never call outside audit tests.
   RegexNode &mutableNodeForAudit(Re R) { return Nodes[R.Id]; }
+  /// Same, for R's slice of the kid pool.
+  std::span<Re> mutableKidsForAudit(Re R) {
+    const RegexNode &N = Nodes[R.Id];
+    return {KidPool.data() + N.KidsBegin, N.NumKids};
+  }
 
   /// --- Capacity & instrumentation -----------------------------------------
 
@@ -184,23 +281,37 @@ public:
   std::string toString(Re R, size_t MaxBytes = SIZE_MAX) const;
 
 private:
-  Re intern(RegexNode Node);
-  uint64_t hashNode(const RegexNode &Node) const;
-  bool nodeEquals(const RegexNode &A, const RegexNode &B) const;
-  uint32_t internSet(const CharSet &Set);
+  /// Interns \p Node with children \p Kids (which must not point into the
+  /// kid pool): hashes and compares the span, and copies it into the pool
+  /// only when the node is new.
+  Re intern(RegexNode Node, std::span<const Re> Kids = {});
+  /// Predicate leaf of an id in preds(); ⊥ for PredPool::Bot.
+  Re pred(PredId P);
+  /// Counts one predicate-leaf lookup of \p P in Stats: a miss the first
+  /// time pred() sees P, a hit after. The pool is shared with the TR layer,
+  /// whose lookups must not decide what the regex layer counts.
+  void countPredLookup(PredId P);
 
   /// Appends R's children if R has the given associative kind, else R
   /// itself. Used to flatten `|` / `&`.
   void flattenInto(RegexKind K, Re R, std::vector<Re> &Out) const;
 
-  Re makeBoolean(RegexKind K, std::vector<Re> Rs);
+  /// ∨ (or ∧) of the predicate leaves of one |/& node, interned in preds().
+  PredId mergePreds(bool IsUnion, std::span<const PredId> Ps);
+  Re makeBoolean(RegexKind K, std::span<const Re> Rs);
 
   void printPrec(Re R, int ParentPrec, std::string &Out, size_t Limit) const;
 
   std::vector<RegexNode> Nodes;
+  std::vector<Re> KidPool;
   InternTable ConsTable;
-  std::vector<CharSet> Sets;
-  InternTable SetTable;
+  PredPool Preds;
+  /// Per pool id: has pred() interned it yet (see countPredLookup)?
+  std::vector<bool> PredLeafSeen;
+  /// makeBoolean's scratch (it never re-enters itself).
+  std::vector<Re> FlatScratch, KidScratch;
+  std::vector<PredId> PredScratch;
+  std::vector<uint8_t> DropScratch;
   CacheStats Stats;
 
   Re EmptyRe, EpsilonRe, AnyCharRe, TopRe;

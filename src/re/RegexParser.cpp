@@ -81,7 +81,7 @@ private:
   /// Operand (Op Operand)*, built by one n-ary call: folding pairwise would
   /// intern every partial result and cost quadratic time in the operands.
   Re parseOperands(char Op, Re (Parser::*Operand)(),
-                   Re (RegexManager::*Build)(std::vector<Re>)) {
+                   Re (RegexManager::*Build)(std::span<const Re>)) {
     Re First = (this->*Operand)();
     if (Failed || !consumeIf(Op))
       return First;
@@ -89,7 +89,7 @@ private:
     do
       Operands.push_back((this->*Operand)());
     while (!Failed && consumeIf(Op));
-    return (M.*Build)(std::move(Operands));
+    return (M.*Build)(Operands);
   }
 
   bool startsAtom() const {

@@ -136,7 +136,7 @@ std::string concatToTerm(const RegexManager &M, Re R) {
     Re Head = Cur;
     bool HasTail = M.kind(Cur) == RegexKind::Concat;
     if (HasTail)
-      Head = M.node(Cur).Kids[0];
+      Head = M.kid(Cur, 0);
     if (M.kind(Head) == RegexKind::Pred && M.predSet(Head).count() == 1) {
       PendingLiteral.push_back(*M.predSet(Head).minElement());
     } else {
@@ -145,7 +145,7 @@ std::string concatToTerm(const RegexManager &M, Re R) {
     }
     if (!HasTail)
       break;
-    Cur = M.node(Cur).Kids[1];
+    Cur = M.kid(Cur, 1);
   }
   flush();
   if (Parts.size() == 1)
@@ -170,13 +170,13 @@ std::string toTerm(const RegexManager &M, Re R) {
   case RegexKind::Concat:
     return concatToTerm(M, R);
   case RegexKind::Star: {
-    Re Kid = N.Kids[0];
+    Re Kid = M.kid(R, 0);
     if (M.kind(Kid) == RegexKind::Pred && M.predSet(Kid).isFull())
       return "re.all";
     return "(re.* " + toTerm(M, Kid) + ")";
   }
   case RegexKind::Loop: {
-    std::string Body = toTerm(M, N.Kids[0]);
+    std::string Body = toTerm(M, M.kid(R, 0));
     if (N.LoopMax == LoopInf) {
       if (N.LoopMin == 1)
         return "(re.+ " + Body + ")";
@@ -194,12 +194,12 @@ std::string toTerm(const RegexManager &M, Re R) {
   case RegexKind::Inter: {
     std::string Out =
         N.Kind == RegexKind::Union ? "(re.union" : "(re.inter";
-    for (Re Kid : N.Kids)
-      Out += " " + toTerm(M, Kid);
+    for (Re Kid : M.kids(R))
+      Out.append(" ").append(toTerm(M, Kid));
     return Out + ")";
   }
   case RegexKind::Compl:
-    return "(re.comp " + toTerm(M, N.Kids[0]) + ")";
+    return "(re.comp " + toTerm(M, M.kid(R, 0)) + ")";
   }
   sbd_unreachable("covered switch");
 }

@@ -125,8 +125,8 @@ TEST_F(AuditTest, DetectsUnsortedInterOperands) {
   Re R = M.inter(re("a+"), re("b+"));
   ASSERT_EQ(M.kind(R), RegexKind::Inter);
   ASSERT_TRUE(reNode(R).ok());
-  RegexNode &N = M.mutableNodeForAudit(R);
-  std::swap(N.Kids[0], N.Kids[1]);
+  std::span<Re> Kids = M.mutableKidsForAudit(R);
+  std::swap(Kids[0], Kids[1]);
   EXPECT_GT(reNode(R).count(ViolationKind::ReUnsortedOperands), 0u);
 }
 
@@ -136,7 +136,7 @@ TEST_F(AuditTest, DetectsNestedBoolean) {
   Re Outer = M.inter(A, C);
   ASSERT_LT(Inner.Id, Outer.Id);
   // Splice the inner AND under the outer AND — the flattening law broken.
-  M.mutableNodeForAudit(Outer).Kids[1] = Inner;
+  M.mutableKidsForAudit(Outer)[1] = Inner;
   EXPECT_GT(reNode(Outer).count(ViolationKind::ReNestedBoolean), 0u);
 }
 
@@ -146,14 +146,14 @@ TEST_F(AuditTest, DetectsDoubleNegation) {
   ASSERT_EQ(M.kind(C1), RegexKind::Compl);
   ASSERT_EQ(M.kind(C2), RegexKind::Compl);
   ASSERT_LT(C1.Id, C2.Id);
-  M.mutableNodeForAudit(C2).Kids[0] = C1;
+  M.mutableKidsForAudit(C2)[0] = C1;
   EXPECT_GT(reNode(C2).count(ViolationKind::ReDoubleNegation), 0u);
 }
 
 TEST_F(AuditTest, DetectsAbsorbableEmptyInUnion) {
   Re U = M.union_(re("ab"), re("cd"));
   ASSERT_EQ(M.kind(U), RegexKind::Union);
-  M.mutableNodeForAudit(U).Kids[0] = M.empty();
+  M.mutableKidsForAudit(U)[0] = M.empty();
   EXPECT_GT(reNode(U).count(ViolationKind::ReAbsorbableChild), 0u);
 }
 
@@ -162,7 +162,7 @@ TEST_F(AuditTest, DetectsLeftNestedConcat) {
   Re Y = M.concat(re("a"), re("c"));
   ASSERT_EQ(M.kind(Y), RegexKind::Concat);
   ASSERT_LT(X.Id, Y.Id);
-  M.mutableNodeForAudit(Y).Kids[0] = X;
+  M.mutableKidsForAudit(Y)[0] = X;
   EXPECT_GT(reNode(Y).count(ViolationKind::ReLeftNestedConcat), 0u);
 }
 
@@ -181,9 +181,28 @@ TEST_F(AuditTest, DetectsBadSizeCache) {
 
 TEST_F(AuditTest, DetectsBadTopology) {
   Re R = M.concat(re("a"), re("b"));
-  RegexNode &N = M.mutableNodeForAudit(R);
-  N.Kids[1] = Re{R.Id + 100}; // forward reference: child after parent
+  // Forward reference: child after parent.
+  M.mutableKidsForAudit(R)[1] = Re{R.Id + 100};
   EXPECT_GT(reNode(R).count(ViolationKind::ReBadTopology), 0u);
+}
+
+TEST_F(AuditTest, DetectsReKidSpanOutsidePool) {
+  Re R = M.concat(re("a"), re("b"));
+  ASSERT_TRUE(reNode(R).ok());
+  M.mutableNodeForAudit(R).KidsBegin =
+      static_cast<uint32_t>(M.kidPoolSize()) - 1; // second kid past the end
+  EXPECT_GT(reNode(R).count(ViolationKind::ReKidsOutOfPool), 0u);
+  Report Arena = audit::checkRegexArena(M);
+  EXPECT_GT(Arena.count(ViolationKind::ReKidsOutOfPool), 0u) << Arena.str();
+}
+
+TEST_F(AuditTest, DetectsRePredIdOutsidePool) {
+  Re R = re("[a-f]");
+  ASSERT_EQ(M.kind(R), RegexKind::Pred);
+  ASSERT_TRUE(reNode(R).ok());
+  M.mutableNodeForAudit(R).Pred =
+      PredId{static_cast<uint32_t>(M.preds().size())};
+  EXPECT_GT(reNode(R).count(ViolationKind::RePredOutOfPool), 0u);
 }
 
 TEST_F(AuditTest, DetectsBadLoopBounds) {
@@ -199,9 +218,9 @@ TEST_F(AuditTest, DetectsUnmergedPredicates) {
   Re A = re("a"), B = re("b");
   Re U = M.union_(re("a+"), re("b+"));
   ASSERT_EQ(M.kind(U), RegexKind::Union);
-  RegexNode &N = M.mutableNodeForAudit(U);
-  N.Kids[0] = A < B ? A : B;
-  N.Kids[1] = A < B ? B : A;
+  std::span<Re> Kids = M.mutableKidsForAudit(U);
+  Kids[0] = A < B ? A : B;
+  Kids[1] = A < B ? B : A;
   EXPECT_GT(reNode(U).count(ViolationKind::ReUnmergedPreds), 0u);
 }
 
@@ -211,9 +230,8 @@ TEST_F(AuditTest, ArenaScanDetectsStructuralDuplicate) {
   Re Y = M.concat(A, C);
   ASSERT_NE(X.Id, Y.Id);
   // Make Y structurally identical to X: hash-cons canonicality broken.
-  RegexNode &N = M.mutableNodeForAudit(Y);
-  N.Kids[1] = B;
-  N.Hash = M.mutableNodeForAudit(X).Hash;
+  M.mutableKidsForAudit(Y)[1] = B;
+  M.mutableNodeForAudit(Y).Hash = M.mutableNodeForAudit(X).Hash;
   Report R = audit::checkRegexArena(M);
   EXPECT_GT(R.count(ViolationKind::ReDuplicateNode), 0u) << R.str();
 }
@@ -273,7 +291,7 @@ TEST_F(AuditTest, DetectsStaleTrHash) {
 TEST_F(AuditTest, DetectsTrBadArity) {
   Tr X = T.ite(CharSet::range('a', 'f'), T.leaf(re("x+")), T.bot());
   ASSERT_EQ(T.kind(X), TrKind::Ite);
-  T.mutableNodeForAudit(X).Kids.pop_back(); // one-armed ite
+  --T.mutableNodeForAudit(X).NumKids; // one-armed ite
   EXPECT_GT(trNode(X).count(ViolationKind::TrBadArity), 0u);
 }
 
@@ -282,9 +300,9 @@ TEST_F(AuditTest, DetectsTrUnsortedOperands) {
   Tr B = T.ite(CharSet::singleton('b'), T.leaf(re("q")), T.bot());
   Tr U = T.union2(A, B);
   ASSERT_EQ(T.kind(U), TrKind::Union);
-  TrNode &N = T.mutableNodeForAudit(U);
-  ASSERT_EQ(N.Kids.size(), 2u);
-  std::swap(N.Kids[0], N.Kids[1]);
+  std::span<Tr> Kids = T.mutableKidsForAudit(U);
+  ASSERT_EQ(Kids.size(), 2u);
+  std::swap(Kids[0], Kids[1]);
   EXPECT_GT(trNode(U).count(ViolationKind::TrUnsortedOperands), 0u);
 }
 
@@ -296,23 +314,44 @@ TEST_F(AuditTest, DetectsTrNestedBoolean) {
   Tr Outer = T.union2(A, C);
   ASSERT_EQ(T.kind(Outer), TrKind::Union);
   ASSERT_LT(Inner.Id, Outer.Id);
-  T.mutableNodeForAudit(Outer).Kids[1] = Inner;
+  T.mutableKidsForAudit(Outer)[1] = Inner;
   EXPECT_GT(trNode(Outer).count(ViolationKind::TrNestedBoolean), 0u);
 }
 
 TEST_F(AuditTest, DetectsUnsatIteGuard) {
   Tr X = T.ite(CharSet::range('a', 'f'), T.leaf(re("x+")), T.bot());
   ASSERT_EQ(T.kind(X), TrKind::Ite);
-  T.mutableNodeForAudit(X).Cond = CharSet(); // ⊥ guard
+  T.mutableNodeForAudit(X).Cond = PredPool::Bot; // ⊥ guard
   EXPECT_GT(trNode(X).count(ViolationKind::TrUnsatIteGuard), 0u);
+}
+
+TEST_F(AuditTest, DetectsTrKidSpanOutsidePool) {
+  Tr X = T.ite(CharSet::range('a', 'f'), T.leaf(re("x+")), T.bot());
+  ASSERT_EQ(T.kind(X), TrKind::Ite);
+  ASSERT_TRUE(trNode(X).ok());
+  T.mutableNodeForAudit(X).NumKids = 3; // the span now runs past the pool
+  EXPECT_GT(trNode(X).count(ViolationKind::TrKidsOutOfPool), 0u);
+  Report Arena = audit::checkTrArena(T);
+  EXPECT_GT(Arena.count(ViolationKind::TrKidsOutOfPool), 0u) << Arena.str();
+}
+
+TEST_F(AuditTest, DetectsTrGuardIdOutsidePool) {
+  Tr X = T.ite(CharSet::range('a', 'f'), T.leaf(re("x+")), T.bot());
+  ASSERT_EQ(T.kind(X), TrKind::Ite);
+  T.mutableNodeForAudit(X).Cond =
+      PredId{static_cast<uint32_t>(M.preds().size()) + 7};
+  EXPECT_GT(trNode(X).count(ViolationKind::TrPredOutOfPool), 0u);
+  Report Out;
+  audit::checkDnf(T, X, Out); // must not read through the bad id
+  EXPECT_TRUE(Out.ok()) << Out.str();
 }
 
 TEST_F(AuditTest, DetectsTrivialIteEqualBranches) {
   Tr L = T.leaf(re("x+"));
   Tr X = T.ite(CharSet::range('a', 'f'), L, T.bot());
   ASSERT_EQ(T.kind(X), TrKind::Ite);
-  TrNode &N = T.mutableNodeForAudit(X);
-  N.Kids[1] = N.Kids[0];
+  std::span<Tr> Kids = T.mutableKidsForAudit(X);
+  Kids[1] = Kids[0];
   EXPECT_GT(trNode(X).count(ViolationKind::TrTrivialIte), 0u);
 }
 
@@ -335,7 +374,7 @@ TEST_F(AuditTest, DnfCheckDetectsUnsatBranch) {
   Tr Outer = T.ite(CharSet::range('x', 'z'), T.leaf(re("q")), T.bot());
   ASSERT_EQ(T.kind(Outer), TrKind::Ite);
   ASSERT_LT(Inner.Id, Outer.Id);
-  T.mutableNodeForAudit(Outer).Kids[0] = Inner;
+  T.mutableKidsForAudit(Outer)[0] = Inner;
   Report Out;
   audit::checkDnf(T, Outer, Out);
   EXPECT_GT(Out.count(ViolationKind::TrUnsatBranch), 0u);

@@ -116,7 +116,7 @@ TEST(FuzzGenerator, CoversEveryConstructor) {
   std::set<RegexKind> Seen;
   std::function<void(Re)> Walk = [&](Re R) {
     Seen.insert(M.kind(R));
-    for (Re K : M.node(R).Kids)
+    for (Re K : M.kids(R))
       Walk(K);
   };
   for (int I = 0; I != 400; ++I)
@@ -182,7 +182,7 @@ TEST(FuzzShrinker, MinimizesToTheFailingCore) {
   std::function<bool(Re)> HasInter = [&](Re R) {
     if (M.kind(R) == RegexKind::Inter)
       return true;
-    for (Re K : M.node(R).Kids)
+    for (Re K : M.kids(R))
       if (HasInter(K))
         return true;
     return false;

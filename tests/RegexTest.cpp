@@ -52,7 +52,7 @@ TEST_F(RegexTest, ConcatRightAssociated) {
   EXPECT_EQ(Left, Right);
   EXPECT_TRUE(M.isNormalized(Left));
   // The left child of every concat node is not itself a concat.
-  EXPECT_NE(M.kind(M.node(Left).Kids[0]), RegexKind::Concat);
+  EXPECT_NE(M.kind(M.kid(Left, 0)), RegexKind::Concat);
 }
 
 TEST_F(RegexTest, UnionAbsorbersAndUnits) {
@@ -84,6 +84,30 @@ TEST_F(RegexTest, PredicateMerging) {
   Re DigitAndLetter =
       M.inter(M.pred(CharSet::digit()), M.pred(CharSet::asciiLetter()));
   EXPECT_EQ(DigitAndLetter, M.empty());
+}
+
+TEST_F(RegexTest, NaryPredicateMergeInternsOnlyTheResult) {
+  // An n-way union of separate characters adds its n leaves and the one
+  // merged set to the predicate pool, not its n - 2 partial unions.
+  std::vector<Re> Leaves;
+  CharSet Expected;
+  for (uint32_t I = 0; I != 200; ++I) {
+    Leaves.push_back(M.chr(0x100 + 2 * I));
+    Expected = Expected.unionWith(CharSet::singleton(0x100 + 2 * I));
+  }
+  const size_t PoolBefore = M.preds().size();
+  Re U = M.unionList(Leaves);
+  ASSERT_EQ(M.kind(U), RegexKind::Pred);
+  EXPECT_EQ(M.predSet(U), Expected);
+  EXPECT_EQ(M.preds().size(), PoolBefore + 1);
+  // An n-way intersection agrees with the pairwise fold.
+  Re I3 = M.interList(std::vector<Re>{M.pred(CharSet::range('a', 'm')),
+                                      M.pred(CharSet::range('f', 'z')),
+                                      M.pred(CharSet::range('h', 'k'))});
+  ASSERT_EQ(M.kind(I3), RegexKind::Pred);
+  EXPECT_EQ(M.predSet(I3), CharSet::range('h', 'k'));
+  EXPECT_EQ(M.interList(std::vector<Re>{M.chr('a'), M.chr('b'), M.chr('a')}),
+            M.empty());
 }
 
 TEST_F(RegexTest, StarLaws) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace sbd;
 
 namespace {
@@ -92,9 +94,9 @@ TEST_F(TrTest, NegationDualOnConditional) {
   Tr D = T.ite(Zero, T.leaf(re("1.*")), T.bot());
   Tr N = T.negate(D);
   ASSERT_EQ(T.kind(N), TrKind::Ite);
-  EXPECT_EQ(T.node(N).Cond, Zero);
-  EXPECT_EQ(T.node(N).Kids[0], T.leaf(M.complement(re("1.*"))));
-  EXPECT_EQ(T.node(N).Kids[1], T.topLeaf());
+  EXPECT_EQ(T.condSet(N), Zero);
+  EXPECT_EQ(T.kid(N, 0), T.leaf(M.complement(re("1.*"))));
+  EXPECT_EQ(T.kid(N, 1), T.topLeaf());
 }
 
 TEST_F(TrTest, NegationIsInvolutive) {
@@ -124,8 +126,8 @@ TEST_F(TrTest, ConcatDistributesOverStructure) {
   Tr Cond = T.ite(D, T.leaf(re("a")), T.leaf(re("b")));
   Tr CR = T.concatRe(Cond, Tail);
   ASSERT_EQ(T.kind(CR), TrKind::Ite);
-  EXPECT_EQ(T.node(CR).Kids[0], T.leaf(M.concat(re("a"), Tail)));
-  EXPECT_EQ(T.node(CR).Kids[1], T.leaf(M.concat(re("b"), Tail)));
+  EXPECT_EQ(T.kid(CR, 0), T.leaf(M.concat(re("a"), Tail)));
+  EXPECT_EQ(T.kid(CR, 1), T.leaf(M.concat(re("b"), Tail)));
   // τ · ε = τ, τ · ⊥ = ⊥.
   EXPECT_EQ(T.concatRe(Cond, M.epsilon()), Cond);
   EXPECT_EQ(T.concatRe(Cond, M.empty()), T.bot());
@@ -187,6 +189,25 @@ TEST_F(TrTest, ArcsMergeSameTarget) {
   ASSERT_EQ(Arcs.size(), 1u);
   EXPECT_EQ(Arcs[0].Guard, D.unionWith(L));
   EXPECT_EQ(Arcs[0].Target, re("t"));
+}
+
+TEST_F(TrTest, ArcsMergeManyGuardsWithoutInterningPartialUnions) {
+  // 200 separate characters into one target: the merged guard is built
+  // once, so the pool gains at most one set per conditional (its else
+  // guard), not the 198 partial unions as well.
+  std::vector<Tr> Branches;
+  CharSet Expected;
+  for (uint32_t I = 0; I != 200; ++I) {
+    CharSet C = CharSet::singleton(0x100 + 2 * I);
+    Branches.push_back(T.ite(C, T.leaf(re("t")), T.bot()));
+    Expected = Expected.unionWith(C);
+  }
+  Tr X = T.union_(Branches);
+  const size_t PoolBefore = M.preds().size();
+  std::vector<TrArc> Arcs = T.arcs(X);
+  ASSERT_EQ(Arcs.size(), 1u);
+  EXPECT_EQ(Arcs[0].Guard, Expected);
+  EXPECT_LE(M.preds().size(), PoolBefore + 200);
 }
 
 TEST_F(TrTest, ArcsSkipBotTargets) {
@@ -325,6 +346,113 @@ TEST_P(TrPropertyTest, ArcsAgreeWithApply) {
       EXPECT_EQ(M.unionList(std::move(Matching)), T.apply(X, Ch));
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The predicate pool shared by both arenas
+//===----------------------------------------------------------------------===//
+
+/// A random CharSet of up to four intervals, biased towards small ASCII
+/// ranges so that operands overlap, plus ⊥ and ⊤ now and then.
+CharSet randomSet(Rng &R) {
+  switch (R.below(8)) {
+  case 0:
+    return CharSet();
+  case 1:
+    return CharSet::full();
+  default:
+    break;
+  }
+  std::vector<CharRange> Rs;
+  for (uint64_t I = 0, N = R.range(1, 4); I != N; ++I) {
+    uint32_t Lo = static_cast<uint32_t>(
+        R.chance(1, 8) ? R.below(MaxCodePoint) : R.range('0', 'z'));
+    uint32_t Hi = std::min<uint32_t>(
+        MaxCodePoint, Lo + static_cast<uint32_t>(R.below(12)));
+    Rs.push_back({Lo, Hi});
+  }
+  return CharSet::fromRanges(std::move(Rs));
+}
+
+TEST(PredPoolTest, EqualSetsGetEqualIds) {
+  PredPool P;
+  EXPECT_EQ(P.intern(CharSet()), PredPool::Bot);
+  EXPECT_EQ(P.intern(CharSet::full()), PredPool::Top);
+  PredId Digits = P.intern(CharSet::digit());
+  // Built another way, the same set is the same id.
+  EXPECT_EQ(P.intern(CharSet::range('0', '4').unionWith(
+                CharSet::range('5', '9'))),
+            Digits);
+  EXPECT_NE(P.intern(CharSet::range('0', '8')), Digits);
+  EXPECT_EQ(P.set(Digits), CharSet::digit());
+}
+
+TEST(PredPoolTest, OperationsAgreeWithCharSet) {
+  PredPool P;
+  Rng R(20210621);
+  for (int I = 0; I != 400; ++I) {
+    CharSet A = randomSet(R), B = randomSet(R);
+    PredId IA = P.intern(A), IB = P.intern(B);
+    EXPECT_EQ(P.set(P.conj(IA, IB)), A.intersectWith(B));
+    EXPECT_EQ(P.set(P.disj(IA, IB)), A.unionWith(B));
+    EXPECT_EQ(P.set(P.minus(IA, IB)), A.minus(B));
+    // One memo entry answers both operand orders of ∧ and ∨.
+    const size_t Entries = P.memoEntries();
+    EXPECT_EQ(P.conj(IB, IA), P.conj(IA, IB));
+    EXPECT_EQ(P.disj(IB, IA), P.disj(IA, IB));
+    EXPECT_EQ(P.memoEntries(), Entries);
+    // An empty result is ⊥ by id, as δdnf's pruning tests it.
+    EXPECT_EQ(P.conj(IA, IB) == PredPool::Bot, A.intersectWith(B).isEmpty());
+    EXPECT_EQ(P.minus(IA, IB) == PredPool::Bot, A.minus(B).isEmpty());
+  }
+}
+
+TEST(PredPoolTest, MemosStayBoundedAndExact) {
+  // 400 overlapping intervals: 79,800 unordered ∧ pairs, more than one
+  // memo holds.
+  PredPool P;
+  std::vector<PredId> Ids;
+  for (uint32_t I = 0; I != 400; ++I)
+    Ids.push_back(P.intern(CharSet::range(I, I + 1000)));
+  for (PredId A : Ids)
+    for (PredId B : Ids) {
+      ASSERT_EQ(P.set(P.conj(A, B)), P.set(A).intersectWith(P.set(B)));
+      ASSERT_LE(P.memoEntries(), PredPool::MaxMemoEntries); // ∧ only
+    }
+  // Sets whose spans do not meet answer ∧ and − without a memo entry.
+  PredId Lo = P.intern(CharSet::range('a', 'c'));
+  PredId Hi = P.intern(CharSet::range('x', 'z'));
+  const size_t Entries = P.memoEntries();
+  EXPECT_EQ(P.conj(Lo, Hi), PredPool::Bot);
+  EXPECT_EQ(P.minus(Lo, Hi), Lo);
+  EXPECT_EQ(P.memoEntries(), Entries);
+}
+
+#if SBD_OBS
+TEST(PredPoolTest, TrLayerLookupsStayOutOfRegexStats) {
+  RegexManager M;
+  TrManager T(M);
+  const CacheStats Before = M.stats();
+  const uint64_t PoolLookups = M.preds().stats().Lookups;
+  T.ite(CharSet::range('a', 'q'), T.leaf(M.epsilon()), T.bot());
+  EXPECT_EQ(M.stats().Lookups, Before.Lookups);
+  EXPECT_EQ(M.preds().stats().Lookups, PoolLookups + 1);
+  // The regex layer still counts its first sight of the set as a miss.
+  M.pred(CharSet::range('a', 'q'));
+  EXPECT_EQ(M.stats().InternMisses, Before.InternMisses + 2); // set + node
+  M.pred(CharSet::range('a', 'q'));
+  EXPECT_EQ(M.stats().InternMisses, Before.InternMisses + 2);
+}
+#endif // SBD_OBS
+
+TEST_F(TrTest, IteCollapsesNestedEqualGuardsById) {
+  PredId D = M.preds().intern(CharSet::digit());
+  Tr A = T.leaf(re("a")), B = T.leaf(re("b")), C = T.leaf(re("c"));
+  Tr Inner = T.ite(D, A, B);
+  // The CharSet overload finds the same id, so the guards compare equal.
+  EXPECT_EQ(T.ite(CharSet::digit(), Inner, C), T.ite(D, A, C));
+  EXPECT_EQ(T.ite(D, C, Inner), T.ite(D, C, B));
+  EXPECT_EQ(T.node(T.ite(D, A, C)).Cond, D);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrPropertyTest,
