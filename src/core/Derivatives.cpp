@@ -57,10 +57,12 @@ Tr DerivativeEngine::derivative(Re R) {
   }
   case RegexKind::Union:
   case RegexKind::Inter: {
-    std::vector<Tr> Kids(N.NumKids);
-    for (size_t I = 0; I != Kids.size(); ++I)
-      Kids[I] = derivative(M.kid(R, I));
+    const size_t Base = KidStack.size();
+    for (size_t I = 0; I != N.NumKids; ++I)
+      KidStack.push_back(derivative(M.kid(R, I)));
+    const auto Kids = std::span<const Tr>(KidStack).subspan(Base);
     Result = N.Kind == RegexKind::Union ? T.union_(Kids) : T.inter(Kids);
+    KidStack.resize(Base);
     break;
   }
   case RegexKind::Compl:

@@ -84,6 +84,9 @@ private:
   /// walks D_a chains over the same states repeatedly, so this turns
   /// repeated matching into table lookups (the SRM argument of §8.5).
   FlatMap64 BrzMemo;
+  /// δ's Union/Inter kids: a frame pushes each kid once its recursive call
+  /// has returned and pops them after building the node.
+  std::vector<Tr> KidStack;
   CacheStats Stats;
 };
 

@@ -72,8 +72,7 @@ void TrManager::dropProductMemos() {
   // Assigning empty tables frees their slots: clear() would keep them and
   // cost their full capacity on every query.
   UnderMemo = FlatMap64();
-  PairIds = FlatMap64();
-  InterMemo = FlatMap64();
+  InterMemo = FlatMap<IdTriple>();
 }
 
 Tr TrManager::leaf(Re R) {
@@ -153,6 +152,14 @@ Tr TrManager::makeBoolean(TrKind K, std::span<const Tr> Ts) {
   return intern(N, Kids);
 }
 
+Tr TrManager::popBoolean(TrKind K, size_t Base) {
+  // makeBoolean copies its operands into FlatScratch before it builds
+  // anything, so the span may point into KidStack.
+  const Tr Result = makeBoolean(K, std::span<const Tr>(KidStack).subspan(Base));
+  KidStack.resize(Base);
+  return Result;
+}
+
 Tr TrManager::negate(Tr T) {
   if (T.Id < NegateMemo.size() && NegateMemo[T.Id] != MissingId) {
     SBD_OBS_STAT_INC(Stats, MemoHits);
@@ -176,10 +183,11 @@ Tr TrManager::negate(Tr T) {
   }
   case TrKind::Union:
   case TrKind::Inter: {
-    std::vector<Tr> Kids(N.NumKids);
-    for (size_t I = 0; I != Kids.size(); ++I)
-      Kids[I] = negate(kid(T, I));
-    Result = N.Kind == TrKind::Union ? inter(Kids) : union_(Kids);
+    const size_t Base = KidStack.size();
+    for (size_t I = 0; I != N.NumKids; ++I)
+      KidStack.push_back(negate(kid(T, I)));
+    Result = popBoolean(
+        N.Kind == TrKind::Union ? TrKind::Inter : TrKind::Union, Base);
     break;
   }
   }
@@ -204,10 +212,10 @@ Tr TrManager::concatRe(Tr T, Re R) {
     return ite(N.Cond, ThenC, ElseC);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids(N.NumKids);
-    for (size_t I = 0; I != Kids.size(); ++I)
-      Kids[I] = concatRe(kid(T, I), R);
-    return union_(Kids);
+    const size_t Base = KidStack.size();
+    for (size_t I = 0; I != N.NumKids; ++I)
+      KidStack.push_back(concatRe(kid(T, I), R));
+    return popBoolean(TrKind::Union, Base);
   }
   case TrKind::Inter:
     // (τ & ρ) · R = lift(τ & ρ) · R — the one place lifting is required.
@@ -295,10 +303,10 @@ Tr TrManager::dnfUnderStep(Tr T, PredId Path) {
     return ite(N.Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids(N.NumKids);
-    for (size_t I = 0; I != Kids.size(); ++I)
-      Kids[I] = dnfUnder(kid(T, I), Path);
-    return union_(Kids);
+    const size_t Base = KidStack.size();
+    for (size_t I = 0; I != N.NumKids; ++I)
+      KidStack.push_back(dnfUnder(kid(T, I), Path));
+    return popBoolean(TrKind::Union, Base);
   }
   case TrKind::Inter: {
     Tr Acc = dnfUnder(kid(T, 0), Path);
@@ -321,10 +329,10 @@ Tr TrManager::leafInterDnf(Re A, Tr B) {
     return ite(N.Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids(N.NumKids);
-    for (size_t I = 0; I != Kids.size(); ++I)
-      Kids[I] = leafInterDnf(A, kid(B, I));
-    return union_(Kids);
+    const size_t Base = KidStack.size();
+    for (size_t I = 0; I != N.NumKids; ++I)
+      KidStack.push_back(leafInterDnf(A, kid(B, I)));
+    return popBoolean(TrKind::Union, Base);
   }
   case TrKind::Inter:
     sbd_unreachable("leafInterDnf requires a DNF operand");
@@ -337,15 +345,7 @@ Tr TrManager::interDnf(Tr A, Tr B, PredId Path) {
     return BotTr;
   if (A == TopTr)
     return dnfUnder(B, Path);
-  const uint64_t Pair = static_cast<uint64_t>(A.Id) << 32 | B.Id;
-  uint32_t PairId;
-  if (const uint32_t *Known = PairIds.find(Pair)) {
-    PairId = *Known;
-  } else {
-    PairId = static_cast<uint32_t>(PairIds.size());
-    PairIds.insert(Pair, PairId);
-  }
-  const uint64_t Key = static_cast<uint64_t>(PairId) << 32 | Path.Id;
+  const IdTriple Key{A.Id, B.Id, Path.Id};
   if (const uint32_t *Hit = InterMemo.find(Key)) {
     SBD_OBS_STAT_INC(Stats, MemoHits);
     return Tr{*Hit};
@@ -384,10 +384,10 @@ Tr TrManager::interDnfStep(Tr A, Tr B, PredId Path) {
     return ite(N.Cond, ThenD, ElseD);
   }
   case TrKind::Union: {
-    std::vector<Tr> Kids(N.NumKids);
-    for (size_t I = 0; I != Kids.size(); ++I)
-      Kids[I] = interDnf(kid(A, I), B, Path);
-    return union_(Kids);
+    const size_t Base = KidStack.size();
+    for (size_t I = 0; I != N.NumKids; ++I)
+      KidStack.push_back(interDnf(kid(A, I), B, Path));
+    return popBoolean(TrKind::Union, Base);
   }
   case TrKind::Inter:
     sbd_unreachable("interDnf's first operand must be in DNF");
@@ -430,27 +430,26 @@ void TrManager::collectLeaves(Tr T, std::vector<Re> &Out,
   }
 }
 
-void TrManager::collectArcs(Tr T, PredId Guard,
-                            std::vector<std::pair<PredId, Re>> &Out) const {
+void TrManager::collectArcs(Tr T, PredId Guard) {
   // Only the predicate pool grows below, so the kid spans stay valid.
   const TrNode &N = node(T);
   switch (N.Kind) {
   case TrKind::Leaf:
     if (N.LeafRe != M.empty())
-      Out.push_back({Guard, N.LeafRe});
+      RawArcs.push_back({Guard, N.LeafRe});
     return;
   case TrKind::Ite: {
     PredId GuardT = M.preds().conj(Guard, N.Cond);
     PredId GuardF = M.preds().minus(Guard, N.Cond);
     if (GuardT != PredPool::Bot)
-      collectArcs(kid(T, 0), GuardT, Out);
+      collectArcs(kid(T, 0), GuardT);
     if (GuardF != PredPool::Bot)
-      collectArcs(kid(T, 1), GuardF, Out);
+      collectArcs(kid(T, 1), GuardF);
     return;
   }
   case TrKind::Union:
     for (Tr Kid : kids(T))
-      collectArcs(Kid, Guard, Out);
+      collectArcs(Kid, Guard);
     return;
   case TrKind::Inter:
     sbd_unreachable("arcs() requires a DNF transition regex");
@@ -458,25 +457,57 @@ void TrManager::collectArcs(Tr T, PredId Guard,
   sbd_unreachable("covered switch");
 }
 
-std::vector<TrArc> TrManager::arcs(Tr T) const {
-  std::vector<std::pair<PredId, Re>> Raw;
-  collectArcs(T, PredPool::Top, Raw);
-  // Merge arcs by target, preserving first-appearance order. A merged
-  // guard is a temporary set, not interned: interning every partial union
-  // would keep n²/2 intervals for n arcs into one target.
-  std::vector<TrArc> Out;
-  FlatMap64 Index; // Target.Id -> index in Out
-  for (const auto &[Guard, Target] : Raw) {
-    const CharSet &G = M.preds().set(Guard);
-    if (const uint32_t *At = Index.find(Target.Id)) {
-      Out[*At].Guard = Out[*At].Guard.unionWith(G);
+template <class FirstFn, class MoreFn>
+void TrManager::mergeArcs(Tr T, FirstFn First, MoreFn More) {
+  RawArcs.clear();
+  collectArcs(T, PredPool::Top);
+  // The walk interns no regex node, so every target has a slot.
+  if (ArcIndex.size() < M.numNodes())
+    ArcIndex.resize(M.numNodes(), MissingId);
+  uint32_t NumArcs = 0;
+  for (const auto &[Guard, Target] : RawArcs) {
+    uint32_t &At = ArcIndex[Target.Id];
+    if (At == MissingId) {
+      At = NumArcs++;
+      First(Guard, Target);
     } else {
-      Index.insert(Target.Id, static_cast<uint32_t>(Out.size()));
-      Out.push_back({G, Target});
+      More(At, Guard);
     }
   }
-  SBD_OBS_ADD(ArcsEnumerated, Out.size());
+  for (const auto &Raw : RawArcs)
+    ArcIndex[Raw.second.Id] = MissingId;
+  SBD_OBS_ADD(ArcsEnumerated, NumArcs);
+}
+
+std::vector<TrArc> TrManager::arcs(Tr T) {
+  // A merged guard is a temporary set, not interned: interning every
+  // partial union would keep n²/2 intervals for n arcs into one target.
+  std::vector<TrArc> Out;
+  mergeArcs(
+      T,
+      [&](PredId Guard, Re Target) {
+        Out.push_back({M.preds().set(Guard), Target});
+      },
+      [&](uint32_t At, PredId Guard) {
+        Out[At].Guard = Out[At].Guard.unionWith(M.preds().set(Guard));
+      });
   return Out;
+}
+
+std::span<const TrArcSample> TrManager::arcSamples(Tr T) {
+  // Guards are satisfiable, so every sample() has a value.
+  Samples.clear();
+  mergeArcs(
+      T,
+      [&](PredId Guard, Re Target) {
+        Samples.push_back({*M.preds().set(Guard).sample(), Target});
+      },
+      [&](uint32_t At, PredId Guard) {
+        const uint32_t Ch = *M.preds().set(Guard).sample();
+        if (witnessLess(Ch, Samples[At].Ch))
+          Samples[At].Ch = Ch;
+      });
+  return Samples;
 }
 
 void TrManager::collectGuards(Tr T, std::vector<CharSet> &Out) const {

@@ -80,6 +80,13 @@ struct TrArc {
   Re Target;
 };
 
+/// An arc as the witness search takes it: the least member of its guard in
+/// witness order (`CharSet::sample()`), and its target.
+struct TrArcSample {
+  uint32_t Ch;
+  Re Target;
+};
+
 /// Arena + algebra for transition regexes.
 class TrManager {
 public:
@@ -189,10 +196,17 @@ public:
                      bool IncludeTrivial = false) const;
 
   /// Enumerates the arcs of a DNF transition regex: all (guard, target)
-  /// pairs with satisfiable guards and non-⊥ targets. Arcs with the same
-  /// target are merged by guard union. The guards are computed in the
-  /// shared predicate pool, which this call may grow.
-  std::vector<TrArc> arcs(Tr T) const;
+  /// pairs with satisfiable guards and non-⊥ targets, in the order their
+  /// targets first appear. Arcs with the same target are merged by guard
+  /// union. The guards are computed in the shared predicate pool, which
+  /// this call may grow.
+  std::vector<TrArc> arcs(Tr T);
+
+  /// The arcs of arcs(T), in the same order, each with its guard's
+  /// sample() in place of the guard. The sample of a union of guards is the
+  /// `witnessLess`-least of their samples, so no guard is built. The span
+  /// points into a buffer that the next call reuses.
+  std::span<const TrArcSample> arcSamples(Tr T);
 
   /// Appends the distinct conditional guards occurring in T (the set
   /// Guards(∆(q)) used for local mintermization in Section 8.3).
@@ -220,9 +234,17 @@ private:
   Tr interDnf(Tr A, Tr B, PredId Path);
   /// One distribution step of interDnf, without the memo.
   Tr interDnfStep(Tr A, Tr B, PredId Path);
+  /// The K-node (Union or Inter) of the kids pushed on KidStack since
+  /// \p Base, which it pops.
+  Tr popBoolean(TrKind K, size_t Base);
 
-  void collectArcs(Tr T, PredId Guard,
-                   std::vector<std::pair<PredId, Re>> &Out) const;
+  /// Appends T's unmerged (guard, target) arcs to RawArcs.
+  void collectArcs(Tr T, PredId Guard);
+  /// Walks T's arcs once and merges them by target, in first-appearance
+  /// order: \p First(guard, target) opens a target's arc and
+  /// \p More(index, guard) adds a guard to the arc opened index-th.
+  template <class FirstFn, class MoreFn>
+  void mergeArcs(Tr T, FirstFn First, MoreFn More);
 
   /// Tombstone for the dense id-indexed memo slots.
   static constexpr uint32_t MissingId = 0xFFFFFFFFu;
@@ -238,14 +260,21 @@ private:
   /// δdnf product memos (DESIGN.md §7), dropped per query by
   /// dropProductMemos(); a path is a PredId in M.preds():
   ///   UnderMemo: (T << 32 | path) -> dnfUnder(T, path);
-  ///   PairIds:   (A << 32 | B) -> dense pair id;
-  ///   InterMemo: (pair id << 32 | path) -> interDnf(A, B, path).
+  ///   InterMemo: (A, B, path) -> interDnf(A, B, path).
   FlatMap64 UnderMemo;
-  FlatMap64 PairIds;
-  FlatMap64 InterMemo;
+  FlatMap<IdTriple> InterMemo;
   /// makeBoolean's scratch (it never re-enters itself).
   std::vector<Tr> FlatScratch, KidScratch;
   std::vector<Re> LeafScratch;
+  /// The Union/Inter kids of the recursive builders (negate, concatRe, the
+  /// δdnf workers). A frame pushes each kid once its recursive call has
+  /// returned and pops its kids in popBoolean, so frames nest like a stack.
+  std::vector<Tr> KidStack;
+  /// mergeArcs' scratch: the unmerged arcs, and a Re id -> merged-arc index
+  /// slot per regex node (MissingId outside a call).
+  std::vector<std::pair<PredId, Re>> RawArcs;
+  std::vector<uint32_t> ArcIndex;
+  std::vector<TrArcSample> Samples;
   CacheStats Stats;
   Tr BotTr, TopTr;
 };

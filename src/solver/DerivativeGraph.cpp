@@ -10,22 +10,25 @@ using namespace sbd;
 
 void DerivativeGraph::clear() {
   Verts.clear();
-  Index.clear();
-  NumEdges = 0;
+  VertexOf.clear();
+  Succs.clear();
+  PredLinks.clear();
   Pending.clear();
   Epoch = 0;
 }
 
 uint32_t DerivativeGraph::addVertex(Re R) {
-  if (const uint32_t *Hit = Index.find(R.Id))
-    return *Hit;
+  if (const uint32_t Hit = find(R); Hit != NoVertex)
+    return Hit;
+  if (VertexOf.size() <= R.Id)
+    VertexOf.resize(M.numNodes(), NoVertex);
   uint32_t V = static_cast<uint32_t>(Verts.size());
   Vertex Vx;
   Vx.R = R;
   Vx.Final = M.nullable(R);
-  Verts.push_back(std::move(Vx));
-  Index.insert(R.Id, V);
-  if (Verts[V].Final)
+  Verts.push_back(Vx);
+  VertexOf[R.Id] = V;
+  if (Vx.Final)
     markAlive(V);
   return V;
 }
@@ -34,18 +37,22 @@ void DerivativeGraph::close(Re R, const std::vector<Re> &Targets) {
   uint32_t V = addVertex(R);
   if (Verts[V].Closed)
     return; // upd has no effect on closed vertices
+  // V's successors are appended as one slice; addVertex and markAlive
+  // below touch neither Succs nor V's slice bounds.
+  const uint32_t Begin = static_cast<uint32_t>(Succs.size());
   for (Re Target : Targets) {
     uint32_t W = addVertex(Target);
     // Dedup parallel edges.
-    if (std::find(Verts[V].Succ.begin(), Verts[V].Succ.end(), W) !=
-        Verts[V].Succ.end())
+    if (std::find(Succs.begin() + Begin, Succs.end(), W) != Succs.end())
       continue;
-    Verts[V].Succ.push_back(W);
-    Verts[W].Pred.push_back(V);
-    ++NumEdges;
+    Succs.push_back(W);
+    PredLinks.push_back({V, Verts[W].PredHead});
+    Verts[W].PredHead = static_cast<uint32_t>(PredLinks.size() - 1);
     if (Verts[W].Alive)
       markAlive(V);
   }
+  Verts[V].SuccBegin = Begin;
+  Verts[V].NumSucc = static_cast<uint32_t>(Succs.size()) - Begin;
   Verts[V].Closed = true;
   Pending.push_back(V);
 }
@@ -74,14 +81,13 @@ void DerivativeGraph::settleDead() {
     collect(V);
   Pending.clear();
   for (size_t I = 0; I != Cands.size(); ++I)
-    for (uint32_t P : Verts[Cands[I]].Pred)
-      collect(P);
+    forEachPred(Cands[I], collect);
 
   // A candidate escapes when a successor is neither a candidate nor dead:
   // such a successor is open, alive, or still reaches one of those.
   Escaping.clear();
   for (uint32_t V : Cands) {
-    for (uint32_t W : Verts[V].Succ) {
+    for (uint32_t W : succs(V)) {
       if (Verts[W].Stamp != Epoch && !Verts[W].Dead) {
         Verts[V].Escapes = true;
         Escaping.push_back(V);
@@ -93,43 +99,43 @@ void DerivativeGraph::settleDead() {
   while (!Escaping.empty()) {
     uint32_t V = Escaping.back();
     Escaping.pop_back();
-    for (uint32_t P : Verts[V].Pred) {
+    forEachPred(V, [&](uint32_t P) {
       if (Verts[P].Stamp != Epoch || Verts[P].Escapes)
-        continue;
+        return;
       Verts[P].Escapes = true;
       Escaping.push_back(P);
-    }
+    });
   }
   for (uint32_t V : Cands)
     Verts[V].Dead = !Verts[V].Escapes;
 }
 
 bool DerivativeGraph::isClosed(Re R) const {
-  const uint32_t *Hit = Index.find(R.Id);
-  return Hit && Verts[*Hit].Closed;
+  const uint32_t V = find(R);
+  return V != NoVertex && Verts[V].Closed;
 }
 
 bool DerivativeGraph::isFinal(Re R) const {
-  const uint32_t *Hit = Index.find(R.Id);
-  return Hit && Verts[*Hit].Final;
+  const uint32_t V = find(R);
+  return V != NoVertex && Verts[V].Final;
 }
 
 bool DerivativeGraph::isAlive(Re R) const {
-  const uint32_t *Hit = Index.find(R.Id);
-  return Hit && Verts[*Hit].Alive;
+  const uint32_t V = find(R);
+  return V != NoVertex && Verts[V].Alive;
 }
 
 bool DerivativeGraph::isDead(Re R) const {
-  const uint32_t *Hit = Index.find(R.Id);
-  return Hit && Verts[*Hit].Dead;
+  const uint32_t V = find(R);
+  return V != NoVertex && Verts[V].Dead;
 }
 
 std::vector<Re> DerivativeGraph::successors(Re R) const {
   std::vector<Re> Out;
-  const uint32_t *Hit = Index.find(R.Id);
-  if (!Hit)
+  const uint32_t V = find(R);
+  if (V == NoVertex)
     return Out;
-  for (uint32_t W : Verts[*Hit].Succ)
+  for (uint32_t W : succs(V))
     Out.push_back(Verts[W].R);
   return Out;
 }
@@ -139,16 +145,16 @@ void DerivativeGraph::markAlive(uint32_t V) {
     return;
   // Alive propagates backwards: every predecessor of an alive vertex can
   // reach F through it.
-  std::vector<uint32_t> Stack = {V};
+  AliveStack.assign(1, V);
   Verts[V].Alive = true;
-  while (!Stack.empty()) {
-    uint32_t Cur = Stack.back();
-    Stack.pop_back();
-    for (uint32_t P : Verts[Cur].Pred) {
+  while (!AliveStack.empty()) {
+    uint32_t Cur = AliveStack.back();
+    AliveStack.pop_back();
+    forEachPred(Cur, [&](uint32_t P) {
       if (Verts[P].Alive)
-        continue;
+        return;
       Verts[P].Alive = true;
-      Stack.push_back(P);
-    }
+      AliveStack.push_back(P);
+    });
   }
 }

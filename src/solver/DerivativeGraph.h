@@ -30,9 +30,9 @@
 #define SBD_SOLVER_DERIVATIVEGRAPH_H
 
 #include "re/Regex.h"
-#include "support/InternTable.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace sbd {
@@ -46,7 +46,7 @@ public:
   uint32_t addVertex(Re R);
 
   /// True if R is already a vertex.
-  bool hasVertex(Re R) const { return Index.find(R.Id) != nullptr; }
+  bool hasVertex(Re R) const { return find(R) != NoVertex; }
 
   /// The Upd rule (Fig. 3b): records all derivative targets of \p R and
   /// marks it closed. No effect if R is already closed. The new facts
@@ -67,11 +67,12 @@ public:
   /// Was R a proven dead end (bot rule precondition) at the last settle?
   bool isDead(Re R) const;
 
-  /// Successor regexes of a closed/partially closed vertex.
+  /// Successor regexes of a closed vertex, in the order close() first
+  /// saw them (parallel edges recorded once); empty for an open vertex.
   std::vector<Re> successors(Re R) const;
 
   size_t numVertices() const { return Verts.size(); }
-  size_t numEdges() const { return NumEdges; }
+  size_t numEdges() const { return Succs.size(); }
 
   /// Drops every vertex and edge, returning the graph to its freshly
   /// constructed state (same manager). Deterministic re-entry point for
@@ -80,6 +81,12 @@ public:
   void clear();
 
 private:
+  static constexpr uint32_t NoVertex = 0xFFFFFFFFu;
+  static constexpr uint32_t NoLink = 0xFFFFFFFFu;
+
+  /// A vertex record. Its successors are the slice
+  /// [SuccBegin, SuccBegin + NumSucc) of Succs, written once by close();
+  /// its predecessors are the list of PredLinks starting at PredHead.
   struct Vertex {
     Re R;
     bool Final = false;
@@ -90,19 +97,39 @@ private:
     /// an open or alive vertex.
     bool Escapes = false;
     uint32_t Stamp = 0;
-    std::vector<uint32_t> Succ;
-    std::vector<uint32_t> Pred;
+    uint32_t SuccBegin = 0;
+    uint32_t NumSucc = 0;
+    uint32_t PredHead = NoLink;
+  };
+  /// One reverse edge: From is a predecessor; Next links the next one.
+  struct PredLink {
+    uint32_t From;
+    uint32_t Next;
   };
 
+  /// R's vertex index, or NoVertex.
+  uint32_t find(Re R) const {
+    return R.Id < VertexOf.size() ? VertexOf[R.Id] : NoVertex;
+  }
+  std::span<const uint32_t> succs(uint32_t V) const {
+    return {Succs.data() + Verts[V].SuccBegin, Verts[V].NumSucc};
+  }
+  /// Calls \p Fn(P) for every predecessor P of V.
+  template <class Fn> void forEachPred(uint32_t V, Fn &&Visit) const {
+    for (uint32_t L = Verts[V].PredHead; L != NoLink; L = PredLinks[L].Next)
+      Visit(PredLinks[L].From);
+  }
   void markAlive(uint32_t V);
 
   RegexManager &M;
   std::vector<Vertex> Verts;
-  FlatMap64 Index; // Re.Id -> vertex index
-  size_t NumEdges = 0;
+  std::vector<uint32_t> VertexOf; // Re.Id -> vertex index, or NoVertex
+  std::vector<uint32_t> Succs;    // every closed vertex's successor slice
+  std::vector<PredLink> PredLinks;
   std::vector<uint32_t> Pending; // closed since the last settle
   uint32_t Epoch = 0;            // settles so far; candidate stamps
   std::vector<uint32_t> Cands, Escaping; // settleDead scratch
+  std::vector<uint32_t> AliveStack;      // markAlive scratch
 };
 
 } // namespace sbd

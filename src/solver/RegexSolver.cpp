@@ -207,15 +207,15 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   };
   std::vector<Re> Targets;
   auto expand = [&](Re Cur, std::vector<SearchArc> &Out) {
-    std::vector<TrArc> Arcs = T.arcs(Engine.derivativeDnf(Cur));
+    std::span<const TrArcSample> Arcs =
+        T.arcSamples(Engine.derivativeDnf(Cur));
     SBD_OBS_HIST(DnfExpansionArcs, Arcs.size());
     if (Arcs.size() >= BigExpansion && timeExpired())
       return WitnessSearch::stop(Result, StopReason::Timeout, "timeout");
     Targets.clear();
-    for (const TrArc &A : Arcs) {
+    for (const TrArcSample &A : Arcs) {
       Targets.push_back(A.Target);
-      // arcs() guarantees satisfiable guards.
-      Out.push_back(SearchArc{*A.Guard.sample(), A.Target});
+      Out.push_back(SearchArc{A.Ch, A.Target});
     }
     Graph.close(Cur, Targets);
     return true;

@@ -12,9 +12,10 @@
 ///     bytes per entry with no recomputation. Entries are never erased
 ///     (arenas only grow), which keeps probing tombstone-free.
 ///
-///   - `FlatMap64`: a uint64 -> uint32 open-addressing map for sparse memo
-///     caches keyed by packed ids (e.g. the classical-derivative memo keyed
-///     by (regex id, character)).
+///   - `FlatMap<Key>`: a Key -> uint32 open-addressing map for sparse memo
+///     caches keyed by packed ids: `FlatMap64` for one uint64 (e.g. the
+///     classical-derivative memo keyed by (regex id, character)), and
+///     `FlatMap<IdTriple>` for three 32-bit ids (the δdnf product memo).
 ///
 /// Both allocate lazily: a table that is never inserted into owns no
 /// slots, so a pool or memo a query never consults costs nothing on a
@@ -28,6 +29,7 @@
 #ifndef SBD_SUPPORT_INTERNTABLE_H
 #define SBD_SUPPORT_INTERNTABLE_H
 
+#include "support/Hashing.h"
 #include "support/Metrics.h"
 
 #include <cstdint>
@@ -122,14 +124,35 @@ private:
   size_t Count = 0;
 };
 
-/// Open-addressing uint64 -> uint32 map for sparse memo caches. Keys are
-/// caller-packed (the all-ones key is reserved as the empty marker); values
-/// are ids. No erase — memo caches are dropped wholesale via clear().
-class FlatMap64 {
-  static constexpr uint64_t EmptyKey = ~0ULL;
+/// A memo key of three 32-bit ids, e.g. the δdnf product memo's
+/// (A, B, path) triple.
+struct IdTriple {
+  uint32_t A, B, C;
+  friend bool operator==(IdTriple X, IdTriple Y) = default;
+};
+
+/// The key types FlatMap accepts: each names its reserved empty marker and
+/// its slot hash.
+template <class Key> struct FlatMapKey;
+template <> struct FlatMapKey<uint64_t> {
+  static constexpr uint64_t Empty = ~0ULL;
+  static uint64_t hash(uint64_t K) { return hashMix(K); }
+};
+template <> struct FlatMapKey<IdTriple> {
+  static constexpr IdTriple Empty{~0u, ~0u, ~0u};
+  static uint64_t hash(IdTriple K) {
+    return hashCombine(static_cast<uint64_t>(K.A) << 32 | K.B, K.C);
+  }
+};
+
+/// Open-addressing Key -> uint32 map for sparse memo caches. Keys are
+/// caller-packed ids (the all-ones key is reserved as the empty marker);
+/// values are ids. No erase — memo caches are dropped wholesale via clear().
+template <class Key> class FlatMap {
+  static constexpr Key EmptyKey = FlatMapKey<Key>::Empty;
 
   struct Slot {
-    uint64_t Key = EmptyKey;
+    Key K = EmptyKey;
     uint32_t Value = 0;
   };
 
@@ -138,18 +161,18 @@ public:
 
   void clear() {
     for (Slot &S : Slots)
-      S.Key = EmptyKey;
+      S.K = EmptyKey;
     Count = 0;
   }
 
   /// Returns a pointer to the stored value, or nullptr when absent.
-  const uint32_t *find(uint64_t Key) const {
+  const uint32_t *find(Key K) const {
     if (Slots.empty())
       return nullptr;
     size_t Mask = Slots.size() - 1;
-    size_t Idx = static_cast<size_t>(hashMix64(Key)) & Mask;
-    while (Slots[Idx].Key != EmptyKey) {
-      if (Slots[Idx].Key == Key)
+    size_t Idx = static_cast<size_t>(FlatMapKey<Key>::hash(K)) & Mask;
+    while (Slots[Idx].K != EmptyKey) {
+      if (Slots[Idx].K == K)
         return &Slots[Idx].Value;
       Idx = (Idx + 1) & Mask;
     }
@@ -157,19 +180,19 @@ public:
   }
 
   /// Inserts or overwrites.
-  void insert(uint64_t Key, uint32_t Value) {
+  void insert(Key K, uint32_t Value) {
     if ((Count + 1) * 10 >= Slots.size() * 7)
       rehash(Slots.empty() ? InitialSlots : Slots.size() * 2);
     size_t Mask = Slots.size() - 1;
-    size_t Idx = static_cast<size_t>(hashMix64(Key)) & Mask;
-    while (Slots[Idx].Key != EmptyKey) {
-      if (Slots[Idx].Key == Key) {
+    size_t Idx = static_cast<size_t>(FlatMapKey<Key>::hash(K)) & Mask;
+    while (Slots[Idx].K != EmptyKey) {
+      if (Slots[Idx].K == K) {
         Slots[Idx].Value = Value;
         return;
       }
       Idx = (Idx + 1) & Mask;
     }
-    Slots[Idx] = {Key, Value};
+    Slots[Idx] = {K, Value};
     ++Count;
   }
 
@@ -181,25 +204,22 @@ private:
     Slots.assign(NewSize, Slot{});
     size_t Mask = NewSize - 1;
     for (const Slot &S : Old) {
-      if (S.Key == EmptyKey)
+      if (S.K == EmptyKey)
         continue;
-      size_t Idx = static_cast<size_t>(hashMix64(S.Key)) & Mask;
-      while (Slots[Idx].Key != EmptyKey)
+      size_t Idx = static_cast<size_t>(FlatMapKey<Key>::hash(S.K)) & Mask;
+      while (Slots[Idx].K != EmptyKey)
         Idx = (Idx + 1) & Mask;
       Slots[Idx] = S;
     }
   }
 
-  static uint64_t hashMix64(uint64_t X) {
-    X += 0x9e3779b97f4a7c15ULL;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-    return X ^ (X >> 31);
-  }
-
   std::vector<Slot> Slots;
   size_t Count = 0;
 };
+
+/// The map for memos keyed by one packed uint64 (e.g. the
+/// classical-derivative memo's (regex id, character)).
+using FlatMap64 = FlatMap<uint64_t>;
 
 } // namespace sbd
 

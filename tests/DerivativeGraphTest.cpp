@@ -165,10 +165,41 @@ TEST_F(GraphTest, UpdIsIdempotentOnClosedVertices) {
   EXPECT_EQ(G.successors(A).size(), 1u);
 }
 
+TEST_F(GraphTest, ParallelEdgesAndSelfLoopsAreRecordedOnce) {
+  DerivativeGraph G(M);
+  Re A = F.plain(0), B = F.plain(1), Fin = F.final(2);
+  G.close(A, {A, B, B, A, B});
+  EXPECT_EQ(G.successors(A), (std::vector<Re>{A, B}));
+  EXPECT_EQ(G.numEdges(), 2u);
+  EXPECT_TRUE(G.successors(B).empty()); // B is open
+  G.close(B, {B, Fin, B});
+  EXPECT_EQ(G.successors(B), (std::vector<Re>{B, Fin}));
+  EXPECT_EQ(G.numEdges(), 4u);
+  // Alive reaches A back over B's and A's self-loops, once each.
+  EXPECT_TRUE(G.isAlive(A));
+  EXPECT_TRUE(G.isAlive(B));
+  G.close(Fin, {});
+  G.settleDead();
+  EXPECT_FALSE(G.isDead(A));
+  EXPECT_FALSE(G.isDead(B));
+
+  // The same shape without the final vertex dies whole.
+  Re C = F.plain(3), D = F.plain(4);
+  G.close(C, {C, D, D, C});
+  G.close(D, {D, C, D});
+  EXPECT_EQ(G.successors(D), (std::vector<Re>{D, C}));
+  EXPECT_EQ(G.numEdges(), 8u);
+  G.settleDead();
+  EXPECT_TRUE(G.isDead(C));
+  EXPECT_TRUE(G.isDead(D));
+}
+
 /// Randomized stress: after every settle, at random points of a random
 /// build sequence, the settled Dead set must equal the definition computed
 /// from scratch: v is dead iff everything reachable from v (v included) is
 /// closed and non-final. Between settles isDead keeps its settled answers.
+/// Each vertex's successors are its close targets without repeats, in the
+/// order close() first saw them, and numEdges() counts them.
 class GraphAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GraphAgreementTest, IncrementalAgreesWithLazyReference) {
@@ -230,6 +261,8 @@ TEST_P(GraphAgreementTest, IncrementalAgreesWithLazyReference) {
     std::swap(Order[I - 1], Order[Rand.below(I)]);
 
   std::vector<bool> Settled(NumVerts, false); // isDead at the last settle
+  std::vector<std::vector<Re>> RefSuccs(NumVerts);
+  size_t RefEdges = 0;
   for (uint32_t Step = 0; Step != NumVerts; ++Step) {
     uint32_t V = Order[Step];
     std::vector<Re> Targets;
@@ -237,6 +270,16 @@ TEST_P(GraphAgreementTest, IncrementalAgreesWithLazyReference) {
     for (size_t T = 0; T != Fanout; ++T)
       Targets.push_back(Handles[Rand.below(NumVerts)]);
     G.close(Handles[V], Targets);
+    for (Re Target : Targets)
+      if (std::find(RefSuccs[V].begin(), RefSuccs[V].end(), Target) ==
+          RefSuccs[V].end())
+        RefSuccs[V].push_back(Target);
+    RefEdges += RefSuccs[V].size();
+    EXPECT_EQ(G.numEdges(), RefEdges) << "seed " << GetParam();
+    for (uint32_t U = 0; U != NumVerts; ++U)
+      EXPECT_EQ(G.successors(Handles[U]), RefSuccs[U])
+          << "successors of vertex " << U << " at step " << Step << " seed "
+          << GetParam();
 
     const bool Settle = Step + 1 == NumVerts || Rand.chance(1, 3);
     if (Settle)

@@ -3,6 +3,7 @@
 #include "core/TransitionRegex.h"
 
 #include "core/Derivatives.h"
+#include "fuzz/Generator.h"
 #include "re/RegexParser.h"
 #include "support/Rng.h"
 
@@ -216,6 +217,43 @@ TEST_F(TrTest, ArcsSkipBotTargets) {
   std::vector<TrArc> Arcs = T.arcs(X);
   ASSERT_EQ(Arcs.size(), 1u);
   EXPECT_EQ(Arcs[0].Guard, D);
+}
+
+TEST_F(TrTest, ArcSamplesTakeTheLeastMemberOfAMergedGuard) {
+  DerivativeEngine E(M, T);
+  // Two guards into x, {b} and [a-b]: one arc, read on 'a'.
+  std::span<const TrArcSample> Samples =
+      T.arcSamples(E.derivativeDnf(re("bx|[a-b]x")));
+  ASSERT_EQ(Samples.size(), 1u);
+  EXPECT_EQ(Samples[0].Ch, uint32_t('a'));
+  EXPECT_EQ(Samples[0].Target, re("x"));
+  // {Ā} and [!Ā]: printable ASCII comes first in witness order, so the
+  // merged arc reads '!' although Ā is the smaller code point of neither.
+  Samples = T.arcSamples(E.derivativeDnf(re("\\u0100x|[!\\u0100]x")));
+  ASSERT_EQ(Samples.size(), 1u);
+  EXPECT_EQ(Samples[0].Ch, uint32_t('!'));
+  EXPECT_EQ(Samples[0].Target, re("x"));
+}
+
+TEST(ArcSampleTest, SamplesAreTheSamplesOfArcsGuardsInArcsOrder) {
+  RegexManager M;
+  TrManager T(M);
+  DerivativeEngine E(M, T);
+  fuzz::RegexGenerator Gen(M, 2021);
+  size_t NumArcs = 0;
+  for (int I = 0; I != 600; ++I) {
+    Re R = Gen.generate();
+    Tr D = E.derivativeDnf(R);
+    const std::vector<TrArc> Arcs = T.arcs(D);
+    std::span<const TrArcSample> Samples = T.arcSamples(D);
+    ASSERT_EQ(Samples.size(), Arcs.size()) << M.toString(R);
+    for (size_t J = 0; J != Arcs.size(); ++J) {
+      EXPECT_EQ(Samples[J].Ch, *Arcs[J].Guard.sample()) << M.toString(R);
+      EXPECT_EQ(Samples[J].Target, Arcs[J].Target) << M.toString(R);
+    }
+    NumArcs += Arcs.size();
+  }
+  EXPECT_GT(NumArcs, 600u);
 }
 
 TEST_F(TrTest, CollectLeaves) {

@@ -14,10 +14,11 @@
 /// prints sat/unsat/unknown, errors print (error "…"), successes are
 /// silent unless (set-option :print-success true).
 ///
-/// The arena grows monotonically within a session (hash-consing needs
+/// The arenas grow monotonically within a session (hash-consing needs
 /// stable node ids), so a long-lived server recycles the *whole* solver
-/// stack at a safe point instead: on (reset), when the arena exceeds
-/// --arena-budget nodes, the stack is rebuilt from scratch. The verdict
+/// stack at a safe point instead: on (reset), when the regex and
+/// transition-regex arenas together hold more than --arena-budget nodes,
+/// the stack is rebuilt from scratch. The verdict
 /// cache survives recycling by construction — its keys are canonical
 /// prints, not arena pointers — so warmth is preserved across stacks
 /// (DESIGN.md §15).
@@ -26,8 +27,9 @@
 ///   --cache-capacity N   verdict-cache entries (default 65536; 0 disables)
 ///   --cache-load PATH    preload the cache from a JSONL snapshot
 ///   --cache-save PATH    write the cache as JSONL on exit
-///   --arena-budget N     recycle the stack at (reset) past N nodes
-///                        (default 1048576; 0 never recycles)
+///   --arena-budget N     recycle the stack at (reset) past N regex +
+///                        transition-regex nodes (default 1048576; 0 never
+///                        recycles)
 ///   --timeout-ms N       per-sub-query wall-clock budget (default 10000)
 ///   --max-states N       per-sub-query state budget (default 0 = unlimited)
 ///   --stats-json PATH    write counters + wall time as JSON on exit
@@ -82,7 +84,8 @@ void usage(const char *Argv0) {
       "usage: %s [--cache-capacity N] [--cache-load PATH] [--cache-save "
       "PATH]\n           [--arena-budget N] [--timeout-ms N] [--max-states "
       "N] [--stats-json PATH]\n\nReads SMT-LIB commands from stdin, writes "
-      "responses to stdout.\n",
+      "responses to stdout.\n--arena-budget counts regex and "
+      "transition-regex nodes together.\n",
       Argv0);
 }
 
@@ -258,12 +261,14 @@ int main(int Argc, char **Argv) {
     }
     for (const SExpr &Form : Parsed.Forms) {
       // Stack recycling safe point: at (reset) nothing outlives the
-      // command, so when the arena has outgrown its budget the whole
-      // stack is rebuilt instead of reset. The verdict cache carries the
-      // accumulated warmth across the swap.
+      // command, so when the arenas have outgrown their budget the whole
+      // stack is rebuilt instead of reset. Both arenas count: one δdnf
+      // product can leave millions of transition-regex nodes beside a few
+      // thousand regex nodes. The verdict cache carries the accumulated
+      // warmth across the swap.
       if (Form.isList() && !Form.Kids.empty() &&
           Form.Kids[0].isSymbol("reset") && Opts.ArenaBudget &&
-          Stack->M.numNodes() > Opts.ArenaBudget) {
+          Stack->M.numNodes() + Stack->T.numNodes() > Opts.ArenaBudget) {
         RetiredChecks += Stack->Session.checksRun();
         Stack = std::make_unique<ServerStack>(Opts.Solve);
         if (Cache)
