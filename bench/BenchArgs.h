@@ -12,31 +12,13 @@
 ///                      outputs identical to the sequential path)
 ///   --quick            smoke-test preset: tiny scale and short timeouts,
 ///                      for CI and the stats-smoke step of check.sh
-///   --trace <file>     record a span timeline of the run and write it as
-///                      Chrome trace_event JSON (open in chrome://tracing
-///                      or Perfetto)
-///   --stats-json <file> write the merged counter registry, the histogram
-///                      registry (p50/p90/p99), and the summed per-query
-///                      SolveStats as a flat JSON document
-///   --slow-log <file>  JSONL sink for slow-query explain artifacts
-///                      (replay them with tools/sbd-explain)
-///   --slow-threshold-us <n>   capture queries slower than n microseconds
-///   --slow-node-threshold <n> capture queries allocating > n arena nodes
-///   --expo <file>      write a Prometheus text exposition of the merged
-///                      registries at the end of the run, and arm SIGUSR1
-///                      for mid-run dumps to the same path
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SBD_BENCH_BENCHARGS_H
 #define SBD_BENCH_BENCHARGS_H
 
-#include "solver/SlowQueryLog.h"
 #include "solver/SolverResult.h"
-#include "support/Exposition.h"
-#include "support/Histogram.h"
-#include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -50,15 +32,11 @@ struct BenchArgs {
   uint64_t Seed = 2021;
   unsigned Threads = 1;
   bool Quick = false;
-  std::string TraceFile;
-  std::string StatsJsonFile;
-  std::string SlowLogFile;
-  int64_t SlowThresholdUs = -1;
-  uint64_t SlowNodeThreshold = 0;
-  std::string ExpoFile;
   SolveOptions Opts;
 
-  static BenchArgs parse(int Argc, char **Argv) {
+  /// Parses the shared flags; any other flag prints the usage (the shared
+  /// flags, then \p ExtraUsage) and exits 1.
+  static BenchArgs parse(int Argc, char **Argv, const char *ExtraUsage = "") {
     BenchArgs A;
     A.Opts.TimeoutMs = 250;
     A.Opts.MaxStates = 200000;
@@ -85,104 +63,15 @@ struct BenchArgs {
         A.Quick = true;
         A.Scale = 0.01;
         A.Opts.TimeoutMs = 100;
-      } else if (!std::strcmp(Argv[I], "--trace"))
-        A.TraceFile = need("--trace");
-      else if (!std::strcmp(Argv[I], "--stats-json"))
-        A.StatsJsonFile = need("--stats-json");
-      else if (!std::strcmp(Argv[I], "--slow-log"))
-        A.SlowLogFile = need("--slow-log");
-      else if (!std::strcmp(Argv[I], "--slow-threshold-us"))
-        A.SlowThresholdUs = std::atoll(need("--slow-threshold-us"));
-      else if (!std::strcmp(Argv[I], "--slow-node-threshold"))
-        A.SlowNodeThreshold =
-            std::strtoull(need("--slow-node-threshold"), nullptr, 10);
-      else if (!std::strcmp(Argv[I], "--expo"))
-        A.ExpoFile = need("--expo");
-      else {
+      } else {
         std::fprintf(stderr,
                      "usage: %s [--scale f] [--timeout-ms n] "
-                     "[--max-states n] [--seed n] [--threads n] [--quick] "
-                     "[--trace file] [--stats-json file] "
-                     "[--slow-log file] [--slow-threshold-us n] "
-                     "[--slow-node-threshold n] [--expo file]\n",
-                     Argv[0]);
+                     "[--max-states n] [--seed n] [--threads n] [--quick]%s\n",
+                     Argv[0], ExtraUsage);
         std::exit(1);
       }
     }
     return A;
-  }
-
-  /// Call before the measured work: resets the counter and histogram
-  /// registries so the stats dump covers exactly this run, arms the tracer
-  /// when --trace was given, installs the slow-query capture policy, and
-  /// arms SIGUSR1 exposition when --expo was given.
-  void beginObservation() const {
-    obs::MetricsRegistry::global().reset();
-    obs::HistogramRegistry::global().reset();
-    if (!TraceFile.empty())
-      obs::Tracer::global().start();
-    if (SlowThresholdUs >= 0 || SlowNodeThreshold > 0 ||
-        !SlowLogFile.empty()) {
-      obs::SlowQueryOptions SO;
-      SO.LatencyThresholdUs = SlowThresholdUs;
-      SO.NodeThreshold = SlowNodeThreshold;
-      SO.Path = SlowLogFile;
-      // --slow-log without a threshold means "capture everything slower
-      // than 0µs", i.e. every query — handy for forcing a capture.
-      if (SO.LatencyThresholdUs < 0 && SO.NodeThreshold == 0)
-        SO.LatencyThresholdUs = 0;
-      obs::SlowQueryLog::global().configure(SO);
-    }
-    if (!ExpoFile.empty())
-      obs::armSignalExposition(ExpoFile);
-  }
-
-  /// Call after the measured work (worker threads joined): writes the
-  /// Chrome trace, the stats JSON, and/or the Prometheus exposition when
-  /// requested. \p Aggregate is the per-query SolveStats summed over the
-  /// run. Returns false if any requested output could not be written.
-  bool endObservation(const SolveStats &Aggregate) const {
-    bool Ok = true;
-    if (!TraceFile.empty()) {
-      obs::Tracer::global().stop();
-      if (obs::Tracer::global().writeChromeTrace(TraceFile)) {
-        std::printf("trace: wrote %zu events to %s\n",
-                    obs::Tracer::global().eventCount(), TraceFile.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write trace to %s\n",
-                     TraceFile.c_str());
-        Ok = false;
-      }
-    }
-    if (!StatsJsonFile.empty()) {
-      std::string Doc = "{\n  \"counters\": ";
-      Doc += obs::MetricsRegistry::global().snapshot().json();
-      Doc += ",\n  \"histograms\": ";
-      Doc += obs::HistogramRegistry::global().snapshot().json();
-      Doc += ",\n  \"aggregate\": ";
-      Doc += Aggregate.json();
-      Doc += "\n}\n";
-      std::FILE *F = std::fopen(StatsJsonFile.c_str(), "w");
-      if (F) {
-        std::fwrite(Doc.data(), 1, Doc.size(), F);
-        std::fclose(F);
-        std::printf("stats: wrote %s\n", StatsJsonFile.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write stats to %s\n",
-                     StatsJsonFile.c_str());
-        Ok = false;
-      }
-    }
-    if (!ExpoFile.empty()) {
-      if (obs::writePrometheus(ExpoFile)) {
-        std::printf("expo: wrote %s\n", ExpoFile.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write exposition to %s\n",
-                     ExpoFile.c_str());
-        Ok = false;
-      }
-    }
-    return Ok;
   }
 };
 

@@ -16,7 +16,6 @@
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
 
@@ -92,56 +91,6 @@ void BM_DerivativeChain(benchmark::State &State) {
   State.counters["avg_probe"] = M.stats().avgProbeLength();
 }
 BENCHMARK(BM_DerivativeChain);
-
-void BM_DerivativeChainSpans(benchmark::State &State) {
-  // Same hot loop as BM_DerivativeChain, wrapped in one ScopedSpan per
-  // chain with the tracer disabled — the span density the solver actually
-  // ships (one span per query). The delta against BM_DerivativeChain is
-  // the observability layer's disabled-path overhead at realistic density
-  // (target: < 2%; measured value recorded in DESIGN.md §8).
-  RegexManager M;
-  TrManager T(M);
-  DerivativeEngine E(M, T);
-  Re R = parseRegexOrDie(M, PasswordPattern);
-  std::vector<uint32_t> Word;
-  for (int I = 0; I != 64; ++I)
-    Word.push_back("aB3!x"[I % 5]);
-  obs::Tracer::global().stop();
-  for (auto _ : State) {
-    SBD_SPAN("chain", "bench");
-    Re Cur = R;
-    for (uint32_t Ch : Word)
-      Cur = T.apply(E.derivativeDnf(Cur), Ch);
-    benchmark::DoNotOptimize(Cur);
-  }
-}
-BENCHMARK(BM_DerivativeChainSpans);
-
-void BM_DerivativeChainSpansDense(benchmark::State &State) {
-  // Worst-case density: a disabled span around every single derivative
-  // step. Dividing the delta against BM_DerivativeChain by the 65 spans
-  // per iteration gives the unit cost of one disabled ScopedSpan (one
-  // relaxed atomic load + branch; ~1ns on 2026 x86) — the reason the
-  // search loop itself carries no per-step span.
-  RegexManager M;
-  TrManager T(M);
-  DerivativeEngine E(M, T);
-  Re R = parseRegexOrDie(M, PasswordPattern);
-  std::vector<uint32_t> Word;
-  for (int I = 0; I != 64; ++I)
-    Word.push_back("aB3!x"[I % 5]);
-  obs::Tracer::global().stop();
-  for (auto _ : State) {
-    SBD_SPAN("chain", "bench");
-    Re Cur = R;
-    for (uint32_t Ch : Word) {
-      SBD_SPAN("step", "bench");
-      Cur = T.apply(E.derivativeDnf(Cur), Ch);
-    }
-    benchmark::DoNotOptimize(Cur);
-  }
-}
-BENCHMARK(BM_DerivativeChainSpansDense);
 
 void BM_InternRebuild(benchmark::State &State) {
   // Hash-consing hot loop: re-interning an already-present tree is the

@@ -9,9 +9,17 @@
 /// paper's architecture claims is small because the regex theory does the
 /// heavy lifting.
 ///
-/// It is also the corpus run behind the observation flags (--trace,
-/// --stats-json, --slow-log, --expo) that scripts/ci/bench_debug.sh and
-/// scripts/ci/obs_overhead.sh drive.
+/// It is also the one harness with observation flags, on top of the
+/// shared ones (BenchArgs.h); scripts/ci/bench_debug.sh and
+/// scripts/ci/obs_overhead.sh drive them:
+///   --stats-json <file>      write the merged counter registry, the
+///                            histogram registry (p50/p90/p99), and the
+///                            summed per-query SolveStats as one JSON document
+///   --slow-log <file>        append a JSONL record for every answer at least
+///                            as slow as the threshold (replay them with
+///                            tools/sbd-explain)
+///   --slow-threshold-us <n>  that threshold; 0 (the default) takes every
+///                            answer
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +30,9 @@
 #include "re/SmtPrinter.h"
 #include "smt/SmtSolver.h"
 #include "portfolio/BatchSolver.h"
+#include "portfolio/SlowQueryLog.h"
+#include "support/Histogram.h"
+#include "support/Metrics.h"
 #include "support/Stopwatch.h"
 
 #include <cstdio>
@@ -29,6 +40,80 @@
 using namespace sbd;
 
 namespace {
+
+/// The observation flags only this harness takes.
+struct ObsArgs {
+  std::string StatsJsonFile;
+  std::string SlowLogFile;
+  int64_t SlowThresholdUs = 0;
+
+  static constexpr const char *Usage =
+      " [--stats-json file] [--slow-log file] [--slow-threshold-us n]";
+
+  /// Takes this harness's flags out of \p Argv, compacting it in place, and
+  /// leaves the rest to BenchArgs::parse.
+  static ObsArgs take(int &Argc, char **Argv) {
+    ObsArgs A;
+    int Kept = 1;
+    for (int I = 1; I < Argc; ++I) {
+      const char *Flag = Argv[I];
+      if (std::strcmp(Flag, "--stats-json") &&
+          std::strcmp(Flag, "--slow-log") &&
+          std::strcmp(Flag, "--slow-threshold-us")) {
+        Argv[Kept++] = Argv[I];
+        continue;
+      }
+      if (I + 1 >= Argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", Flag);
+        std::exit(1);
+      }
+      const char *Value = Argv[++I];
+      if (!std::strcmp(Flag, "--stats-json"))
+        A.StatsJsonFile = Value;
+      else if (!std::strcmp(Flag, "--slow-log"))
+        A.SlowLogFile = Value;
+      else
+        A.SlowThresholdUs = std::atoll(Value);
+    }
+    Argc = Kept;
+    return A;
+  }
+
+  /// Call before the measured work: resets the counter and histogram
+  /// registries so the stats dump covers exactly this run, and arms the
+  /// slow-query log when --slow-log was given.
+  void begin() const {
+    obs::MetricsRegistry::global().reset();
+    obs::HistogramRegistry::global().reset();
+    if (!SlowLogFile.empty())
+      obs::SlowQueryLog::global().configure({SlowThresholdUs, SlowLogFile});
+  }
+
+  /// Call after the measured work (worker threads joined): writes the
+  /// stats JSON when requested. \p Aggregate is the per-query SolveStats
+  /// summed over the run. Returns false if it could not be written.
+  bool end(const SolveStats &Aggregate) const {
+    if (StatsJsonFile.empty())
+      return true;
+    std::string Doc = "{\n  \"counters\": ";
+    Doc += obs::MetricsRegistry::global().snapshot().json();
+    Doc += ",\n  \"histograms\": ";
+    Doc += obs::HistogramRegistry::global().snapshot().json();
+    Doc += ",\n  \"aggregate\": ";
+    Doc += Aggregate.json();
+    Doc += "\n}\n";
+    std::FILE *F = std::fopen(StatsJsonFile.c_str(), "w");
+    if (!F) {
+      std::fprintf(stderr, "error: cannot write stats to %s\n",
+                   StatsJsonFile.c_str());
+      return false;
+    }
+    std::fwrite(Doc.data(), 1, Doc.size(), F);
+    std::fclose(F);
+    std::printf("stats: wrote %s\n", StatsJsonFile.c_str());
+    return true;
+  }
+};
 
 struct GroupStats {
   size_t Total = 0;
@@ -107,7 +192,8 @@ GroupStats runGroup(const std::vector<BenchSuite> &Suites,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = BenchArgs::parse(Argc, Argv);
+  const ObsArgs Obs = ObsArgs::take(Argc, Argv);
+  BenchArgs Args = BenchArgs::parse(Argc, Argv, ObsArgs::Usage);
 
   struct Group {
     const char *Name;
@@ -118,7 +204,7 @@ int main(int Argc, char **Argv) {
   Groups.push_back({"B", booleanSuites(Args.Scale, Args.Seed)});
   Groups.push_back({"H", handwrittenSuites()});
 
-  Args.beginObservation();
+  Obs.begin();
   std::printf("== Full-stack SMT front end vs direct solver ==\n");
   std::printf("scale=%.3f timeout=%lldms threads=%u\n\n", Args.Scale,
               static_cast<long long>(Args.Opts.TimeoutMs), Args.Threads);
@@ -139,5 +225,5 @@ int main(int Argc, char **Argv) {
               "direct path return the same sat/unsat verdict (they must,\n"
               "modulo budget); overhead is the front end's relative cost.\n");
 
-  return Args.endObservation(Agg) ? 0 : 1;
+  return Obs.end(Agg) ? 0 : 1;
 }

@@ -66,7 +66,7 @@ HOT_PATH_MARKER = "sbd-lint: hot-path"
 UNORDERED = re.compile(r"\bstd::unordered_(?:map|set)\b|#include\s*<unordered_(?:map|set)>")
 
 # Rule 3: raw shard access outside the obs layer. The macros themselves and
-# the registry/exposition implementation are the allowlist; Audit.h
+# the registry implementations are the allowlist; Audit.h
 # publishes through SBD_OBS_ADD so it needs no exemption. The histogram
 # shard accessor and the shared registry's local() are covered the same way.
 OBS_ALLOWLIST = {
@@ -74,12 +74,8 @@ OBS_ALLOWLIST = {
     SRC / "support" / "Metrics.cpp",
     SRC / "support" / "ShardRegistry.h",
     SRC / "support" / "ShardRegistry.cpp",
-    SRC / "support" / "Trace.h",
-    SRC / "support" / "Trace.cpp",
     SRC / "support" / "Histogram.h",
     SRC / "support" / "Histogram.cpp",
-    SRC / "support" / "Exposition.cpp",
-    SRC / "solver" / "SlowQueryLog.cpp",
 }
 RAW_OBS = re.compile(
     r"\bobs::tlsShard\s*\(|\btlsShard\s*\(\s*\)\s*\.add\b"

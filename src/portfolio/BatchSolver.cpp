@@ -4,9 +4,7 @@
 
 #include "re/RegexParser.h"
 #include "portfolio/SolverStack.h"
-#include "support/Exposition.h"
 #include "support/Stopwatch.h"
-#include "support/Trace.h"
 
 #include <atomic>
 #include <memory>
@@ -19,8 +17,6 @@ using portfolio::SolverStack;
 BatchResult portfolio::solveOnStack(SolverStack &W, const BatchQuery &Q,
                                     bool /*ignored*/) {
   BatchResult Out;
-  obs::ScopedSpan Span("query", "batch");
-  Span.arg("pattern", Q.Pattern);
   Stopwatch ParseTimer;
   RegexParseResult Parsed = parseRegex(W.M, Q.Pattern);
   int64_t ParseUs = ParseTimer.elapsedUs();
@@ -65,9 +61,6 @@ BatchSolver::solveAll(const std::vector<BatchQuery> &Queries) {
       }
       Results[I] = solveOnStack(*W, Queries[I]);
       Dirty = true;
-      // Safe point for SIGUSR1-driven exposition dumps (one relaxed load
-      // when no dump is pending).
-      obs::pollExposition();
     }
     Local += W->stats();
     std::lock_guard<std::mutex> Lock(StatsMutex);

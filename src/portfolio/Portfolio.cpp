@@ -2,6 +2,7 @@
 
 #include "portfolio/Portfolio.h"
 
+#include "portfolio/SlowQueryLog.h"
 #include "support/Stopwatch.h"
 
 using namespace sbd;
@@ -114,6 +115,14 @@ SolveResult PortfolioSolver::checkSat(Re R, const SolveOptions &Opts) {
     Out.TimeUs = HitTimer.elapsedUs();
     Out.Stats.TotalUs = Out.TimeUs;
   }
+#if SBD_OBS
+  // The slow-query log filters every answer here, at the one exit all
+  // engines and the verdict cache share (DESIGN.md §13).
+  obs::SlowQueryLog &Slow = obs::SlowQueryLog::global();
+  if (Slow.shouldCapture(Out.Stats.TotalUs))
+    Slow.append(
+        obs::slowQueryRecord(M, R, Opts, Out, S.analyzer().analyze(R)));
+#endif
   return Out;
 }
 

@@ -53,7 +53,8 @@ RouteDecision planRoute(const analysis::RegexFeatures &F,
 /// and SmtSolver route through this. Every answer leaves through one
 /// verdict gate: a Sat witness, fresh or cached, is replayed once through
 /// RegexSolver::matchesWord (the classical derivative walk, DESIGN.md §15)
-/// and a rejection is Unknown with StopReason::RevalidationFailed.
+/// and a rejection is Unknown with StopReason::RevalidationFailed. After the
+/// gate, every answer passes the slow-query filter (portfolio/SlowQueryLog.h).
 class PortfolioSolver {
 public:
   explicit PortfolioSolver(RegexSolver &Sol)

@@ -5,10 +5,8 @@
 #include "cache/VerdictCache.h"
 #include "portfolio/Portfolio.h"
 #include "re/SmtPrinter.h"
-#include "support/Exposition.h"
 #include "support/Histogram.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 #include "support/Unicode.h"
 
 #include <algorithm>
@@ -831,14 +829,12 @@ static bool dropsProblem(const SExpr &Form) {
 
 SmtResult SmtSolver::solveScript(const std::string &Script,
                                  const SolveOptions &Opts) {
-  obs::ScopedSpan Span("solveScript", "smt");
   SExprParseResult Parsed = parseSExprs(Script);
   if (!Parsed.Ok) {
     SmtResult Result;
     Result.Status = SolveStatus::Unsupported;
     Result.Stop = StopReason::ParseError;
     Result.Note = "parse error: " + Parsed.Error;
-    Span.arg("status", std::string(statusName(Result.Status)));
     return Result;
   }
 
@@ -871,9 +867,6 @@ SmtResult SmtSolver::solveScript(const std::string &Script,
     Result.Stop = StopReason::UnsupportedFragment;
     Result.Note = std::move(*Failure);
   }
-  Span.arg("status", std::string(statusName(Result.Status)));
-  // Safe point for SIGUSR1-driven exposition dumps between scripts.
-  obs::pollExposition();
   return Result;
 }
 
@@ -1058,7 +1051,5 @@ std::vector<SmtSession::Reply> SmtSession::executeAll(const std::string &Text) {
     if (Out.back().ExitRequested)
       break;
   }
-  // Safe point for SIGUSR1-driven exposition dumps between batches.
-  obs::pollExposition();
   return Out;
 }

@@ -4,12 +4,9 @@
 #include "solver/RegexSolver.h"
 
 #include "analysis/AuditHooks.h"
-#include "re/SmtPrinter.h"
-#include "solver/SlowQueryLog.h"
 #include "solver/WitnessSearch.h"
 #include "support/Histogram.h"
 #include "support/Stopwatch.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 
@@ -21,7 +18,6 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   Result.Stats.Engine = OptsIn.Strategy == SearchStrategy::Dfs
                             ? SolveEngine::DerivDfs
                             : SolveEngine::DerivBfs;
-  obs::ScopedSpan Span("checkSat", "solver");
 
   // The δdnf product memos pay off within one query's distributions; a warm
   // arena that kept them would grow them by every query it ever solved.
@@ -57,12 +53,6 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   size_t Steps = 0;
   uint64_t TimeoutChecks = 0;
   size_t PeakFrontier = 0;
-#if SBD_OBS
-  // Frontier tracing feeds the slow-query explain artifact; it only runs
-  // when a capture trigger is armed (one relaxed load per query).
-  const bool SlowArmed = obs::SlowQueryLog::global().armed();
-  obs::FrontierTrace Frontier;
-#endif
 
   /// Settles Dead and fills Result.Stats/TimeUs; every return path goes
   /// through here, so the next query's bot rule sees this one's dead ends.
@@ -121,32 +111,7 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
     Shard.add(obs::Counter::SearchTimeUs, static_cast<uint64_t>(St.SearchUs));
     SBD_OBS_HIST(SolveLatencyUs, St.TotalUs);
     SBD_OBS_HIST(SolveArenaNodes, St.ArenaNodes);
-    if (obs::SlowQueryLog::global().shouldCapture(St.TotalUs, St.ArenaNodes)) {
-      obs::SlowQueryArtifact A;
-      A.Pattern = regexToSmtTerm(M, R);
-      std::optional<bool> Expected;
-      if (Result.Status == SolveStatus::Sat)
-        Expected = true;
-      else if (Result.Status == SolveStatus::Unsat)
-        Expected = false;
-      A.Script = regexToSmtScript(M, R, Expected);
-      A.Strategy = Opts.Strategy == SearchStrategy::Dfs ? "dfs" : "bfs";
-      A.TimeoutMs = Opts.TimeoutMs;
-      A.MaxStates = Opts.MaxStates;
-      A.Status = statusName(Result.Status);
-      A.StopReason = stopReasonName(Result.Stop);
-      A.TotalUs = St.TotalUs;
-      A.States = Result.StatesExplored;
-      A.FrontierStride = Frontier.Stride;
-      A.Frontier = Frontier.Samples;
-      A.TopCounters = obs::topCounterDeltas(Diff);
-      A.StatsJson = St.json();
-      A.FeaturesJson = Feat.json();
-      obs::SlowQueryLog::global().capture(std::move(A));
-    }
 #endif
-    Span.arg("status", std::string(statusName(Result.Status)));
-    Span.arg("states", static_cast<uint64_t>(Result.StatesExplored));
     // SBD_AUDIT builds: re-verify the similarity/NNF invariants over both
     // live arenas before handing the result back (compiles out by default).
     SBD_AUDIT_CHECKSAT_EXIT(M, T);
@@ -194,10 +159,6 @@ SolveResult RegexSolver::checkSat(Re R, const SolveOptions &OptsIn) {
   auto proceed = [&](size_t Reached, size_t Open) {
     if (Open > PeakFrontier)
       PeakFrontier = Open;
-#if SBD_OBS
-    if (SlowArmed)
-      Frontier.push(Open);
-#endif
     if (Opts.MaxStates && Reached > Opts.MaxStates)
       return WitnessSearch::stop(Result, StopReason::StateBudget,
                                  "state budget exhausted");

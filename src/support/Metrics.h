@@ -19,7 +19,7 @@
 ///  - Per-*query* attribution does not go through the registry at all: a
 ///    solver snapshots its thread's shard on entry and diffs on exit
 ///    (queries never migrate threads — the thread-local arena rule).
-///  - Compile with `-DSBD_OBS=0` to strip every counter update and span,
+///  - Compile with `-DSBD_OBS=0` to strip every counter update,
 ///    the `CacheStats` bumps included; the macros expand to nothing and the
 ///    structs stay as zero-cost shells so call sites need no `#if` guards.
 ///
@@ -96,11 +96,8 @@ namespace obs {
   X(FuzzChecks, "fuzz_checks") /* cross-engine/metamorphic checks */           \
   X(FuzzDiscrepancies, "fuzz_discrepancies") /* disagreements detected */      \
   X(FuzzShrinkSteps, "fuzz_shrink_steps") /* accepted shrinker reductions */   \
-  /* Profiling layer (support/Histogram.h, support/Trace.h drop policy, */     \
-  /* solver/SlowQueryLog.h). */                                                \
-  X(TraceEventsDropped, "trace_events_dropped") /* over the per-thread cap */  \
-  X(SlowQueriesCaptured, "slow_queries_captured") /* explain artifacts kept */ \
-  X(SlowQueriesDropped, "slow_queries_dropped") /* evicted from the ring */    \
+  /* Slow-query log (portfolio/SlowQueryLog.h). */                             \
+  X(SlowQueriesCaptured, "slow_queries_captured") /* records written */        \
   /* Pre-solve static analysis + routing (analysis/RegexAnalyzer.h, */         \
   /* portfolio/Portfolio.h). */                                                \
   X(AnalysisNodesVisited, "analysis_nodes_visited") /* memo misses */          \

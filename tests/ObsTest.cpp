@@ -2,27 +2,30 @@
 ///
 /// \file
 /// The guarantees of the sbd::obs subsystem (support/Metrics.h,
-/// support/Trace.h):
+/// support/Histogram.h, portfolio/SlowQueryLog.h):
 ///   - the counter registry merges per-thread shards correctly, including
 ///     shards of threads that have already exited;
-///   - tracing on vs off never changes a verdict or witness;
-///   - the exported documents (Chrome trace, stats JSON) are valid JSON
-///     with the advertised structure — validated with the in-tree parser.
+///   - histograms merge to the same buckets whatever the thread count;
+///   - the exported documents (stats JSON, slow-query records) are valid
+///     JSON with the advertised structure — validated with the in-tree
+///     parser — and the slow-query log sees every engine's answers.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Exposition.h"
 #include "support/Histogram.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
+#include "cache/VerdictCache.h"
 #include "policy/Json.h"
+#include "portfolio/SlowQueryLog.h"
+#include "portfolio/SolverStack.h"
 #include "re/RegexParser.h"
 #include "solver/RegexSolver.h"
-#include "solver/SlowQueryLog.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <thread>
 
@@ -199,103 +202,6 @@ TEST(MetricsTest, ExitedThreadShardsFoldIntoSnapshot) {
 
 #endif // SBD_OBS
 
-TEST(TracerTest, OnOffVerdictParity) {
-  const std::vector<std::string> Patterns = {
-      "(.*\\d.*)&(.*[a-z].*)&.{4,12}",
-      "(ab)+&(ba)+",
-      "\\d{4}-[a-zA-Z]{3}-\\d{2}&(2019.*|2020.*)",
-      "~(.*ab.*)&.*a.*&.*b.*",
-  };
-  std::vector<SolveResult> Off, On;
-  obs::Tracer::global().stop();
-  for (const std::string &P : Patterns)
-    Off.push_back(solvePattern(P));
-  obs::Tracer::global().start();
-  for (const std::string &P : Patterns)
-    On.push_back(solvePattern(P));
-  obs::Tracer::global().stop();
-  for (size_t I = 0; I != Patterns.size(); ++I) {
-    EXPECT_EQ(Off[I].Status, On[I].Status) << Patterns[I];
-    EXPECT_EQ(Off[I].Witness, On[I].Witness) << Patterns[I];
-    EXPECT_EQ(Off[I].StatesExplored, On[I].StatesExplored) << Patterns[I];
-  }
-#if SBD_OBS
-  EXPECT_GT(obs::Tracer::global().eventCount(), 0u);
-#endif
-  obs::Tracer::global().clear();
-}
-
-#if SBD_OBS
-
-TEST(TracerTest, ChromeTraceJsonIsValid) {
-  obs::Tracer::global().start();
-  {
-    obs::ScopedSpan Outer("outer", "test");
-    Outer.arg("pattern", std::string("a\"b\\c")); // needs escaping
-    Outer.arg("count", uint64_t(3));
-    obs::ScopedSpan Inner("inner", "test");
-  }
-  (void)solvePattern("a{3}b*");
-  obs::Tracer::global().stop();
-  std::string Doc = obs::Tracer::global().chromeTraceJson();
-  obs::Tracer::global().clear();
-
-  JsonParseResult R = parseJson(Doc);
-  ASSERT_TRUE(R.Ok) << R.Error << "\n" << Doc;
-  const JsonValue *Events = R.Value.get("traceEvents");
-  ASSERT_NE(Events, nullptr);
-  ASSERT_TRUE(Events->isArray());
-  ASSERT_GE(Events->asArray().size(), 3u); // outer, inner, checkSat
-  bool SawOuter = false;
-  for (const JsonValue &E : Events->asArray()) {
-    ASSERT_NE(E.get("name"), nullptr);
-    ASSERT_NE(E.get("ph"), nullptr);
-    EXPECT_EQ(E.get("ph")->asString(), "X");
-    ASSERT_NE(E.get("ts"), nullptr);
-    ASSERT_NE(E.get("dur"), nullptr);
-    ASSERT_NE(E.get("tid"), nullptr);
-    if (E.get("name")->asString() == "outer") {
-      SawOuter = true;
-      const JsonValue *Args = E.get("args");
-      ASSERT_NE(Args, nullptr);
-      EXPECT_EQ(Args->get("pattern")->asString(), "a\"b\\c");
-      EXPECT_EQ(Args->get("count")->asNumber(), 3.0);
-    }
-  }
-  EXPECT_TRUE(SawOuter);
-}
-
-TEST(TracerTest, SpansDeadWhenTracerOff) {
-  obs::Tracer::global().stop();
-  obs::Tracer::global().clear();
-  {
-    obs::ScopedSpan Span("dead", "test");
-    Span.arg("ignored", uint64_t(1));
-  }
-  EXPECT_EQ(obs::Tracer::global().eventCount(), 0u);
-}
-
-TEST(TracerTest, PerThreadBufferBoundsMemoryAndCountsDrops) {
-  obs::Tracer &T = obs::Tracer::global();
-  const size_t OldCap = T.maxEventsPerThread();
-  obs::MetricsRegistry::global().reset();
-  T.setMaxEventsPerThread(16);
-  T.start();
-  for (int I = 0; I != 100; ++I)
-    obs::ScopedSpan Span("flood", "test");
-  T.stop();
-  EXPECT_LE(T.eventCount(), 16u);
-  // Drop-newest: the earliest window of the run is the one that is kept.
-  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().get(
-                obs::Counter::TraceEventsDropped),
-            100u - 16u);
-  T.clear();
-  T.setMaxEventsPerThread(OldCap);
-  obs::MetricsRegistry::global().reset();
-}
-
-#endif // SBD_OBS
-
 TEST(HistogramTest, BucketRuleIsPureIntegerArithmetic) {
   // Bucket 0 holds value 0; bucket b >= 1 holds [2^(b-1), 2^b).
   EXPECT_EQ(obs::histBucket(0), 0u);
@@ -420,110 +326,125 @@ TEST(HistogramTest, RecordingCompiledOutUnderObsOff) {
 
 #if SBD_OBS
 
+/// Arms the slow-query log at \p ThresholdUs on a fresh JSONL file for the
+/// test's lifetime; the destructor disarms it and removes the file.
+class SlowLogFile {
+public:
+  explicit SlowLogFile(const char *Name, int64_t ThresholdUs = 0)
+      : Path(::testing::TempDir() + Name) {
+    std::remove(Path.c_str());
+    obs::SlowQueryLog::global().configure({ThresholdUs, Path});
+  }
+  ~SlowLogFile() {
+    obs::SlowQueryLog::global().configure(obs::SlowQueryOptions());
+    std::remove(Path.c_str());
+  }
+
+  /// Every line of the file, each parsed as JSON (failures included).
+  std::vector<JsonParseResult> records() const {
+    std::vector<JsonParseResult> Out;
+    std::ifstream In(Path);
+    std::string Line;
+    while (std::getline(In, Line))
+      Out.push_back(parseJson(Line));
+    return Out;
+  }
+
+  const std::string Path;
+};
+
 TEST(SlowQueryLogTest, CapturesReplayableArtifactPastThreshold) {
-  obs::SlowQueryLog &Log = obs::SlowQueryLog::global();
-  (void)Log.drain();
-  obs::SlowQueryOptions Opts;
-  Opts.LatencyThresholdUs = 0; // capture everything
-  Log.configure(Opts);
-  EXPECT_TRUE(Log.armed());
-
-  SolveResult R = solvePattern("(.*\\d.*)&(.*[a-z].*)&.{4,12}");
+  SolveResult R;
+  std::vector<JsonParseResult> Got;
+  {
+    SlowLogFile Log("slow_capture.jsonl");
+    portfolio::SolverStack W;
+    R = W.P.checkSat(parseRegexOrDie(W.M, "(.*\\d.*)&(.*[a-z].*)&.{4,12}"));
+    Got = Log.records();
+  }
   EXPECT_TRUE(R.isSat());
-
-  std::vector<obs::SlowQueryArtifact> Got = Log.drain();
-  Log.configure(obs::SlowQueryOptions()); // disarm for later tests
-  EXPECT_FALSE(Log.armed());
   ASSERT_EQ(Got.size(), 1u);
-  const obs::SlowQueryArtifact &A = Got[0];
-  EXPECT_NE(A.Pattern.find("re.inter"), std::string::npos);
-  EXPECT_NE(A.Script.find("(check-sat)"), std::string::npos);
-  EXPECT_EQ(A.Status, "sat");
-  EXPECT_EQ(A.Strategy, "bfs");
-  EXPECT_FALSE(A.Frontier.empty());
-  EXPECT_FALSE(A.TopCounters.empty());
-  // Time-class counters are excluded from the top-k list by contract.
-  for (const auto &KV : A.TopCounters)
-    EXPECT_EQ(KV.first.find("_time_us"), std::string::npos) << KV.first;
-
-  // The JSONL record parses and carries the full sbd-explain schema.
-  JsonParseResult P = parseJson(A.json());
-  ASSERT_TRUE(P.Ok) << P.Error;
+  ASSERT_TRUE(Got[0].Ok) << Got[0].Error;
+  const JsonValue &A = Got[0].Value;
+  // The record carries the full sbd-explain schema.
   for (const char *Key :
        {"pattern", "script", "strategy", "timeout_ms", "max_states", "status",
-        "stop_reason", "total_us", "states", "frontier_stride",
-        "frontier_trace", "top_counters", "stats"})
-    EXPECT_NE(P.Value.get(Key), nullptr) << Key;
-  EXPECT_TRUE(P.Value.get("frontier_trace")->isArray());
-  EXPECT_TRUE(P.Value.get("stats")->isObject());
+        "stop_reason", "total_us", "states", "stats", "features"})
+    EXPECT_NE(A.get(Key), nullptr) << Key;
+  EXPECT_NE(A.get("pattern")->asString().find("re.inter"), std::string::npos);
+  EXPECT_NE(A.get("script")->asString().find("(check-sat)"),
+            std::string::npos);
+  EXPECT_EQ(A.get("status")->asString(), "sat");
+  EXPECT_EQ(A.get("strategy")->asString(), "bfs");
+  EXPECT_EQ(A.get("states")->asNumber(),
+            static_cast<double>(R.StatesExplored));
+  ASSERT_TRUE(A.get("stats")->isObject());
+  EXPECT_EQ(A.get("stats")->get("engine")->asString(), "deriv_bfs");
+  EXPECT_EQ(A.get("stats")->get("solver_steps")->asNumber(),
+            static_cast<double>(R.Stats.SolverSteps));
+  ASSERT_TRUE(A.get("features")->isObject());
+  EXPECT_EQ(A.get("features")->get("class")->asString(), "boolean_heavy");
 }
 
-TEST(SlowQueryLogTest, RingDropsOldestPastCapacity) {
-  obs::SlowQueryLog &Log = obs::SlowQueryLog::global();
-  (void)Log.drain();
-  obs::SlowQueryOptions Opts;
-  Opts.LatencyThresholdUs = 0;
-  Opts.Capacity = 2;
-  Log.configure(Opts);
-  for (int I = 0; I != 4; ++I) {
-    obs::SlowQueryArtifact A;
-    A.TotalUs = I;
-    Log.capture(std::move(A));
+TEST(SlowQueryLogTest, ThresholdFiltersAnswers) {
+  SlowLogFile Log("slow_threshold.jsonl", /*ThresholdUs=*/int64_t(1) << 40);
+  portfolio::SolverStack W;
+  EXPECT_TRUE(W.P.checkSat(parseRegexOrDie(W.M, "a{3}b*")).isSat());
+  EXPECT_TRUE(Log.records().empty());
+}
+
+TEST(SlowQueryLogTest, CapturesAntimirovRoutedAnswer) {
+  // Only the portfolio exit sees this answer: the derivative solver never
+  // runs for a pattern the router sends to Antimirov.
+  SlowLogFile Log("slow_antimirov.jsonl");
+  portfolio::SolverStack W;
+  SolveResult R = W.P.checkSat(parseRegexOrDie(W.M, "(ab)*c"));
+  ASSERT_EQ(R.Stats.Engine, SolveEngine::Antimirov);
+  std::vector<JsonParseResult> Got = Log.records();
+  ASSERT_EQ(Got.size(), 1u);
+  ASSERT_TRUE(Got[0].Ok) << Got[0].Error;
+  EXPECT_EQ(Got[0].Value.get("stats")->get("engine")->asString(),
+            "antimirov");
+  EXPECT_EQ(Got[0].Value.get("status")->asString(), "sat");
+}
+
+TEST(SlowQueryLogTest, CapturesVerdictCacheHit) {
+  cache::VerdictCache Cache;
+  portfolio::SolverStack W;
+  W.P.setVerdictCache(&Cache);
+  Re R = parseRegexOrDie(W.M, "(.*\\d.*)&(.*[a-z].*)&.{4,12}");
+  ASSERT_TRUE(W.P.checkSat(R).isSat());
+  SlowLogFile Log("slow_cache.jsonl");
+  SolveResult Hit = W.P.checkSat(R);
+  ASSERT_EQ(Hit.Stats.Engine, SolveEngine::VerdictCache);
+  std::vector<JsonParseResult> Got = Log.records();
+  ASSERT_EQ(Got.size(), 1u);
+  ASSERT_TRUE(Got[0].Ok) << Got[0].Error;
+  EXPECT_EQ(Got[0].Value.get("stats")->get("engine")->asString(),
+            "verdict_cache");
+  EXPECT_EQ(Got[0].Value.get("status")->asString(), "sat");
+}
+
+TEST(SlowQueryLogTest, ConcurrentLongRecordsStayWhole) {
+  // Records past stdio's buffer size (a few KiB) are written in more than
+  // one write(2); four threads appending at once must still leave every
+  // line a whole record.
+  std::vector<BatchQuery> Queries;
+  for (size_t I = 0; I != 64; ++I)
+    Queries.push_back({std::string(9000 + I, 'a' + I % 26) + "b*", {}});
+  SlowLogFile Log("slow_concurrent.jsonl");
+  BatchSolver Batch(BatchOptions{4});
+  std::vector<BatchResult> Results = Batch.solveAll(Queries);
+  for (const BatchResult &R : Results)
+    ASSERT_TRUE(R.Result.isSat()) << R.Result.Note;
+  std::vector<JsonParseResult> Got = Log.records();
+  ASSERT_EQ(Got.size(), Queries.size());
+  for (const JsonParseResult &P : Got) {
+    ASSERT_TRUE(P.Ok) << P.Error;
+    EXPECT_GT(P.Value.get("script")->asString().size(), 8192u);
   }
-  EXPECT_EQ(Log.size(), 2u);
-  std::vector<obs::SlowQueryArtifact> Got = Log.drain();
-  Log.configure(obs::SlowQueryOptions());
-  ASSERT_EQ(Got.size(), 2u);
-  EXPECT_EQ(Got[0].TotalUs, 2);
-  EXPECT_EQ(Got[1].TotalUs, 3);
-}
-
-TEST(SlowQueryLogTest, NodeThresholdGatesCapture) {
-  obs::SlowQueryLog &Log = obs::SlowQueryLog::global();
-  obs::SlowQueryOptions Opts;
-  Opts.NodeThreshold = 1000000; // far above any toy query
-  Log.configure(Opts);
-  EXPECT_TRUE(Log.armed());
-  EXPECT_FALSE(Log.shouldCapture(/*TotalUs=*/50000, /*ArenaNodes=*/10));
-  EXPECT_TRUE(Log.shouldCapture(/*TotalUs=*/0, /*ArenaNodes=*/2000000));
-  Log.configure(obs::SlowQueryOptions());
-  EXPECT_FALSE(Log.armed());
-  EXPECT_FALSE(Log.shouldCapture(1000000, 1000000));
 }
 
 #endif // SBD_OBS
-
-TEST(ExpositionTest, PrometheusTextHasCountersAndHistogramSeries) {
-  obs::MetricsRegistry::global().reset();
-  obs::HistogramRegistry::global().reset();
-  (void)solvePattern("a{3}b*");
-  std::string Text = obs::prometheusText();
-  EXPECT_NE(Text.find("# TYPE sbd_queries_solved counter"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE sbd_solve_latency_us histogram"),
-            std::string::npos);
-#if SBD_OBS
-  EXPECT_NE(Text.find("sbd_queries_solved 1"), std::string::npos);
-  EXPECT_NE(Text.find("sbd_solve_latency_us_count 1"), std::string::npos);
-  EXPECT_NE(Text.find("_bucket{le=\"+Inf\"}"), std::string::npos);
-#else
-  EXPECT_NE(Text.find("sbd_queries_solved 0"), std::string::npos);
-  EXPECT_NE(Text.find("sbd_solve_latency_us_count 0"), std::string::npos);
-#endif
-  obs::MetricsRegistry::global().reset();
-  obs::HistogramRegistry::global().reset();
-}
-
-TEST(ExpositionTest, SnapshotJsonParsesWithBothSections) {
-  JsonParseResult R = parseJson(obs::snapshotJson());
-  ASSERT_TRUE(R.Ok) << R.Error;
-  const JsonValue *Counters = R.Value.get("counters");
-  const JsonValue *Hists = R.Value.get("histograms");
-  ASSERT_NE(Counters, nullptr);
-  ASSERT_NE(Hists, nullptr);
-  EXPECT_TRUE(Counters->isObject());
-  EXPECT_TRUE(Hists->isObject());
-  EXPECT_NE(Counters->get("derivative_calls"), nullptr);
-  EXPECT_NE(Hists->get("dnf_expansion_arcs"), nullptr);
-}
 
 } // namespace

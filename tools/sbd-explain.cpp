@@ -1,18 +1,17 @@
-//===- tools/sbd-explain.cpp - Slow-query explain artifact replay -----------===//
+//===- tools/sbd-explain.cpp - Slow-query record replay ---------------------===//
 ///
 /// \file
-/// Reads slow-query explain artifacts (the JSONL records RegexSolver
-/// captures through obs::SlowQueryLog, schema in DESIGN.md §13), replays
+/// Reads slow-query records (the JSONL lines PortfolioSolver::checkSat
+/// appends through obs::SlowQueryLog, schema in DESIGN.md §13), replays
 /// the captured SMT-LIB script through the full front end, and prints the
-/// derivative-exploration profile: the frontier growth curve, where the
-/// query's wall-clock and arena nodes concentrated, and the cache-hit
-/// attribution of the replay.
+/// record's profile: the analyzer's features, where the query's wall-clock
+/// and arena nodes went, and its cache-hit attribution.
 ///
-///   sbd-explain <artifact.jsonl>            explain the last record
-///   sbd-explain --index N <artifact.jsonl>  explain the N-th record (0-based)
-///   sbd-explain --list <artifact.jsonl>     one summary line per record
-///   sbd-explain --no-replay ...             skip the replay (offline use)
-///   sbd-explain --json ...                  machine-readable explain report
+///   sbd-explain <slow.jsonl>            explain the last record
+///   sbd-explain --index N <slow.jsonl>  explain the N-th record (0-based)
+///   sbd-explain --list <slow.jsonl>     one summary line per record
+///   sbd-explain --no-replay ...         skip the replay (offline use)
+///   sbd-explain --json ...              machine-readable explain report
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +40,10 @@ struct Args {
 int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [--index n] [--list] [--no-replay] [--json] "
-               "<artifact.jsonl>\n"
-               "Replays a slow-query explain artifact captured via "
-               "--slow-log / --slow-threshold-us\nand prints where the "
-               "derivative exploration spent its time and nodes.\n",
+               "<slow.jsonl>\n"
+               "Replays a slow-query record captured via --slow-log / "
+               "--slow-threshold-us\nand prints where the query spent its "
+               "time and nodes.\n",
                Prog);
   return 2;
 }
@@ -85,42 +84,6 @@ double getNumber(const JsonValue &A, const char *Key) {
   return V && V->kind() == JsonValue::Kind::Number ? V->asNumber() : 0;
 }
 
-/// ASCII curve of the frontier trace: height-8 bars scaled to the peak.
-void printFrontierCurve(const std::vector<double> &Trace, uint64_t Stride) {
-  if (Trace.empty()) {
-    std::printf("frontier trace: (empty — log was armed without a trace?)\n");
-    return;
-  }
-  double Peak = 0;
-  size_t PeakAt = 0;
-  for (size_t I = 0; I != Trace.size(); ++I)
-    if (Trace[I] > Peak) {
-      Peak = Trace[I];
-      PeakAt = I;
-    }
-  std::printf("frontier growth (%zu samples, 1 sample = %llu steps, "
-              "peak %.0f at step %llu):\n",
-              Trace.size(), static_cast<unsigned long long>(Stride), Peak,
-              static_cast<unsigned long long>(PeakAt * Stride));
-  // Downsample to at most 64 columns for the terminal.
-  const size_t Cols = Trace.size() < 64 ? Trace.size() : 64;
-  std::vector<double> Col(Cols, 0);
-  for (size_t I = 0; I != Trace.size(); ++I) {
-    size_t C = I * Cols / Trace.size();
-    if (Trace[I] > Col[C])
-      Col[C] = Trace[I];
-  }
-  const int Height = 8;
-  for (int Row = Height; Row >= 1; --Row) {
-    std::string L = "  ";
-    for (size_t C = 0; C != Cols; ++C) {
-      double Norm = Peak > 0 ? Col[C] / Peak * Height : 0;
-      L += Norm >= Row ? '#' : (Row == 1 && Col[C] > 0 ? '.' : ' ');
-    }
-    std::printf("%s\n", L.c_str());
-  }
-}
-
 /// Phase table from the captured (or replayed) stats object.
 void printPhaseProfile(const JsonValue &Stats, double TotalUs) {
   struct Row {
@@ -132,6 +95,10 @@ void printPhaseProfile(const JsonValue &Stats, double TotalUs) {
       {"dnf_us", "dnf"},     {"scan_us", "scan"},
       {"search_us", "search (residual)"},
   };
+  std::printf("engine %s: %.0f solver steps, peak frontier %.0f\n",
+              getString(Stats, "engine").c_str(),
+              getNumber(Stats, "solver_steps"),
+              getNumber(Stats, "peak_frontier"));
   std::printf("where the time went (total %.1f ms):\n", TotalUs / 1000.0);
   for (const Row &R : Rows) {
     double Us = getNumber(Stats, R.Key);
@@ -294,24 +261,11 @@ int main(int Argc, char **Argv) {
               getString(R, "strategy").c_str(), getNumber(R, "timeout_ms"),
               getNumber(R, "max_states"));
 
-  std::vector<double> Trace;
-  if (const JsonValue *T = R.get("frontier_trace"); T && T->isArray())
-    for (const JsonValue &V : T->asArray())
-      Trace.push_back(V.asNumber());
-  printFrontierCurve(Trace,
-                     static_cast<uint64_t>(getNumber(R, "frontier_stride")));
-
   if (const JsonValue *F = R.get("features"); F && F->isObject())
     printFeatures(*F);
 
   if (const JsonValue *Stats = R.get("stats"); Stats && Stats->isObject())
     printPhaseProfile(*Stats, getNumber(R, "total_us"));
-
-  if (const JsonValue *Top = R.get("top_counters"); Top && Top->isObject()) {
-    std::printf("top counter deltas:\n");
-    for (const auto &KV : Top->asObject())
-      std::printf("  %-28s %12.0f\n", KV.first.c_str(), KV.second.asNumber());
-  }
 
   if (A.Replay) {
     if (ReplayStatus.empty()) {
